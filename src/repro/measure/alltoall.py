@@ -23,6 +23,9 @@ no-placement path bit-for-bit.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
+
 import numpy as np
 
 from ..clusters.profiles import ClusterProfile
@@ -69,6 +72,25 @@ def _resolve_engine(engine: "str | None"):
         raise MeasurementError(exc.args[0]) from None
 
 
+@contextmanager
+def _collector_paused():
+    """Pause CPython's cyclic garbage collector for one engine call.
+
+    A simulation keeps hundreds of thousands of small objects alive
+    (events, closures, schedule tuples) and frees almost nothing cyclic
+    until it returns, so collections during the run only re-walk live
+    objects.  Results do not depend on collection timing.  The caller's
+    collector state is restored on exit, also when the engine raises.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def measure_alltoall(
     cluster: ClusterProfile,
     n_processes: int,
@@ -97,9 +119,11 @@ def measure_alltoall(
     :data:`repro.registry.ENGINES`; ``None`` defers to
     :func:`repro.engines.default_engine`).  Per-rep RNG seeds are
     engine-independent, so engines are compared on identical draws.
-    When ``REPRO_SIM_STATS`` is truthy the returned sample carries a
-    ``sim_stats`` attribute (a :class:`~repro.simnet.stats.SimStats`
-    summed over reps).
+    Each engine call (lowering plus replay, on any engine) runs with
+    the cyclic garbage collector paused; the caller's collector state
+    is restored afterwards.  When ``REPRO_SIM_STATS`` is truthy the
+    returned sample carries a ``sim_stats`` attribute (a
+    :class:`~repro.simnet.stats.SimStats` summed over reps).
 
     With ``observe=True`` the **first repetition** runs instrumented —
     a recording :class:`~repro.simnet.trace.Trace` and a per-link
@@ -165,19 +189,20 @@ def measure_alltoall(
     times = np.empty(reps)
     for rep in range(reps):
         rep_seed = factory.child(f"{stream_prefix}/{rep}").seed
-        if observe and rep == 0:
-            try:
-                result = engine_fn(
-                    cluster, n_processes, program, run_arg, rep_seed,
-                    trace=obs_trace, timeline=obs_timeline,
-                )
-            except TypeError as exc:
-                raise MeasurementError(
-                    f"engine {engine_name!r} does not support observation "
-                    f"(trace=/timeline= keyword arguments): {exc}"
-                ) from None
-        else:
-            result = engine_fn(cluster, n_processes, program, run_arg, rep_seed)
+        with _collector_paused():
+            if observe and rep == 0:
+                try:
+                    result = engine_fn(
+                        cluster, n_processes, program, run_arg, rep_seed,
+                        trace=obs_trace, timeline=obs_timeline,
+                    )
+                except TypeError as exc:
+                    raise MeasurementError(
+                        f"engine {engine_name!r} does not support observation "
+                        f"(trace=/timeline= keyword arguments): {exc}"
+                    ) from None
+            else:
+                result = engine_fn(cluster, n_processes, program, run_arg, rep_seed)
         times[rep] = result.duration
         # Always-on self-measurement: a handful of counter bumps per
         # rep, orders of magnitude below the simulation they describe.

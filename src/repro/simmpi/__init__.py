@@ -14,7 +14,7 @@ from .collectives import (
     alltoallv_direct,
     alltoallv_rounds,
 )
-from .lowering import LoweredMessage, LoweredProgram, Segment, lower_program
+from .lowering import LoweredProgram, Segment, lower_program
 from .request import ANY_SOURCE, ANY_TAG, RecvRequest, Request, SendRequest
 from .runtime import RankContext, RankProgram, RunResult, Runtime
 from .transport import TransportParams
@@ -29,7 +29,6 @@ __all__ = [
     "alltoall_rounds",
     "alltoallv_direct",
     "alltoallv_rounds",
-    "LoweredMessage",
     "LoweredProgram",
     "Segment",
     "lower_program",

@@ -10,14 +10,21 @@ simulation clock.  This module exploits that: it *records* one dry run
 of each rank's generator and emits a :class:`LoweredProgram`, a static
 schedule of
 
-* **messages** — every send with its (src, dst, tag, payload) and the
-  receive it pairs with, resolved at compile time (the runtime's FIFO
-  matching reduces to positional pairing when both sides use concrete
-  source/tag keys and delivery is per-pair in-order);
+* **messages** — one int64 column per field (``src``, ``dst``, ``tag``,
+  ``nbytes``, ``seq``, ``send_segment``, ``recv_segment``), indexed by
+  message id (send order).  Each send is paired with its receive at
+  compile time: the runtime's FIFO matching reduces to positional
+  pairing when both sides use concrete source/tag keys and delivery is
+  per-pair in-order, so the k-th send of a (src, dst, tag) class pairs
+  with the k-th receive of that class.  One stable ``np.lexsort`` per
+  side lines the classes up;
 * **segments** — the spans of each rank's program between ``yield``
   points, each with its ordered operation list and the *gate* (the set
   of requests the yield blocks on) that must complete before the next
   segment posts.
+
+Recording appends to flat per-field lists; no per-message object is
+built beyond the operation and gate tuples the segments carry.
 
 Segment k+1 of a rank depends on gate k; a message edges from its send
 segment on the source rank to its receive segment on the destination —
@@ -42,32 +49,10 @@ from ..exceptions import LoweringError
 from .request import ANY_SOURCE, ANY_TAG
 
 __all__ = [
-    "LoweredMessage",
     "Segment",
     "LoweredProgram",
     "lower_program",
 ]
-
-
-@dataclass(frozen=True)
-class LoweredMessage:
-    """One matched point-to-point transfer of the schedule.
-
-    ``seq`` is the per-ordered-pair (src, dst) sequence number — the
-    same numbering the runtime uses for its non-overtaking guarantee.
-    ``local`` transfers (src == dst) never touch the wire; they model
-    the rank's message to itself.
-    """
-
-    mid: int
-    src: int
-    dst: int
-    tag: int
-    nbytes: int
-    seq: int
-    send_segment: int
-    recv_segment: int
-    local: bool
 
 
 @dataclass(frozen=True)
@@ -89,13 +74,36 @@ class Segment:
     gate: tuple[tuple[str, int], ...] | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoweredProgram:
-    """A rank program compiled to a static phase schedule."""
+    """A rank program compiled to a static phase schedule.
+
+    Message columns are read-only int64 arrays indexed by message id.
+    ``seq`` is the per-ordered-pair (src, dst) sequence number — the
+    same numbering the runtime uses for its non-overtaking guarantee.
+    Messages with ``src == dst`` are *local*: they never touch the wire
+    and model the rank's message to itself.
+    """
 
     nprocs: int
-    messages: tuple[LoweredMessage, ...]
+    src: np.ndarray
+    dst: np.ndarray
+    tag: np.ndarray
+    nbytes: np.ndarray
+    seq: np.ndarray
+    send_segment: np.ndarray
+    recv_segment: np.ndarray
     segments: tuple[tuple[Segment, ...], ...]  # [rank][segment index]
+
+    @property
+    def n_messages(self) -> int:
+        """Number of matched messages (wire and local)."""
+        return len(self.src)
+
+    @property
+    def local(self) -> np.ndarray:
+        """Boolean mask of local (self-addressed) messages."""
+        return self.src == self.dst
 
     @property
     def n_phases(self) -> int:
@@ -110,9 +118,8 @@ class LoweredProgram:
         segments than *phase* contribute nothing.
         """
         matrix = np.zeros((self.nprocs, self.nprocs), dtype=np.int64)
-        for message in self.messages:
-            if message.send_segment == phase:
-                matrix[message.src, message.dst] += message.nbytes
+        posted = self.send_segment == phase
+        np.add.at(matrix, (self.src[posted], self.dst[posted]), self.nbytes[posted])
         return matrix
 
     def dependency_edges(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -122,59 +129,42 @@ class LoweredProgram:
         on gate k) these are the full dependency structure of the
         schedule.
         """
+        remote = ~self.local
         return [
-            ((m.src, m.send_segment), (m.dst, m.recv_segment))
-            for m in self.messages
-            if not m.local
+            ((src, send_seg), (dst, recv_seg))
+            for src, send_seg, dst, recv_seg in zip(
+                self.src[remote].tolist(),
+                self.send_segment[remote].tolist(),
+                self.dst[remote].tolist(),
+                self.recv_segment[remote].tolist(),
+            )
         ]
 
     def describe(self) -> str:
         """One-line shape summary."""
-        remote = sum(1 for m in self.messages if not m.local)
-        local = len(self.messages) - remote
+        local = int(np.count_nonzero(self.local))
         return (
             f"{self.nprocs} ranks, {self.n_phases} phases, "
-            f"{remote} wire messages, {local} local copies"
+            f"{self.n_messages - local} wire messages, {local} local copies"
         )
 
 
 class _SendToken:
-    __slots__ = ("mid",)
+    """What a recorded ``isend`` returns: its gate entry ``("send", mid)``."""
+
+    __slots__ = ("entry",)
 
     def __init__(self, mid: int) -> None:
-        self.mid = mid
+        self.entry = ("send", mid)
 
 
 class _RecvToken:
-    __slots__ = ("rank", "index")
+    """What a recorded ``irecv`` returns; ``entry`` is set once matched."""
 
-    def __init__(self, rank: int, index: int) -> None:
-        self.rank = rank
-        self.index = index
+    __slots__ = ("entry",)
 
-
-class _RecordedSend:
-    __slots__ = ("mid", "src", "dst", "tag", "nbytes", "seq", "segment")
-
-    def __init__(self, mid, src, dst, tag, nbytes, seq) -> None:
-        self.mid = mid
-        self.src = src
-        self.dst = dst
-        self.tag = tag
-        self.nbytes = nbytes
-        self.seq = seq
-        self.segment = -1
-
-
-class _RecordedRecv:
-    __slots__ = ("rank", "index", "src", "tag", "segment")
-
-    def __init__(self, rank, index, src, tag) -> None:
-        self.rank = rank
-        self.index = index
-        self.src = src
-        self.tag = tag
-        self.segment = -1
+    def __init__(self) -> None:
+        self.entry: tuple[str, int] | None = None
 
 
 class _RecordingContext:
@@ -203,7 +193,7 @@ class _RecordingContext:
         return recv_tok
 
     def local_copy(self, nbytes: int) -> None:
-        self._recorder.record_copy(self.rank, int(nbytes))
+        self._recorder.record_copy(int(nbytes))
 
     @property
     def now(self) -> float:
@@ -214,28 +204,53 @@ class _RecordingContext:
 
 
 class _Recorder:
-    """Accumulates recorded operations while one rank's generator runs."""
+    """Flat per-field columns of the operations recorded so far.
+
+    Ranks are recorded one after another, so message ids follow send
+    order and receive ids follow post order within each rank.
+    ``segment`` is the current rank's span index (its yield count).
+    Span op lists hold the tokens themselves for sends and receives and
+    ``("copy", nbytes)`` tuples for copies; tokens become their gate
+    entries once the receives are matched.
+    """
 
     def __init__(self, nprocs: int) -> None:
         self.nprocs = nprocs
-        self.sends: list[_RecordedSend] = []
-        self.recvs_by_rank: list[list[_RecordedRecv]] = [[] for _ in range(nprocs)]
-        self.copies: list[tuple[int, int]] = []
-        self._send_seq: dict[tuple[int, int], int] = {}
-        self._current_ops: list[tuple] = []
+        self.send_src: list[int] = []
+        self.send_dst: list[int] = []
+        self.send_tag: list[int] = []
+        self.send_nbytes: list[int] = []
+        self.send_seq: list[int] = []
+        self.send_segment: list[int] = []
+        self.recv_src: list[int] = []
+        self.recv_dst: list[int] = []
+        self.recv_tag: list[int] = []
+        self.recv_segment: list[int] = []
+        self.recv_tokens: list[_RecvToken] = []
+        self.segment = 0
+        self._next_seq: dict[int, int] = {}  # dst -> next seq of this rank
+        self._current_ops: list = []
+
+    def start_rank(self) -> None:
+        self.segment = 0
+        self._next_seq = {}
 
     def record_send(self, rank: int, dst: int, nbytes: int, tag: int) -> _SendToken:
         if nbytes < 0:
             raise ValueError("message size must be >= 0")
         if not 0 <= dst < self.nprocs:
             raise ValueError(f"destination rank {dst} out of range")
-        key = (rank, dst)
-        seq = self._send_seq.get(key, 0)
-        self._send_seq[key] = seq + 1
-        send = _RecordedSend(len(self.sends), rank, dst, tag, nbytes, seq)
-        self.sends.append(send)
-        self._current_ops.append(("send", send))
-        return _SendToken(send.mid)
+        seq = self._next_seq.get(dst, 0)
+        self._next_seq[dst] = seq + 1
+        token = _SendToken(len(self.send_src))
+        self.send_src.append(rank)
+        self.send_dst.append(dst)
+        self.send_tag.append(tag)
+        self.send_nbytes.append(nbytes)
+        self.send_seq.append(seq)
+        self.send_segment.append(self.segment)
+        self._current_ops.append(token)
+        return token
 
     def record_recv(self, rank: int, src: int, tag: int) -> _RecvToken:
         if src == ANY_SOURCE or tag == ANY_TAG:
@@ -246,19 +261,22 @@ class _Recorder:
             )
         if not 0 <= src < self.nprocs:
             raise ValueError(f"source rank {src} out of range")
-        recvs = self.recvs_by_rank[rank]
-        recv = _RecordedRecv(rank, len(recvs), src, tag)
-        recvs.append(recv)
-        self._current_ops.append(("recv", recv))
-        return _RecvToken(rank, recv.index)
+        token = _RecvToken()
+        self.recv_src.append(src)
+        self.recv_dst.append(rank)
+        self.recv_tag.append(tag)
+        self.recv_segment.append(self.segment)
+        self.recv_tokens.append(token)
+        self._current_ops.append(token)
+        return token
 
-    def record_copy(self, rank: int, nbytes: int) -> None:
-        self.copies.append((rank, nbytes))
+    def record_copy(self, nbytes: int) -> None:
         self._current_ops.append(("copy", nbytes))
 
-    def take_ops(self) -> tuple[tuple, ...]:
-        ops = tuple(self._current_ops)
+    def take_ops(self) -> list:
+        ops = self._current_ops
         self._current_ops = []
+        self.segment += 1
         return ops
 
 
@@ -274,6 +292,28 @@ def _as_tokens(yielded: Any) -> list:
     raise TypeError(
         f"programs must yield Request or iterable of Request, got {yielded!r}"
     )
+
+
+def _class_order(src: np.ndarray, dst: np.ndarray, tag: np.ndarray) -> np.ndarray:
+    """Stable order grouping (src, dst, tag) classes, FIFO within each."""
+    return np.lexsort((tag, dst, src))
+
+
+def _unmatched_error(send_keys: np.ndarray, recv_keys: np.ndarray) -> LoweringError:
+    """Describe the first (src, dst, tag) class whose counts differ."""
+    sends, send_counts = np.unique(send_keys, axis=0, return_counts=True)
+    recvs, recv_counts = np.unique(recv_keys, axis=0, return_counts=True)
+    count_of = {tuple(k): [int(c), 0] for k, c in zip(sends.tolist(), send_counts)}
+    for key, count in zip(recvs.tolist(), recv_counts):
+        count_of.setdefault(tuple(key), [0, 0])[1] = int(count)
+    for (src, dst, tag), (n_send, n_recv) in sorted(count_of.items()):
+        if n_send != n_recv:
+            return LoweringError(
+                f"unmatched traffic {src}->{dst} tag={tag}: "
+                f"{n_send} send(s) vs {n_recv} receive(s) "
+                "(the reference runtime would deadlock)"
+            )
+    raise AssertionError("class counts agree")  # pragma: no cover
 
 
 def lower_program(
@@ -294,6 +334,7 @@ def lower_program(
     raw_segments: list[list[tuple]] = []  # [rank] -> [(ops, gate_tokens|None)]
     for rank in range(nprocs):
         ctx = _RecordingContext(recorder, rank)
+        recorder.start_rank()
         gen = program(ctx, *args, **kwargs)
         if not isinstance(gen, Generator):
             raise TypeError(
@@ -307,98 +348,66 @@ def lower_program(
             except StopIteration:
                 spans.append((recorder.take_ops(), None))
                 break
-            spans.append((recorder.take_ops(), tuple(_as_tokens(yielded))))
+            spans.append((recorder.take_ops(), _as_tokens(yielded)))
         raw_segments.append(spans)
 
-    # Stamp send segments and receive segments on the recorded ops.
-    for rank, spans in enumerate(raw_segments):
-        for index, (ops, _gate) in enumerate(spans):
-            for kind, payload in ops:
-                if kind in ("send", "recv"):
-                    payload.segment = index
+    def column(values: list[int]) -> np.ndarray:
+        return np.array(values, dtype=np.int64)
+
+    src = column(recorder.send_src)
+    dst = column(recorder.send_dst)
+    tag = column(recorder.send_tag)
+    recv_src = column(recorder.recv_src)
+    recv_dst = column(recorder.recv_dst)
+    recv_tag = column(recorder.recv_tag)
 
     # Static matching: within each (src, dst, tag) class both sides are
     # FIFO (sends by per-pair seq, receives by post order), so the k-th
     # send pairs with the k-th receive — exactly what the runtime's
     # queue scan produces for concrete keys under in-order delivery.
-    recv_classes: dict[tuple[int, int, int], list[_RecordedRecv]] = {}
-    for rank in range(nprocs):
-        for recv in recorder.recvs_by_rank[rank]:
-            recv_classes.setdefault((recv.src, rank, recv.tag), []).append(recv)
-    send_classes: dict[tuple[int, int, int], list[_RecordedSend]] = {}
-    for send in recorder.sends:
-        send_classes.setdefault((send.src, send.dst, send.tag), []).append(send)
-
-    recv_of_send: dict[int, _RecordedRecv] = {}
-    for key, sends in send_classes.items():
-        recvs = recv_classes.pop(key, [])
-        src, dst, tag = key
-        if len(sends) != len(recvs):
-            raise LoweringError(
-                f"unmatched traffic {src}->{dst} tag={tag}: "
-                f"{len(sends)} send(s) vs {len(recvs)} receive(s) "
-                "(the reference runtime would deadlock)"
-            )
-        for send, recv in zip(sends, recvs):
-            recv_of_send[send.mid] = recv
-    if recv_classes:
-        (src, dst, tag), recvs = next(iter(sorted(recv_classes.items())))
-        raise LoweringError(
-            f"unmatched traffic {src}->{dst} tag={tag}: "
-            f"0 send(s) vs {len(recvs)} receive(s) "
-            "(the reference runtime would deadlock)"
-        )
-
-    messages = tuple(
-        LoweredMessage(
-            mid=send.mid,
-            src=send.src,
-            dst=send.dst,
-            tag=send.tag,
-            nbytes=send.nbytes,
-            seq=send.seq,
-            send_segment=send.segment,
-            recv_segment=recv_of_send[send.mid].segment,
-            local=send.src == send.dst,
-        )
-        for send in recorder.sends
-    )
-
-    # Receives are identified by (rank, index); gates reference messages,
-    # so map each receive token back to the message it pairs with.
-    mid_of_recv: dict[tuple[int, int], int] = {
-        (recv.rank, recv.index): mid for mid, recv in recv_of_send.items()
-    }
-
-    def _gate_entry(token) -> tuple[str, int]:
-        if isinstance(token, _SendToken):
-            return ("send", token.mid)
-        return ("recv", mid_of_recv[(token.rank, token.index)])
+    # Stable class sorts line both sides up position by position.
+    send_order = _class_order(src, dst, tag)
+    recv_order = _class_order(recv_src, recv_dst, recv_tag)
+    send_keys = np.stack([src, dst, tag], axis=1)[send_order]
+    recv_keys = np.stack([recv_src, recv_dst, recv_tag], axis=1)[recv_order]
+    if send_keys.shape != recv_keys.shape or not np.array_equal(send_keys, recv_keys):
+        raise _unmatched_error(send_keys, recv_keys)
+    mid_of_recv = np.empty(len(recv_order), dtype=np.int64)
+    mid_of_recv[recv_order] = send_order
+    recv_segment = np.empty(len(send_order), dtype=np.int64)
+    recv_segment[send_order] = column(recorder.recv_segment)[recv_order]
+    for token, mid in zip(recorder.recv_tokens, mid_of_recv.tolist()):
+        token.entry = ("recv", mid)
 
     segments: list[tuple[Segment, ...]] = []
     for rank, spans in enumerate(raw_segments):
         rank_segments = []
         for index, (ops, gate_tokens) in enumerate(spans):
-            baked_ops = []
-            for kind, payload in ops:
-                if kind == "send":
-                    baked_ops.append(("send", payload.mid))
-                elif kind == "recv":
-                    baked_ops.append(
-                        ("recv", mid_of_recv[(payload.rank, payload.index)])
-                    )
-                else:
-                    baked_ops.append(("copy", payload))
-            gate = (
-                None
-                if gate_tokens is None
-                else tuple(_gate_entry(t) for t in gate_tokens)
-            )
             rank_segments.append(
-                Segment(rank=rank, index=index, ops=tuple(baked_ops), gate=gate)
+                Segment(
+                    rank=rank,
+                    index=index,
+                    ops=tuple(
+                        op if op.__class__ is tuple else op.entry for op in ops
+                    ),
+                    gate=(
+                        None
+                        if gate_tokens is None
+                        else tuple(token.entry for token in gate_tokens)
+                    ),
+                )
             )
         segments.append(tuple(rank_segments))
 
-    return LoweredProgram(
-        nprocs=nprocs, messages=messages, segments=tuple(segments)
-    )
+    columns = {
+        "src": src,
+        "dst": dst,
+        "tag": tag,
+        "nbytes": column(recorder.send_nbytes),
+        "seq": column(recorder.send_seq),
+        "send_segment": column(recorder.send_segment),
+        "recv_segment": recv_segment,
+    }
+    for values in columns.values():
+        values.setflags(write=False)
+    return LoweredProgram(nprocs=nprocs, segments=tuple(segments), **columns)

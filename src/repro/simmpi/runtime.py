@@ -109,20 +109,25 @@ class _SenderScheduler:
     def _pump(self) -> None:
         # Dispatch in FIFO order, skipping messages whose pair channel is
         # busy (per-pair order is still preserved: only the head message
-        # of each pair can ever be eligible).
-        if not self._queue:
+        # of each pair can ever be eligible).  Nothing happens at the
+        # cap, and the queue is rebuilt only when a message was skipped.
+        queue = self._queue
+        if not queue or self._in_flight >= self._limit:
             return
-        blocked: deque[_Message] = deque()
-        while self._queue and self._in_flight < self._limit:
-            message = self._queue.popleft()
+        skipped: deque[_Message] | None = None
+        while queue and self._in_flight < self._limit:
+            message = queue.popleft()
             if message.dst in self._busy_pairs:
-                blocked.append(message)
+                if skipped is None:
+                    skipped = deque()
+                skipped.append(message)
                 continue
             self._busy_pairs.add(message.dst)
             self._in_flight += 1
             self._runtime._start_flow(message)
-        blocked.extend(self._queue)
-        self._queue = blocked
+        if skipped is not None:
+            skipped.extend(queue)
+            self._queue = skipped
 
 
 @dataclass

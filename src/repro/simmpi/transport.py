@@ -27,6 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = ["TransportParams"]
 
 
@@ -75,6 +77,25 @@ class TransportParams:
     def is_eager(self, payload: int) -> bool:
         """Whether a payload uses the eager (no-handshake) path."""
         return payload < self.eager_threshold
+
+    def message_costs(
+        self, payloads: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Array-wide ``(is_eager, submit_cost, wire_bytes)`` of int payloads.
+
+        Performs the scalar methods' float operations elementwise, so
+        each entry is bit-identical to the scalar result.
+        """
+        payloads = np.asarray(payloads, dtype=np.int64)
+        segments = np.maximum(
+            np.ceil(np.maximum(payloads, 1) / self.mss), 1
+        ).astype(np.int64)
+        eager = payloads < self.eager_threshold
+        submit = self.per_message_send_overhead + segments * self.per_segment_host_time
+        wire = (
+            payloads + self.envelope_bytes + segments * self.per_segment_wire_bytes
+        ).astype(np.float64)
+        return eager, submit, wire
 
     def local_copy_time(self, payload: int) -> float:
         """Time for the rank's message to itself (memcpy, never on wire)."""

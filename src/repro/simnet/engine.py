@@ -1,7 +1,7 @@
 """Discrete-event simulation kernel.
 
 A minimal but production-hardened event engine: a binary heap of
-``(time, priority, sequence, callback)`` entries with
+``[time, priority, sequence, callback]`` entries with
 
 * deterministic FIFO tie-breaking at equal timestamps (the ``sequence``
   counter), which keeps whole simulations bit-reproducible,
@@ -9,8 +9,16 @@ A minimal but production-hardened event engine: a binary heap of
 * defensive monotonicity checks (scheduling into the past is a bug in the
   caller and raises immediately rather than corrupting causality).
 
-The fluid network model (:mod:`repro.simnet.fluid`) and the MPI runtime
-(:mod:`repro.simmpi.runtime`) are both built on this kernel.
+Entries are plain lists, so :mod:`heapq` orders them with the built-in
+sequence comparison in C: time first, then priority, then sequence.
+The sequence number is unique per engine, so two entries always differ
+before the callback slot and callbacks are never compared.  A cancelled
+or fired entry has its callback slot set to ``None`` and is dropped
+lazily when it reaches the top of the heap.
+
+The fluid network model (:mod:`repro.simnet.fluid`), the MPI runtime
+(:mod:`repro.simmpi.runtime`) and the vector engine
+(:mod:`repro.simnet.vector`) are all built on this kernel.
 """
 
 from __future__ import annotations
@@ -25,58 +33,31 @@ from ..exceptions import SimulationError
 __all__ = ["Engine", "EventHandle"]
 
 
-class _Entry:
-    """Heap entry ordered by (time, priority, seq); callback excluded.
-
-    Hand-rolled rather than ``@dataclass(order=True)``: the generated
-    ``__lt__`` materialises a field tuple per comparison, and the heap
-    comparison is the single hottest non-numpy call in large
-    simulations.
-    """
-
-    __slots__ = ("time", "priority", "seq", "callback")
-
-    def __init__(
-        self,
-        time: float,
-        priority: int,
-        seq: int,
-        callback: Callable[[], None] | None,
-    ) -> None:
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.callback = callback
-
-    def __lt__(self, other: "_Entry") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
-
-
 class EventHandle:
-    """Handle returned by :meth:`Engine.schedule`; supports cancellation."""
+    """Handle returned by :meth:`Engine.schedule`; supports cancellation.
+
+    Wraps the heap entry ``[time, priority, seq, callback]``; the
+    kernel indexes entries by position (0 = time, 3 = callback).
+    """
 
     __slots__ = ("_entry",)
 
-    def __init__(self, entry: _Entry) -> None:
+    def __init__(self, entry: list) -> None:
         self._entry = entry
 
     @property
     def time(self) -> float:
         """Scheduled firing time of this event."""
-        return self._entry.time
+        return self._entry[0]
 
     @property
     def cancelled(self) -> bool:
         """Whether :meth:`cancel` has been called (or the event fired)."""
-        return self._entry.callback is None
+        return self._entry[3] is None
 
     def cancel(self) -> None:
         """Cancel the event; firing a cancelled event is a no-op."""
-        self._entry.callback = None
+        self._entry[3] = None
 
 
 class Engine:
@@ -94,7 +75,7 @@ class Engine:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: list[_Entry] = []
+        self._heap: list[list] = []
         self._seq = itertools.count()
         self._events_processed = 0
 
@@ -131,7 +112,7 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule into the past: t={time!r} < now={self._now!r}"
             )
-        entry = _Entry(time, priority, next(self._seq), callback)
+        entry = [time, priority, next(self._seq), callback]
         heapq.heappush(self._heap, entry)
         return EventHandle(entry)
 
@@ -150,7 +131,7 @@ class Engine:
     def peek_time(self) -> float | None:
         """Time of the next live event, or ``None`` if the queue is empty."""
         self._drop_cancelled()
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def step(self) -> bool:
         """Execute the next event.  Returns ``False`` if none remained."""
@@ -158,11 +139,10 @@ class Engine:
         if not self._heap:
             return False
         entry = heapq.heappop(self._heap)
-        callback = entry.callback
-        entry.callback = None
-        self._now = entry.time
+        callback = entry[3]
+        entry[3] = None
+        self._now = entry[0]
         self._events_processed += 1
-        assert callback is not None
         callback()
         return True
 
@@ -172,24 +152,34 @@ class Engine:
         *max_events* is a guard against runaway simulations; exceeding it
         raises :class:`SimulationError` rather than hanging the caller.
         """
+        heap = self._heap
+        heappop = heapq.heappop
+        budget = math.inf if max_events is None else max_events
         executed = 0
-        while True:
-            next_time = self.peek_time()
-            if next_time is None:
-                return
-            if next_time > until:
+        while heap:
+            entry = heap[0]
+            callback = entry[3]
+            if callback is None:
+                heappop(heap)
+                continue
+            time = entry[0]
+            if time > until:
                 self._now = until
                 return
-            self.step()
+            heappop(heap)
+            entry[3] = None
+            self._now = time
+            self._events_processed += 1
+            callback()
             executed += 1
-            if max_events is not None and executed >= max_events:
+            if executed >= budget:
                 raise SimulationError(
                     f"exceeded max_events={max_events} (simulation runaway?)"
                 )
 
     def _drop_cancelled(self) -> None:
         heap = self._heap
-        while heap and heap[0].callback is None:
+        while heap and heap[0][3] is None:
             heapq.heappop(heap)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

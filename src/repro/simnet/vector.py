@@ -17,6 +17,14 @@ route of every (src, dst) pair is encoded once at startup, and the
 active set's :class:`~repro.simnet.fairness.FlowPaths` is assembled per
 epoch with a vectorized ragged gather.
 
+Setup is array-wide over the schedule's message columns: eager flags,
+submit costs and wire bytes come from
+:meth:`~repro.simmpi.transport.TransportParams.message_costs` (the
+scalar methods' float operations, elementwise), and pair ids from one
+``np.unique`` over (src, dst) keys, numbered in order of first
+appearance.  The protocol replay then reads per-message attributes
+from plain lists, one message at a time.
+
 The protocol timeline (submit costs, eager/rendezvous handshakes,
 per-pair FIFO wire channels, sender concurrency caps, receiver demux)
 replays the reference runtime's arithmetic event for event on the same
@@ -63,9 +71,10 @@ Not supported: programs that cannot be lowered (wildcards,
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -116,42 +125,51 @@ class _HostScheduler:
     """Per-host wire admission: pair-FIFO channels + concurrency cap.
 
     Mirrors the reference runtime's sender scheduler, dispatching
-    message ids instead of message objects.
+    message ids instead of message objects.  Callers pass the inject
+    callback on every call instead of the scheduler keeping a reference
+    to the simulator: without that reference cycle a finished simulator
+    is freed by reference counting, not left for the cyclic collector.
     """
 
-    __slots__ = ("_sim", "_limit", "_queue", "_busy_pairs", "_in_flight")
+    __slots__ = ("_msg_dst", "_limit", "_queue", "_busy_pairs", "_in_flight")
 
-    def __init__(self, sim: "VectorSimulator", concurrency: int | None) -> None:
-        self._sim = sim
+    def __init__(self, msg_dst: list[int], concurrency: int | None) -> None:
+        self._msg_dst = msg_dst
         self._limit = concurrency if concurrency is not None else math.inf
         self._queue: deque[int] = deque()
         self._busy_pairs: set[int] = set()
         self._in_flight = 0
 
-    def submit(self, mid: int) -> None:
+    def submit(self, mid: int, inject: Callable[[int], None]) -> None:
         self._queue.append(mid)
-        self._pump()
+        self._pump(inject)
 
-    def release(self, mid: int) -> None:
+    def release(self, mid: int, inject: Callable[[int], None]) -> None:
         self._in_flight -= 1
-        self._busy_pairs.discard(self._sim._msg_dst[mid])
-        self._pump()
+        self._busy_pairs.discard(self._msg_dst[mid])
+        self._pump(inject)
 
-    def _pump(self) -> None:
-        if not self._queue:
+    def _pump(self, inject: Callable[[int], None]) -> None:
+        queue = self._queue
+        if not queue or self._in_flight >= self._limit:
             return
-        blocked: deque[int] = deque()
-        while self._queue and self._in_flight < self._limit:
-            mid = self._queue.popleft()
-            dst = self._sim._msg_dst[mid]
+        msg_dst = self._msg_dst
+        skipped: deque[int] | None = None
+        while queue and self._in_flight < self._limit:
+            mid = queue.popleft()
+            dst = msg_dst[mid]
             if dst in self._busy_pairs:
-                blocked.append(mid)
+                if skipped is None:
+                    skipped = deque()
+                skipped.append(mid)
                 continue
             self._busy_pairs.add(dst)
             self._in_flight += 1
-            self._sim._inject(mid)
-        blocked.extend(self._queue)
-        self._queue = blocked
+            inject(mid)
+        if skipped is not None:
+            # Skipped messages keep their place ahead of the rest.
+            skipped.extend(queue)
+            self._queue = skipped
 
 
 class _RankState:
@@ -275,10 +293,7 @@ class VectorSimulator:
 
         # Protocol state.
         self._ranks = [_RankState() for _ in range(self.nprocs)]
-        self._schedulers = [
-            _HostScheduler(self, transport.sender_concurrency)
-            for _ in range(self.nprocs)
-        ]
+        self._schedulers: list[_HostScheduler] = []  # built by _setup()
         self._mux = [
             SerialResource(self.engine, name=f"host{h}.rxcpu")
             for h in range(self.nprocs)
@@ -307,46 +322,55 @@ class VectorSimulator:
     # ------------------------------------------------------------------
 
     def _setup(self, lowered: "LoweredProgram") -> None:
-        transport = self.transport
         self._segments = lowered.segments
-        n_messages = len(lowered.messages)
-        pair_ids: dict[tuple[int, int], int] = {}
-        routes: list[tuple[int, ...]] = []
-        wire = np.zeros(n_messages, dtype=np.float64)
+        n_messages = lowered.n_messages
+        src, dst = lowered.src, lowered.dst
+        local = lowered.local
+        eager, submit, wire = self.transport.message_costs(lowered.nbytes)
+        wire[local] = 0.0
+        # Pair ids number the distinct remote (src, dst) pairs in order
+        # of first appearance; each pair's route is looked up once.
+        remote = np.flatnonzero(~local)
+        pair_keys, first, inverse = np.unique(
+            src[remote] * self.nprocs + dst[remote],
+            return_index=True, return_inverse=True,
+        )
+        by_appearance = np.argsort(first, kind="stable")
+        pair_id = np.empty(len(pair_keys), dtype=np.int64)
+        pair_id[by_appearance] = np.arange(len(pair_keys))
         pair = np.zeros(n_messages, dtype=np.int64)
-        for m in lowered.messages:
-            self._msg_src.append(m.src)
-            self._msg_dst.append(m.dst)
-            self._msg_nbytes.append(m.nbytes)
-            self._msg_seq.append(m.seq)
-            self._msg_local.append(m.local)
-            self._msg_eager.append(transport.is_eager(m.nbytes))
-            self._msg_submit.append(transport.submit_cost(m.nbytes))
-            if not m.local:
-                key = (m.src, m.dst)
-                pid = pair_ids.get(key)
-                if pid is None:
-                    pid = len(routes)
-                    pair_ids[key] = pid
-                    routes.append(self.topology.route(m.src, m.dst))
-                pair[m.mid] = pid
-                wire[m.mid] = transport.wire_bytes(m.nbytes)
+        pair[remote] = pair_id[inverse.reshape(-1)]
+        routes = [
+            self.topology.route(key // self.nprocs, key % self.nprocs)
+            for key in pair_keys[by_appearance].tolist()
+        ]
+        # The replay reads per-message attributes one at a time, where
+        # list indexing beats array indexing; the epoch loop reads arrays.
+        self._msg_src = src.tolist()
+        self._msg_dst = dst.tolist()
+        self._msg_nbytes = lowered.nbytes.tolist()
+        self._msg_seq = lowered.seq.tolist()
+        self._msg_local = local.tolist()
+        self._msg_eager = eager.tolist()
+        self._msg_submit = submit.tolist()
         self._msg_wire = wire
         self._msg_pair = pair
-        self._msg_dst_arr = np.asarray(self._msg_dst, dtype=np.int64)
-        self._msg_src_arr = np.asarray(self._msg_src, dtype=np.int64)
+        self._msg_dst_arr = dst
+        self._msg_src_arr = src
+        self._schedulers = [
+            _HostScheduler(self._msg_dst, self.transport.sender_concurrency)
+            for _ in range(self.nprocs)
+        ]
         lengths = np.fromiter(
             (len(r) for r in routes), dtype=np.int64, count=len(routes)
         )
         self._pair_indptr = np.zeros(len(routes) + 1, dtype=np.int64)
         np.cumsum(lengths, out=self._pair_indptr[1:])
         self._pair_len = lengths
-        if routes and self._pair_indptr[-1]:
-            self._pair_links = np.concatenate(
-                [np.asarray(r, dtype=np.int64) for r in routes]
-            )
-        else:
-            self._pair_links = np.empty(0, dtype=np.int64)
+        self._pair_links = np.fromiter(
+            itertools.chain.from_iterable(routes), dtype=np.int64,
+            count=int(self._pair_indptr[-1]),
+        )
         if len(lengths) and int(lengths.min()) == int(lengths.max()):
             # Uniform route length (true on single-switch and other
             # symmetric fabrics): the per-pair routes form a dense
@@ -494,7 +518,7 @@ class VectorSimulator:
         if self._msg_eager[mid]:
             src = self._msg_src[mid]
             self.engine.schedule_after(
-                submit_delay, lambda: self._schedulers[src].submit(mid)
+                submit_delay, lambda: self._schedulers[src].submit(mid, self._inject)
             )
         else:
             rts_delay = (
@@ -522,9 +546,16 @@ class VectorSimulator:
         """Process envelope arrivals strictly in per-pair send order."""
         key = (self._msg_src[mid], self._msg_dst[mid])
         expected = self._recv_next.get(key, 0)
-        buffer = self._reorder.setdefault(key, {})
-        buffer[self._msg_seq[mid]] = mid
-        while expected in buffer:
+        seq = self._msg_seq[mid]
+        if seq != expected:
+            # Early arrival: park it until its predecessors are processed
+            # (the buffer never holds the expected sequence number).
+            self._reorder.setdefault(key, {})[seq] = mid
+            return
+        self._process_envelope(mid)
+        expected += 1
+        buffer = self._reorder.get(key)
+        while buffer and expected in buffer:
             self._process_envelope(buffer.pop(expected))
             expected += 1
         self._recv_next[key] = expected
@@ -544,7 +575,7 @@ class VectorSimulator:
             src = self._msg_src[mid]
             delay = self.transport.ctrl_overhead + self.transport.base_latency
             self.engine.schedule_after(
-                delay, lambda: self._schedulers[src].submit(mid)
+                delay, lambda: self._schedulers[src].submit(mid, self._inject)
             )
 
     def _complete_send(self, mid: int) -> None:
@@ -753,8 +784,8 @@ class VectorSimulator:
         # Completion handling runs last (slot order): released senders
         # pump follow-up flows, which coalesce into one resolve at this
         # timestamp — the same cascade discipline as the fluid engine.
-        for mid, inbound in zip(finished, finished_inbound):
-            self._on_flow_complete(int(mid), int(inbound))
+        for mid, inbound in zip(finished.tolist(), finished_inbound.tolist()):
+            self._on_flow_complete(mid, inbound)
 
     def _active_paths(self) -> FlowPaths:
         """Assemble the active set's CSR with a vectorized ragged gather."""
@@ -903,7 +934,7 @@ class VectorSimulator:
         self._structure_dirty = True
 
     def _on_flow_complete(self, mid: int, inbound: int) -> None:
-        self._schedulers[self._msg_src[mid]].release(mid)
+        self._schedulers[self._msg_src[mid]].release(mid, self._inject)
         self._complete_send(mid)
         self.engine.schedule_after(
             self.transport.base_latency,

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.exceptions import SimulationError
 from repro.simnet.engine import Engine
@@ -131,3 +133,124 @@ class TestRunControl:
         engine.schedule(1.0, outer)
         engine.run()
         assert seen == ["outer", "inner"]
+
+
+# One step of a kernel script: schedule an event (delay from now,
+# priority, priorities of same-time children it schedules when it
+# fires), cancel an earlier top-level event, or run(until=now + dt).
+_SCHEDULE = st.tuples(
+    st.just("schedule"),
+    st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+    st.integers(-1, 1),
+    st.lists(st.integers(-1, 1), max_size=2),
+)
+_CANCEL = st.tuples(st.just("cancel"), st.integers(0, 40))
+_RUN = st.tuples(st.just("run"), st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+_SCRIPT = st.lists(st.one_of(_SCHEDULE, _CANCEL, _RUN), max_size=40)
+
+
+def _run_kernel(script):
+    """Drive the real engine; returns the (label, time) firing log."""
+    engine = Engine()
+    fired = []
+    handles = []
+
+    def event(label, children):
+        def callback():
+            fired.append((label, engine.now))
+            for j, priority in enumerate(children):
+                engine.schedule(
+                    engine.now, event(f"{label}.{j}", ()), priority=priority
+                )
+
+        return callback
+
+    for step in script:
+        if step[0] == "schedule":
+            _, delay, priority, children = step
+            handles.append(
+                engine.schedule(
+                    engine.now + delay, event(str(len(handles)), children),
+                    priority=priority,
+                )
+            )
+        elif step[0] == "cancel":
+            if handles:
+                handles[step[1] % len(handles)].cancel()
+        else:
+            engine.run(until=engine.now + step[1])
+    engine.run()
+    return fired, engine.events_processed
+
+
+def _run_reference(script):
+    """The same script against a sorted-list model of the kernel."""
+    now = 0.0
+    seq = 0
+    pending = []  # dicts: key (time, priority, seq), label, children, live
+    fired = []
+    top_level = []
+
+    def push(time, priority, label, children):
+        nonlocal seq
+        entry = {"key": (time, priority, seq), "label": label,
+                 "children": children, "live": True}
+        seq += 1
+        pending.append(entry)
+        return entry
+
+    def run(until):
+        nonlocal now
+        while True:
+            live = [e for e in pending if e["live"]]
+            if not live:
+                return
+            entry = min(live, key=lambda e: e["key"])
+            if entry["key"][0] > until:
+                now = until
+                return
+            entry["live"] = False
+            now = entry["key"][0]
+            fired.append((entry["label"], now))
+            for j, priority in enumerate(entry["children"]):
+                push(now, priority, f"{entry['label']}.{j}", ())
+
+    for step in script:
+        if step[0] == "schedule":
+            _, delay, priority, children = step
+            top_level.append(
+                push(now + delay, priority, str(len(top_level)), children)
+            )
+        elif step[0] == "cancel":
+            if top_level:
+                top_level[step[1] % len(top_level)]["live"] = False
+        else:
+            run(now + step[1])
+    run(math.inf)
+    return fired
+
+
+class TestKernelProperties:
+    @given(_SCRIPT)
+    def test_fires_in_time_priority_fifo_order(self, script):
+        fired, processed = _run_kernel(script)
+        assert fired == _run_reference(script)
+        # Cancelled events never count as processed.
+        assert processed == len(fired)
+
+    @given(_SCRIPT)
+    def test_handles_report_fired_and_cancelled_events(self, script):
+        engine = Engine()
+        handles = [
+            engine.schedule(engine.now + step[1], lambda: None, priority=step[2])
+            for step in script
+            if step[0] == "schedule"
+        ]
+        for step in script:
+            if step[0] == "cancel" and handles:
+                handles[step[1] % len(handles)].cancel()
+        live = sum(not h.cancelled for h in handles)
+        engine.run()
+        assert engine.events_processed == live
+        assert all(h.cancelled for h in handles)
+        assert engine.pending == 0

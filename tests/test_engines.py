@@ -4,6 +4,7 @@ cache-key stability, env/CLI plumbing and the stats columns."""
 from __future__ import annotations
 
 import dataclasses
+import gc
 
 import pytest
 
@@ -18,7 +19,7 @@ from repro.exceptions import (
     UnknownNameError,
 )
 from repro.measure.alltoall import measure_alltoall
-from repro.registry import ENGINES
+from repro.registry import ALGORITHMS, ENGINES
 from repro.scenario import ScenarioSpec
 from repro.simmpi.lowering import lower_program
 from repro.sweeps.cache import point_key, profile_fingerprint
@@ -514,3 +515,191 @@ class TestCli:
         ])
         assert code == 0
         assert "simulated : 1" in capsys.readouterr().out
+
+
+def _golden_config(name: str):
+    """``(cluster, n, run_arg, algorithm)`` of one frozen golden config."""
+    from repro.placement import apply_placement, as_placement
+
+    gige = get_cluster("gigabit-ethernet")
+    if name == "gige-lossless-n64-direct":
+        quiet = gige.with_overrides(
+            loss=None, start_skew_scale=0.0,
+            transport=dataclasses.replace(gige.transport, jitter_scale=0.0),
+        )
+        return quiet, 64, 4_096, "direct"
+    if name == "gige-jitter-n32-rounds":
+        return gige.with_overrides(loss=None), 32, 4_096, "rounds"
+    if name == "fe-rendezvous-n16":
+        return _lossless("fast-ethernet"), 16, 70_000, "direct"
+    if name == "gige-lossy-n16":
+        return gige, 16, 1_000_000, "direct"
+    assert name == "myrinet-round-robin-n16"
+    placement = as_placement({"name": "round-robin", "params": {"groups": 4}})
+    return apply_placement(get_cluster("myrinet"), placement), 16, 8_192, "direct"
+
+
+class TestBitIdentityGoldens:
+    """Frozen ``float.hex()`` durations, event counts and loss counts.
+
+    The equivalence suite checks 1e-6 relative and the lossy path only
+    statistically, so any drift in event order or float arithmetic of
+    either engine shows up here first.  Each entry is
+    ``(duration hex, events_processed, total_losses, stalls)`` of one
+    engine run at seed 0.
+    """
+
+    GOLDEN = {
+        ("gige-lossless-n64-direct", "fluid"): ("0x1.df583fb21c9d3p-7", 8194, 0, 0),
+        ("gige-lossless-n64-direct", "vector"): ("0x1.df583fb21c9d3p-7", 8194, 0, 0),
+        ("gige-jitter-n32-rounds", "fluid"): ("0x1.169c3142de7e6p-8", 4990, 0, 0),
+        ("gige-jitter-n32-rounds", "vector"): ("0x1.169c3142de7e6p-8", 4990, 0, 0),
+        ("fe-rendezvous-n16", "fluid"): ("0x1.ba4db34910fdcp-3", 1395, 0, 0),
+        ("fe-rendezvous-n16", "vector"): ("0x1.ba4db34910fdcp-3", 1395, 0, 0),
+        ("gige-lossy-n16", "fluid"): ("0x1.9cb4afe4a7b35p-2", 1451, 4, 4),
+        ("gige-lossy-n16", "vector"): ("0x1.8f39438da9c55p-2", 1462, 10, 10),
+        ("myrinet-round-robin-n16", "fluid"): ("0x1.c6003e0a0a0ebp-10", 992, 0, 0),
+        ("myrinet-round-robin-n16", "vector"): ("0x1.c6003e0a0a0ebp-10", 992, 0, 0),
+    }
+
+    @pytest.mark.parametrize(
+        "config, engine", sorted(GOLDEN), ids=lambda value: str(value)
+    )
+    def test_run_matches_golden(self, config, engine):
+        cluster, n, run_arg, algorithm = _golden_config(config)
+        result = ENGINES.get(engine)(
+            cluster, n, ALGORITHMS.get(algorithm), run_arg, 0
+        )
+        got = (
+            float(result.duration).hex(), result.events_processed,
+            result.total_losses, result.stats.stalls,
+        )
+        assert got == self.GOLDEN[(config, engine)]
+
+
+class TestCollectorWindow:
+    """``measure_alltoall`` pauses the cyclic GC around each engine call
+    and always restores the caller's collector state."""
+
+    @pytest.fixture
+    def probe(self):
+        import types
+
+        seen = []
+
+        def engine(cluster, n_processes, program, run_arg, seed):
+            seen.append(gc.isenabled())
+            if probe_state["raise"]:
+                raise RuntimeError("engine failed")
+            return types.SimpleNamespace(duration=1.0, stats=None)
+
+        probe_state = {"raise": False, "seen": seen}
+        ENGINES.register("gc-probe", engine)
+        try:
+            yield probe_state
+        finally:
+            ENGINES.unregister("gc-probe")
+
+    @pytest.fixture
+    def collector(self):
+        was_enabled = gc.isenabled()
+        try:
+            yield
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def _measure(self):
+        return measure_alltoall(
+            get_cluster("myrinet"), 4, 2_048, reps=2, engine="gc-probe"
+        )
+
+    @pytest.mark.parametrize("enabled", (True, False))
+    def test_state_restored(self, probe, collector, enabled):
+        (gc.enable if enabled else gc.disable)()
+        self._measure()
+        assert probe["seen"] == [False, False]
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", (True, False))
+    def test_state_restored_when_engine_raises(self, probe, collector, enabled):
+        (gc.enable if enabled else gc.disable)()
+        probe["raise"] = True
+        with pytest.raises(RuntimeError, match="engine failed"):
+            self._measure()
+        assert probe["seen"] == [False]
+        assert gc.isenabled() is enabled
+
+
+class TestSenderSchedulers:
+    """Both engines' per-host admission queues dispatch in FIFO order,
+    skipping (but keeping in place) messages whose pair channel is busy,
+    and never past the concurrency cap."""
+
+    @staticmethod
+    def _vector(dsts, cap):
+        from repro.simnet.vector import _HostScheduler
+
+        injected = []
+        scheduler = _HostScheduler(dsts, cap)
+        return (
+            injected,
+            lambda mid: scheduler.submit(mid, injected.append),
+            lambda mid: scheduler.release(mid, injected.append),
+        )
+
+    @staticmethod
+    def _runtime(dsts, cap):
+        import types
+
+        from repro.simmpi.runtime import _SenderScheduler
+
+        injected = []
+        runtime = types.SimpleNamespace(
+            _start_flow=lambda message: injected.append(message.mid)
+        )
+        scheduler = _SenderScheduler(runtime, 0, cap)
+        messages = [
+            types.SimpleNamespace(mid=mid, dst=dst) for mid, dst in enumerate(dsts)
+        ]
+        return (
+            injected,
+            lambda mid: scheduler.submit(messages[mid]),
+            lambda mid: scheduler.release(messages[mid]),
+        )
+
+    @pytest.fixture(params=("vector", "runtime"))
+    def make(self, request):
+        return getattr(self, f"_{request.param}")
+
+    def test_busy_pair_waits_in_place(self, make):
+        injected, submit, release = make([1, 1, 2, 1, 3], None)
+        for mid in range(5):
+            submit(mid)
+        assert injected == [0, 2, 4]
+        release(0)
+        assert injected == [0, 2, 4, 1]
+        release(2)
+        assert injected == [0, 2, 4, 1]
+        release(1)
+        assert injected == [0, 2, 4, 1, 3]
+
+    def test_cap_dispatches_in_fifo_order(self, make):
+        injected, submit, release = make([1, 2, 3, 4], 1)
+        for mid in range(4):
+            submit(mid)
+        assert injected == [0]
+        for mid in range(3):
+            release(mid)
+            assert injected == list(range(mid + 2))
+
+    def test_skipped_message_keeps_its_place_at_the_cap(self, make):
+        injected, submit, release = make([1, 1, 2, 3, 4], 2)
+        for mid in (0, 4, 1, 2, 3):
+            submit(mid)
+        assert injected == [0, 4]
+        release(4)  # one free slot: message 1's pair is busy, 2 goes
+        assert injected == [0, 4, 2]
+        release(0)  # pair 1 frees: 1 goes ahead of 3, queued after it
+        assert injected == [0, 4, 2, 1]
+        release(2)
+        assert injected == [0, 4, 2, 1, 3]

@@ -2,8 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.clusters.profiles import get_cluster
 from repro.simmpi.request import ANY_SOURCE, RecvRequest, Request, SendRequest
 from repro.simmpi.runtime import Runtime
 from repro.simmpi.transport import TransportParams
@@ -77,6 +81,21 @@ class TestTransportParams:
         assert not params.mux_applies(2000, 1)  # single stream
         quiet = TransportParams(mux_overhead=0.0)
         assert not quiet.mux_applies(10**6, 50)
+
+    @pytest.mark.parametrize("cluster", ("fast-ethernet", "gigabit-ethernet", "myrinet"))
+    @given(payloads=st.lists(st.integers(0, 10**9), min_size=1, max_size=30))
+    def test_message_costs_match_scalar_methods(self, cluster, payloads):
+        # The array form must reproduce the scalar float operations
+        # bit for bit: the vector engine's setup relies on it.
+        params = get_cluster(cluster).transport
+        eager, submit, wire = params.message_costs(np.array(payloads))
+        assert eager.tolist() == [params.is_eager(p) for p in payloads]
+        assert [x.hex() for x in submit.tolist()] == [
+            params.submit_cost(p).hex() for p in payloads
+        ]
+        assert [x.hex() for x in wire.tolist()] == [
+            params.wire_bytes(p).hex() for p in payloads
+        ]
 
     def test_validation(self):
         with pytest.raises(ValueError):
