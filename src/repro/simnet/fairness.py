@@ -15,7 +15,14 @@ The classic *progressive filling* (water-filling) algorithm is used, but
 implemented over NumPy arrays so one allocation solve costs a handful of
 vector operations per bottleneck level rather than Python-loop time per
 flow (see the optimisation guidance in the project coding guides:
-vectorise the hot loop, avoid per-element Python work).
+vectorise the hot loop, avoid per-element Python work).  The solves are
+small (tens of flows on tens of links in the paper's sweeps) and run
+thousands of times per simulated point, so the exact fill counts calls:
+about 20 small-array NumPy calls per bottleneck level, with the fair
+shares written into one preallocated buffer and the path entries of the
+newly frozen flows found with one boolean mask over the per-entry flow
+ids.  The level that freezes the last flows skips the residual
+bookkeeping, which nothing reads afterwards.
 
 TCP's AIMD converges to rates close to max-min fair share on a LAN, and
 flow-level simulators (SimGrid's LV08, LogGOPSim variants) use the same
@@ -25,6 +32,8 @@ evenly share the bandwidth among the connections".
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,33 +60,16 @@ class FlowPaths:
         lengths = np.fromiter((len(p) for p in paths), dtype=np.int64, count=len(paths))
         indptr = np.zeros(len(paths) + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
-        if indptr[-1]:
-            link_ids = np.concatenate([np.asarray(p, dtype=np.int64) for p in paths])
-        else:
-            link_ids = np.empty(0, dtype=np.int64)
+        link_ids = np.fromiter(
+            itertools.chain.from_iterable(paths), dtype=np.int64,
+            count=int(indptr[-1]),
+        )
         return cls(indptr=indptr, link_ids=link_ids)
 
     @property
     def n_flows(self) -> int:
         """Number of flows encoded."""
         return len(self.indptr) - 1
-
-    def gather_rows(self, flows: np.ndarray) -> np.ndarray:
-        """Flat positions (into ``link_ids``) of all entries of *flows*.
-
-        Vectorised ragged gather: O(total entries), no Python loop.
-        """
-        starts = self.indptr[flows]
-        lengths = self.indptr[flows + 1] - starts
-        total = int(lengths.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64)
-        out = np.ones(total, dtype=np.int64)
-        out[0] = starts[0]
-        ends = np.cumsum(lengths)[:-1]
-        if len(ends):
-            out[ends] = starts[1:] - starts[:-1] - lengths[:-1] + 1
-        return np.cumsum(out)
 
 
 @dataclass(frozen=True)
@@ -122,8 +114,11 @@ def max_min_allocation(
         Flow → link incidence (every flow must cross >= 1 link).
     tie_eps:
         ``0.0`` (the default) freezes exactly one bottleneck link per
-        filling iteration — the reference behaviour the fluid engine
-        depends on bit-for-bit.  A positive value enables the batched
+        filling iteration, the lowest link id among equal fair shares —
+        the reference behaviour the fluid engine depends on bit-for-bit.
+        Each iteration costs about 20 small-array NumPy calls, and the
+        one that freezes the last flows stops before updating residual
+        capacities and counts.  A positive value enables the batched
         variant used by the vector engine: every link whose fair share
         is within ``tie_eps`` (relative) of the minimum freezes in the
         same iteration, which collapses the many symmetric-NIC
@@ -165,46 +160,72 @@ def max_min_allocation(
             capacities, paths, link_flow_count, row_lengths, rates, tie_eps,
             need_loads=need_loads,
         )
-        if not need_loads:
-            return AllocationResult(
-                rates=rates,
-                link_flow_count=link_flow_count,
-                link_load=None,
-                saturated=None,
-            )
-        # A link frozen as part of a tie batch is allocated the batch's
-        # minimum share, leaving it up to ~tie_eps under capacity — it
-        # is still a bottleneck physically, so the saturation test
-        # widens by the same tolerance (the loss model keys off this).
-        saturated = (link_flow_count > 0) & (
-            link_load >= capacities * (1.0 - 1e-9 - tie_eps) - _EPS
+    else:
+        rates, link_load = _exact_fill(
+            capacities, paths, link_flow_count, row_lengths, rates,
+            need_loads=need_loads,
         )
+    if link_load is None:
         return AllocationResult(
             rates=rates,
             link_flow_count=link_flow_count,
-            link_load=link_load,
-            saturated=saturated,
+            link_load=None,
+            saturated=None,
         )
+    # A link frozen as part of a tie batch is allocated the batch's
+    # minimum share, leaving it up to ~tie_eps under capacity — it
+    # is still a bottleneck physically, so the saturation test
+    # widens by the same tolerance (the loss model keys off this).
+    saturated = (link_flow_count > 0) & (
+        link_load >= capacities * (1.0 - 1e-9 - tie_eps) - _EPS
+    )
+    return AllocationResult(
+        rates=rates,
+        link_flow_count=link_flow_count,
+        link_load=link_load,
+        saturated=saturated,
+    )
 
-    # Reverse (link -> flows) CSR for freezing whole bottleneck links at once.
-    order = np.argsort(paths.link_ids, kind="stable")
+
+def _exact_fill(
+    capacities: np.ndarray,
+    paths: FlowPaths,
+    link_flow_count: np.ndarray,
+    row_lengths: np.ndarray,
+    rates: np.ndarray,
+    *,
+    need_loads: bool,
+) -> "tuple[np.ndarray, np.ndarray | None]":
+    """Progressive filling that freezes one bottleneck link per level.
+
+    The bottleneck is the first minimum ``argmin`` finds, so among links
+    with equal fair shares the lowest link id freezes first; the fluid
+    engine's results depend on that order bit for bit.  The flows
+    crossing the bottleneck come from a reverse (link -> flows) CSR, and
+    the path entries of the newly frozen ones, in flow-major CSR order,
+    from a boolean mask over the per-entry flow ids.
+    """
+    n_links = len(capacities)
+    n_flows = paths.n_flows
+    link_ids = paths.link_ids
+    ent_flow = np.repeat(np.arange(n_flows, dtype=np.int64), row_lengths)
+    flow_of_entry = ent_flow[np.argsort(link_ids, kind="stable")]
     rev_indptr = np.zeros(n_links + 1, dtype=np.int64)
     np.cumsum(link_flow_count, out=rev_indptr[1:])
-    flow_of_entry = np.repeat(np.arange(n_flows, dtype=np.int64), row_lengths)[order]
 
     residual = capacities.copy()
     unfrozen_count = link_flow_count.astype(np.float64)
     unfrozen = np.ones(n_flows, dtype=bool)
+    newly_mask = np.zeros(n_flows, dtype=bool)
+    fair = np.empty(n_links, dtype=np.float64)
     remaining = n_flows
     # Each iteration freezes at least one flow => bounded, but guard anyway.
     for _ in range(n_links + n_flows + 1):
-        if remaining == 0:
-            break
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fair = np.where(unfrozen_count > 0, residual / unfrozen_count, np.inf)
-        bottleneck = int(np.argmin(fair))
+        fair.fill(np.inf)
+        np.divide(residual, unfrozen_count, out=fair, where=unfrozen_count > 0)
+        bottleneck = int(fair.argmin())
         share = float(fair[bottleneck])
-        if not np.isfinite(share):  # pragma: no cover - defensive
+        if not math.isfinite(share):  # pragma: no cover - defensive
             break
         share = max(share, 0.0)
         entries = flow_of_entry[rev_indptr[bottleneck] : rev_indptr[bottleneck + 1]]
@@ -214,27 +235,22 @@ def max_min_allocation(
             residual[bottleneck] = np.inf
             continue
         rates[newly] = share
-        unfrozen[newly] = False
         remaining -= newly.size
-        touched = paths.link_ids[paths.gather_rows(newly)]
+        if remaining == 0:
+            # Last batch: the bookkeeping below only feeds the next level.
+            break
+        unfrozen[newly] = False
+        newly_mask[newly] = True
+        touched = link_ids[newly_mask[ent_flow]]
+        newly_mask[newly] = False
         np.subtract.at(residual, touched, share)
-        counts_removed = np.bincount(touched, minlength=n_links)
-        unfrozen_count -= counts_removed
+        unfrozen_count -= np.bincount(touched, minlength=n_links)
         np.maximum(residual, 0.0, out=residual)
         unfrozen_count[bottleneck] = 0  # fully frozen by construction
-
-    link_load = np.zeros(n_links, dtype=np.float64)
-    all_rows = paths.link_ids
-    np.add.at(link_load, all_rows, np.repeat(rates, row_lengths))
-    saturated = (link_flow_count > 0) & (
-        link_load >= capacities * (1.0 - 1e-9) - _EPS
-    )
-    return AllocationResult(
-        rates=rates,
-        link_flow_count=link_flow_count,
-        link_load=link_load,
-        saturated=saturated,
-    )
+    if not need_loads:
+        return rates, None
+    # bincount adds each link's weights one at a time, in entry order.
+    return rates, np.bincount(link_ids, weights=rates[ent_flow], minlength=n_links)
 
 
 def _batched_fill(

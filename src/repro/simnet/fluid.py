@@ -23,10 +23,15 @@ Design notes (performance and the engine split):
   in NumPy arrays indexed by *slot*; Python ``Flow`` objects are only
   touched on state transitions;
 * the allocation structure (flow→link CSR) is rebuilt only when the
-  active set changes, not on pure re-samples — but the rebuild itself is
-  a per-flow Python loop plus ``FlowPaths.from_lists``, which is what
-  caps this engine at tens of ranks (the vector engine replaces exactly
-  this step with a precomputed per-pair CSR gather);
+  active set changes, not on pure re-samples.  The rebuild still walks
+  every active flow in Python (slot compaction, renumbering,
+  ``FlowPaths.from_lists``), and that is what caps this engine at tens
+  of ranks: with the exact solve at about 20 NumPy calls per bottleneck
+  level, the solve takes 40–50% of engine time and the rebuild about
+  20% at the paper's n=12, but the rebuild takes about 70% (the solve
+  25%) at n=64 on lossless GigE, where each resolve re-walks ~4000
+  flows.  The vector engine replaces the rebuild with a precomputed
+  per-pair CSR gather and batches the solve per epoch;
 * event cascades within one timestamp are collapsed: completion handlers
   fire user callbacks, which typically inject follow-up flows at the same
   timestamp; those coalesce into a single follow-up resolve.
@@ -83,7 +88,6 @@ class Flow:
         "nbytes",
         "remaining",
         "path",
-        "path_array",
         "state",
         "on_complete",
         "label",
@@ -93,7 +97,6 @@ class Flow:
         "backoff",
         "remaining_at_last_loss",
         "slot",
-        "last_rate",
         "inbound_at_completion",
     )
 
@@ -114,7 +117,6 @@ class Flow:
         self.nbytes = float(nbytes)
         self.remaining = float(nbytes)
         self.path = path
-        self.path_array = np.asarray(path, dtype=np.int64)
         self.state = FlowState.PENDING
         self.on_complete = on_complete
         self.label = label
@@ -124,7 +126,6 @@ class Flow:
         self.backoff = 0
         self.remaining_at_last_loss = float(nbytes)
         self.slot = -1
-        self.last_rate = 0.0
         # Inbound streams open at the destination when this flow finished
         # (including itself); the receiver demux model reads this.
         self.inbound_at_completion = 1
@@ -407,8 +408,6 @@ class FluidNetwork:
                 capacities = self._hol.effective(capacities, self._hol_eta, counts)
             alloc = max_min_allocation(capacities, self._paths)
             self._rates = alloc.rates
-            for slot, flow in enumerate(self._slot_flows):
-                flow.last_rate = float(alloc.rates[slot])
             if self._loss_model is not None:
                 backoffs = np.fromiter(
                     (f.backoff for f in self._slot_flows),

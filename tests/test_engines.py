@@ -532,6 +532,10 @@ def _golden_config(name: str):
         return gige.with_overrides(loss=None), 32, 4_096, "rounds"
     if name == "fe-rendezvous-n16":
         return _lossless("fast-ethernet"), 16, 70_000, "direct"
+    if name == "fe-two-edge-n24":
+        # Above hosts_per_edge=20: flows cross trunks and the core
+        # backplane, so the exact fill walks many bottleneck levels.
+        return _lossless("fast-ethernet"), 24, 8_192, "direct"
     if name == "gige-lossy-n16":
         return gige, 16, 1_000_000, "direct"
     assert name == "myrinet-round-robin-n16"
@@ -556,6 +560,8 @@ class TestBitIdentityGoldens:
         ("gige-jitter-n32-rounds", "vector"): ("0x1.169c3142de7e6p-8", 4990, 0, 0),
         ("fe-rendezvous-n16", "fluid"): ("0x1.ba4db34910fdcp-3", 1395, 0, 0),
         ("fe-rendezvous-n16", "vector"): ("0x1.ba4db34910fdcp-3", 1395, 0, 0),
+        ("fe-two-edge-n24", "fluid"): ("0x1.c95a5df91ed77p-3", 2497, 0, 0),
+        ("fe-two-edge-n24", "vector"): ("0x1.c95a5df91ed78p-3", 2497, 0, 0),
         ("gige-lossy-n16", "fluid"): ("0x1.9cb4afe4a7b35p-2", 1451, 4, 4),
         ("gige-lossy-n16", "vector"): ("0x1.8f39438da9c55p-2", 1462, 10, 10),
         ("myrinet-round-robin-n16", "fluid"): ("0x1.c6003e0a0a0ebp-10", 992, 0, 0),
