@@ -7,24 +7,33 @@ An *engine* is a callable
 that simulates one repetition of a rank program on a cluster profile.
 Engines are registered in :data:`repro.registry.ENGINES` (decorator:
 ``@repro.registry.register_engine``), mirroring the cluster / topology /
-executor plugin axes.  Two built-ins ship:
+executor plugin axes.  Both built-ins lower the program to a static
+phase schedule (:mod:`repro.simmpi.lowering`) and replay it with the
+one MPI protocol layer (:mod:`repro.simmpi.protocol`: eager/rendezvous,
+per-pair FIFO channels, receiver demux, jitter); they differ only in
+the network model that moves the wire bytes:
 
 ``fluid`` (default)
-    The event-driven reference stack — generator runtime
-    (:mod:`repro.simmpi.runtime`) over the fluid network
-    (:mod:`repro.simnet.fluid`).  This is the correctness oracle, and
-    the default keeps every existing cache key bit-identical.
+    The event-driven fluid network (:mod:`repro.simnet.fluid`), reached
+    through :class:`repro.simmpi.runtime.Runtime`: max-min fairness is
+    re-solved on every flow event, and TCP losses come from a
+    competing-exponential clock.  This is the correctness oracle (its
+    small-n results are frozen as golden data), and the default keeps
+    every existing cache key bit-identical.
 
 ``vector``
-    Lowers the program to a static phase schedule
-    (:mod:`repro.simmpi.lowering`) and executes it with the batched
-    epoch-synchronized simulator (:mod:`repro.simnet.vector`).  Matches
+    The batched epoch network (:mod:`repro.simnet.vector`), which
+    advances all active flows in synchronized epochs.  Matches
     ``fluid`` to floating-point roundoff on lossless, jitter-free
     configurations and is 10–100x faster on large grids.  Loss-enabled
     profiles run on a vectorized port of the TCP loss overlay that
     samples the same stochastic process through different random
     streams, so lossy runs match ``fluid`` statistically (distribution,
-    not bit-exact).  Unlowerable programs are still rejected.
+    not bit-exact).
+
+Programs that cannot be lowered (wildcard receives, ``ctx.now``, reads
+of a receive's status) raise :class:`~repro.exceptions.LoweringError`
+on both engines.
 
 The process-wide default is ``fluid`` unless the ``REPRO_SIM_ENGINE``
 environment variable names another registered engine (see
@@ -60,7 +69,7 @@ ENGINE_ENV = "REPRO_SIM_ENGINE"
 @register_engine("fluid", aliases=("reference", "event-driven"))
 def run_fluid(cluster, n_processes, program, run_arg, seed, *,
               trace=None, timeline=None):
-    """Reference event-driven engine (generator runtime + fluid network).
+    """Reference event-driven engine (protocol replay + fluid network).
 
     *trace* / *timeline* are the opt-in observability hooks (see
     :mod:`repro.obs`); both default to off and the default call shape
@@ -78,8 +87,8 @@ def run_vector(cluster, n_processes, program, run_arg, seed, *,
     """Batched engine: lower to a phase schedule, advance flows in epochs.
 
     Same opt-in *trace* / *timeline* hooks as the fluid engine; the
-    vector engine additionally emits ``vector.epoch`` /
-    ``vector.phase`` records when tracing.
+    vector engine additionally emits ``vector.epoch`` records when
+    tracing.
     """
     lowered = lower_program(program, n_processes, run_arg)
     simulator = VectorSimulator(

@@ -65,7 +65,8 @@ class LoweringError(SimulationError):
 
     Raised by :mod:`repro.simmpi.lowering` for programs whose behaviour
     depends on runtime state the compiler cannot know (wildcard receives,
-    ``ctx.now``) or whose sends and receives do not pair up statically.
+    ``ctx.now``, a receive's status) or whose sends and receives do not
+    pair up statically.  Both engines run lowered schedules only.
     """
 
 

@@ -21,7 +21,7 @@ from ..clusters.profiles import ClusterProfile
 from ..core.hockney import HockneyFit, HockneyParams, fit_hockney
 from ..exceptions import MeasurementError
 from ..simnet.rng import RngFactory
-from ..simmpi.runtime import RankContext
+from ..simmpi.lowering import RankContext
 
 __all__ = ["PingPongResult", "measure_pingpong", "hockney_from_pingpong"]
 

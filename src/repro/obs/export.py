@@ -43,7 +43,7 @@ _RANK_CATEGORIES = {
     "mpi.irecv": "rank",
     "mpi.recv_complete": "rank",
     "mpi.local_copy": "rank",
-    "vector.phase": "rank",
+    "mpi.phase": "rank",
 }
 
 

@@ -14,9 +14,16 @@ from .collectives import (
     alltoallv_direct,
     alltoallv_rounds,
 )
-from .lowering import LoweredProgram, Segment, lower_program
-from .request import ANY_SOURCE, ANY_TAG, RecvRequest, Request, SendRequest
-from .runtime import RankContext, RankProgram, RunResult, Runtime
+from .lowering import (
+    ANY_SOURCE,
+    ANY_TAG,
+    LoweredProgram,
+    RankContext,
+    Segment,
+    lower_program,
+)
+from .protocol import ProtocolReplay, RunResult
+from .runtime import RankProgram, Runtime
 from .transport import TransportParams
 
 __all__ = [
@@ -34,9 +41,7 @@ __all__ = [
     "lower_program",
     "ANY_SOURCE",
     "ANY_TAG",
-    "RecvRequest",
-    "Request",
-    "SendRequest",
+    "ProtocolReplay",
     "RankContext",
     "RankProgram",
     "RunResult",

@@ -40,7 +40,7 @@ import numpy as np
 
 from ..registry import ALGORITHMS as _ALGORITHM_REGISTRY
 from ..registry import DeprecatedMapping, register_algorithm
-from .runtime import RankContext
+from .lowering import RankContext
 
 __all__ = [
     "alltoall_direct",

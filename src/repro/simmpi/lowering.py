@@ -1,23 +1,23 @@
 """Lowering: compile rank programs into static phase schedules.
 
-The reference interpreter (:class:`repro.simmpi.runtime.Runtime`) drives
-every rank's generator step by step, matching sends to receives with
-runtime queues.  For the collectives this repo studies that generality
-is unused: the communication structure of ``direct``, ``rounds``,
-``bruck``, ``ring`` and the ``alltoallv_*`` variants depends only on
-``(n, msg_size/matrix)`` — never on wildcards, message contents, or the
-simulation clock.  This module exploits that: it *records* one dry run
-of each rank's generator and emits a :class:`LoweredProgram`, a static
-schedule of
+Both engines run a rank program the same way: this module *records*
+one dry run of each rank's generator against :class:`RankContext` and
+emits a :class:`LoweredProgram`, which the shared protocol replay
+(:mod:`repro.simmpi.protocol`) then executes over the engine's network
+model.  For the collectives this repo studies, the communication
+structure of ``direct``, ``rounds``, ``bruck``, ``ring`` and the
+``alltoallv_*`` variants depends only on ``(n, msg_size/matrix)`` —
+never on wildcards, message contents, or the simulation clock — so a
+static schedule loses nothing.  The schedule holds
 
 * **messages** — one int64 column per field (``src``, ``dst``, ``tag``,
   ``nbytes``, ``seq``, ``send_segment``, ``recv_segment``), indexed by
   message id (send order).  Each send is paired with its receive at
-  compile time: the runtime's FIFO matching reduces to positional
-  pairing when both sides use concrete source/tag keys and delivery is
-  per-pair in-order, so the k-th send of a (src, dst, tag) class pairs
-  with the k-th receive of that class.  One stable ``np.lexsort`` per
-  side lines the classes up;
+  compile time: MPI's FIFO matching reduces to positional pairing when
+  both sides use concrete source/tag keys and delivery is per-pair
+  in-order, so the k-th send of a (src, dst, tag) class pairs with the
+  k-th receive of that class.  One stable ``np.lexsort`` per side lines
+  the classes up;
 * **segments** — the spans of each rank's program between ``yield``
   points, each with its ordered operation list and the *gate* (the set
   of requests the yield blocks on) that must complete before the next
@@ -28,14 +28,14 @@ built beyond the operation and gate tuples the segments carry.
 
 Segment k+1 of a rank depends on gate k; a message edges from its send
 segment on the source rank to its receive segment on the destination —
-together these are the phase dependency graph that batched engines
-(:mod:`repro.simnet.vector`) execute without ever resuming a Python
-generator mid-simulation.
+together these are the phase dependency graph the replay executes
+without ever resuming a Python generator mid-simulation.
 
-Programs whose behaviour cannot be known statically — wildcard receives
-(``ANY_SOURCE``/``ANY_TAG``), reads of ``ctx.now``, or send/receive
-counts that do not pair up — raise :class:`~repro.exceptions.LoweringError`;
-callers fall back to the reference interpreter for those.
+Programs whose behaviour cannot be known statically raise
+:class:`~repro.exceptions.LoweringError`: wildcard receives
+(``ANY_SOURCE``/``ANY_TAG``), reads of ``ctx.now``, reads of a
+receive's status (``source``, ``tag``, ``nbytes``), and send/receive
+counts that do not pair up.
 """
 
 from __future__ import annotations
@@ -46,13 +46,20 @@ from typing import Any, Generator, Iterable
 import numpy as np
 
 from ..exceptions import LoweringError
-from .request import ANY_SOURCE, ANY_TAG
 
 __all__ = [
+    "ANY_SOURCE",
+    "ANY_TAG",
+    "RankContext",
     "Segment",
     "LoweredProgram",
     "lower_program",
 ]
+
+#: Wildcard source and tag for :meth:`RankContext.irecv`.  Matching is
+#: static, so posting either raises :class:`~repro.exceptions.LoweringError`.
+ANY_SOURCE = -1
+ANY_TAG = -1
 
 
 @dataclass(frozen=True)
@@ -80,7 +87,7 @@ class LoweredProgram:
 
     Message columns are read-only int64 arrays indexed by message id.
     ``seq`` is the per-ordered-pair (src, dst) sequence number — the
-    same numbering the runtime uses for its non-overtaking guarantee.
+    numbering the replay uses for its non-overtaking guarantee.
     Messages with ``src == dst`` are *local*: they never touch the wire
     and model the rank's message to itself.
     """
@@ -166,9 +173,22 @@ class _RecvToken:
     def __init__(self) -> None:
         self.entry: tuple[str, int] | None = None
 
+    def __getattr__(self, name: str):
+        if name in ("source", "tag", "nbytes"):
+            raise LoweringError(
+                f"rank program reads a receive's status ({name}): matching "
+                "is static, so a receive's status is unknown while the "
+                "program is recorded"
+            )
+        raise AttributeError(name)
 
-class _RecordingContext:
-    """Stand-in for :class:`~repro.simmpi.runtime.RankContext` that records."""
+
+class RankContext:
+    """Per-rank API visible to programs (an MPI communicator analogue).
+
+    Each call records an operation of the rank's static schedule; the
+    returned requests are what the program yields to block on them.
+    """
 
     def __init__(self, recorder: "_Recorder", rank: int) -> None:
         self._recorder = recorder
@@ -176,30 +196,39 @@ class _RecordingContext:
 
     @property
     def size(self) -> int:
+        """Number of ranks in the job."""
         return self._recorder.nprocs
 
     def isend(self, dst: int, nbytes: int, *, tag: int = 0) -> _SendToken:
+        """Post a nonblocking send of *nbytes* to rank *dst*."""
         return self._recorder.record_send(self.rank, int(dst), int(nbytes), int(tag))
 
     def irecv(self, src: int = ANY_SOURCE, *, tag: int = ANY_TAG) -> _RecvToken:
+        """Post a nonblocking receive from *src* with *tag*.
+
+        The wildcard defaults raise :class:`~repro.exceptions.LoweringError`.
+        """
         return self._recorder.record_recv(self.rank, int(src), int(tag))
 
     def sendrecv(
         self, dst: int, nbytes: int, src: int, *, tag: int = 0
     ) -> Generator[Any, None, _RecvToken]:
+        """Blocking combined send+receive (one Algorithm-1 round)."""
         send_tok = self.isend(dst, nbytes, tag=tag)
         recv_tok = self.irecv(src, tag=tag)
         yield [send_tok, recv_tok]
         return recv_tok
 
     def local_copy(self, nbytes: int) -> None:
+        """Account for the rank's message to itself (never hits the wire)."""
         self._recorder.record_copy(int(nbytes))
 
     @property
     def now(self) -> float:
+        """Unavailable: reading the clock raises LoweringError."""
         raise LoweringError(
             "rank program reads ctx.now: time-dependent programs cannot "
-            "be lowered to a static schedule (use the fluid engine)"
+            "be lowered to a static schedule, which both engines replay"
         )
 
 
@@ -256,8 +285,8 @@ class _Recorder:
         if src == ANY_SOURCE or tag == ANY_TAG:
             raise LoweringError(
                 "rank program posts a wildcard receive (ANY_SOURCE/ANY_TAG): "
-                "its matching depends on runtime arrival order and cannot "
-                "be lowered (use the fluid engine)"
+                "its matching depends on arrival order, and both engines "
+                "match statically"
             )
         if not 0 <= src < self.nprocs:
             raise ValueError(f"source rank {src} out of range")
@@ -281,7 +310,7 @@ class _Recorder:
 
 
 def _as_tokens(yielded: Any) -> list:
-    """Mirror ``Runtime._as_requests`` for recorded tokens."""
+    """The requests a ``yield`` blocks on: one token or an iterable."""
     if isinstance(yielded, (_SendToken, _RecvToken)):
         return [yielded]
     if isinstance(yielded, Iterable):
@@ -311,7 +340,7 @@ def _unmatched_error(send_keys: np.ndarray, recv_keys: np.ndarray) -> LoweringEr
             return LoweringError(
                 f"unmatched traffic {src}->{dst} tag={tag}: "
                 f"{n_send} send(s) vs {n_recv} receive(s) "
-                "(the reference runtime would deadlock)"
+                "(a run would deadlock)"
             )
     raise AssertionError("class counts agree")  # pragma: no cover
 
@@ -321,19 +350,19 @@ def lower_program(
 ) -> LoweredProgram:
     """Compile *program* at *nprocs* ranks into a :class:`LoweredProgram`.
 
-    The program is called exactly as the runtime would call it —
-    ``program(ctx, *args, **kwargs)`` per rank — against a recording
-    context.  Raises :class:`~repro.exceptions.LoweringError` for
-    programs that cannot be scheduled statically, and mirrors the
-    runtime's :class:`ValueError`/:class:`TypeError` contracts for
-    malformed programs.
+    The program is called as ``program(ctx, *args, **kwargs)`` per rank,
+    with *ctx* a recording :class:`RankContext`.  Raises
+    :class:`~repro.exceptions.LoweringError` for programs that cannot be
+    scheduled statically, :class:`ValueError` for out-of-range ranks or
+    negative sizes and :class:`TypeError` for programs that are not
+    generators or yield something other than requests.
     """
     if nprocs < 1:
         raise ValueError("need at least one rank")
     recorder = _Recorder(nprocs)
     raw_segments: list[list[tuple]] = []  # [rank] -> [(ops, gate_tokens|None)]
     for rank in range(nprocs):
-        ctx = _RecordingContext(recorder, rank)
+        ctx = RankContext(recorder, rank)
         recorder.start_rank()
         gen = program(ctx, *args, **kwargs)
         if not isinstance(gen, Generator):
@@ -363,8 +392,8 @@ def lower_program(
 
     # Static matching: within each (src, dst, tag) class both sides are
     # FIFO (sends by per-pair seq, receives by post order), so the k-th
-    # send pairs with the k-th receive — exactly what the runtime's
-    # queue scan produces for concrete keys under in-order delivery.
+    # send pairs with the k-th receive — exactly what MPI's queue scan
+    # produces for concrete keys under in-order delivery.
     # Stable class sorts line both sides up position by position.
     send_order = _class_order(src, dst, tag)
     recv_order = _class_order(recv_src, recv_dst, recv_tag)

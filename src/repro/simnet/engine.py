@@ -16,9 +16,9 @@ before the callback slot and callbacks are never compared.  A cancelled
 or fired entry has its callback slot set to ``None`` and is dropped
 lazily when it reaches the top of the heap.
 
-The fluid network model (:mod:`repro.simnet.fluid`), the MPI runtime
-(:mod:`repro.simmpi.runtime`) and the vector engine
-(:mod:`repro.simnet.vector`) are all built on this kernel.
+The MPI protocol replay (:mod:`repro.simmpi.protocol`) and both network
+models, fluid (:mod:`repro.simnet.fluid`) and vector
+(:mod:`repro.simnet.vector`), are all built on this kernel.
 """
 
 from __future__ import annotations

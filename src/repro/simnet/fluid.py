@@ -6,16 +6,15 @@ Flows are fluid streams that share link bandwidth max-min fairly
 the next completion / loss events are rescheduled.  Between events every
 flow progresses linearly at its allocated rate.
 
-Layering: this module is one of two *engines* behind the ``ENGINES``
-registry (see :mod:`repro.engines`).  It serves the generator-driven
-reference runtime (:mod:`repro.simmpi.runtime`), which injects flows one
-at a time as rank programs progress; the batched alternative
-(:mod:`repro.simnet.vector`) executes statically lowered schedules
-(:mod:`repro.simmpi.lowering`) instead and re-uses this module's epsilon
-and event-priority conventions to stay equivalent.  This engine is the
-default and the correctness oracle: the vector engine's loss overlay is
-validated statistically against this one, and cache keys are defined by
-its behaviour.
+Layering: this module is the network model of the default ``fluid``
+engine (see :mod:`repro.engines`): :class:`~repro.simmpi.runtime.Runtime`
+turns each wire message of the shared protocol replay
+(:mod:`repro.simmpi.protocol`) into one flow.  The batched alternative
+(:mod:`repro.simnet.vector`) re-uses this module's epsilon and
+event-priority conventions to stay equivalent.  This engine is the
+correctness oracle: the vector engine's loss overlay is validated
+statistically against this one, and cache keys are defined by its
+behaviour.
 
 Design notes (performance and the engine split):
 
@@ -148,7 +147,7 @@ class FluidNetwork:
     Parameters
     ----------
     engine:
-        Shared event engine (the MPI runtime schedules on the same one).
+        Shared event engine (the protocol replay schedules on it too).
     topology:
         Finalised topology; routes are looked up per flow at injection.
     loss_params:
@@ -495,27 +494,11 @@ class FluidNetwork:
         moved = flow.remaining_at_last_loss - flow.remaining
         if moved >= self._loss_params.backoff_reset_bytes:
             flow.backoff = 0
-        penalty = self._loss_params.rto(flow.backoff)
-        flow.backoff += 1
-        flow.losses += 1
-        self.total_losses += 1
-        # Chained timeouts: the retransmission may itself be dropped,
-        # doubling the backoff before any data moves (Fig. 3 outliers).
-        # Probability decays per chain: congestion drains while the flow
-        # is silent, so deep chains are rare (see LossParams.chain_decay).
-        chain = self._loss_params.chain_probability
-        chained = 0
-        while (
-            chain > 0
-            and chained < self._loss_params.chain_max
-            and self._rng.random() < chain
-        ):
-            penalty += self._loss_params.rto(flow.backoff)
-            flow.backoff += 1
-            flow.losses += 1
-            self.total_losses += 1
-            chained += 1
-            chain *= self._loss_params.chain_decay
+        penalty, flow.backoff, losses = self._loss_params.timeout(
+            flow.backoff, self._rng
+        )
+        flow.losses += losses
+        self.total_losses += losses
         flow.remaining_at_last_loss = flow.remaining
 
         flow.state = FlowState.STALLED

@@ -108,6 +108,32 @@ class LossParams:
         """Timeout duration for the given consecutive-loss count."""
         return float(min(self.rto_min * (2.0 ** max(backoff, 0)), self.rto_max))
 
+    def timeout(
+        self, backoff: int, rng: np.random.Generator
+    ) -> tuple[float, int, int]:
+        """``(penalty, new backoff, losses)`` of one loss at *backoff*.
+
+        One RTO, plus chained timeouts drawn from *rng*: the
+        retransmission may itself be dropped, doubling the backoff
+        before any data moves (Fig. 3 outliers), with a chance that
+        decays per link.  Callers reset *backoff* after loss-free
+        progress first.
+        """
+        penalty = self.rto(backoff)
+        backoff += 1
+        losses = 1
+        chain = self.chain_probability
+        while (
+            chain > 0
+            and losses <= self.chain_max
+            and rng.random() < chain
+        ):
+            penalty += self.rto(backoff)
+            backoff += 1
+            losses += 1
+            chain *= self.chain_decay
+        return penalty, backoff, losses
+
 
 class LossModel:
     """Computes per-flow loss hazards from an allocation snapshot."""

@@ -96,6 +96,35 @@ class TestEquivalence:
         vector = _mean(cluster, "vector", algorithm=algorithm, pattern=spec)
         assert vector == pytest.approx(fluid, rel=REL_TOL)
 
+    @pytest.mark.parametrize("msg_size", (4_096, 70_000))
+    def test_protocol_trace_matches(self, msg_size):
+        # One protocol layer: the mpi.* records of a lossless jitter-free
+        # run agree record for record, payloads and times included.
+        from repro.simnet.trace import Trace
+
+        myrinet = get_cluster("myrinet")
+        cluster = myrinet.with_overrides(
+            loss=None,
+            transport=dataclasses.replace(myrinet.transport, jitter_scale=0.0),
+        )
+        records = {}
+        for engine in ("fluid", "vector"):
+            trace = Trace()
+            ENGINES.get(engine)(
+                cluster, 8, ALGORITHMS.get("direct"), msg_size, 0, trace=trace
+            )
+            records[engine] = [
+                (r.category, r.payload, r.time)
+                for r in trace
+                if r.category.startswith("mpi.")
+            ]
+        categories = {category for category, _, _ in records["fluid"]}
+        assert categories == {
+            "mpi.phase", "mpi.isend", "mpi.irecv", "mpi.local_copy",
+            "mpi.recv_complete",
+        }
+        assert records["vector"] == records["fluid"]
+
     def test_seed_sensitivity_matches(self):
         # Skew/jitter RNG streams must replay identically per seed.
         cluster = _lossless("gigabit-ethernet")
@@ -264,9 +293,7 @@ class TestLossyVector:
             loss_params=cluster.loss, seed=0,
         )
         sim.run(lowered)
-        remote = [
-            mid for mid in range(len(sim._msg_wire)) if not sim._msg_local[mid]
-        ][:4]
+        remote = np.flatnonzero(~lowered.local)[:4].tolist()
         sim._act_mids = np.asarray(remote, dtype=np.int64)
         sim._act_remaining = np.full(len(remote), 1e8)
         sim._last_advance = sim.engine.now
@@ -637,45 +664,24 @@ class TestCollectorWindow:
 
 
 class TestSenderSchedulers:
-    """Both engines' per-host admission queues dispatch in FIFO order,
-    skipping (but keeping in place) messages whose pair channel is busy,
-    and never past the concurrency cap."""
+    """The per-host admission queue both engines share dispatches in
+    FIFO order, skipping (but keeping in place) messages whose pair
+    channel is busy, and never past the concurrency cap."""
 
-    @staticmethod
-    def _vector(dsts, cap):
-        from repro.simnet.vector import _HostScheduler
+    @pytest.fixture
+    def make(self):
+        from repro.simmpi.protocol import _HostScheduler
 
-        injected = []
-        scheduler = _HostScheduler(dsts, cap)
-        return (
-            injected,
-            lambda mid: scheduler.submit(mid, injected.append),
-            lambda mid: scheduler.release(mid, injected.append),
-        )
+        def build(dsts, cap):
+            injected = []
+            scheduler = _HostScheduler(dsts, cap)
+            return (
+                injected,
+                lambda mid: scheduler.submit(mid, injected.append),
+                lambda mid: scheduler.release(mid, injected.append),
+            )
 
-    @staticmethod
-    def _runtime(dsts, cap):
-        import types
-
-        from repro.simmpi.runtime import _SenderScheduler
-
-        injected = []
-        runtime = types.SimpleNamespace(
-            _start_flow=lambda message: injected.append(message.mid)
-        )
-        scheduler = _SenderScheduler(runtime, 0, cap)
-        messages = [
-            types.SimpleNamespace(mid=mid, dst=dst) for mid, dst in enumerate(dsts)
-        ]
-        return (
-            injected,
-            lambda mid: scheduler.submit(messages[mid]),
-            lambda mid: scheduler.release(messages[mid]),
-        )
-
-    @pytest.fixture(params=("vector", "runtime"))
-    def make(self, request):
-        return getattr(self, f"_{request.param}")
+        return build
 
     def test_busy_pair_waits_in_place(self, make):
         injected, submit, release = make([1, 1, 2, 1, 3], None)

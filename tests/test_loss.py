@@ -26,6 +26,16 @@ def _model(**kwargs) -> LossModel:
     return LossModel(params, [HOST_TX, BACKPLANE, HOST_RX])
 
 
+class _Draws:
+    """An rng stand-in that returns scripted ``random()`` draws."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
 class TestParams:
     def test_enabled_iff_positive_coeff(self):
         assert not LossParams().enabled
@@ -39,6 +49,29 @@ class TestParams:
 
     def test_rto_clamps_negative_backoff(self):
         assert LossParams().rto(-3) == LossParams().rto(0)
+
+    def test_timeout_without_chains_is_one_rto(self):
+        params = LossParams(rto_min=0.2, rto_max=3.2)
+        rng = np.random.default_rng(0)
+        assert params.timeout(2, rng) == (0.8, 3, 1)
+
+    def test_timeout_chains_double_until_the_draw_fails(self):
+        params = LossParams(
+            rto_min=0.2, rto_max=3.2, chain_probability=0.5, chain_decay=0.5
+        )
+        # 0.4 < 0.5 chains, 0.3 > 0.25 stops: two RTOs, two losses.
+        rng = _Draws([0.4, 0.3])
+        assert params.timeout(0, rng) == (0.2 + 0.4, 2, 2)
+        assert rng.values == []
+
+    def test_timeout_chain_is_capped(self):
+        params = LossParams(
+            rto_min=0.2, rto_max=3.2, chain_probability=0.9,
+            chain_decay=1.0, chain_max=2,
+        )
+        rng = _Draws([0.0] * 5)  # every retransmission would be lost
+        assert params.timeout(0, rng) == (0.2 + 0.4 + 0.8, 3, 3)
+        assert len(rng.values) == 3
 
     def test_sat_flows_defaults_generous(self):
         # Kinds missing from the table effectively never overload.

@@ -118,7 +118,7 @@ class TestRealTraces:
         assert any(e["ph"] == "X" for e in events)
         assert any(e["ph"] == "C" for e in events)
         assert {
-            "flow.inject", "flow.complete", "vector.epoch", "vector.phase"
+            "flow.inject", "flow.complete", "vector.epoch", "mpi.phase"
         } <= obs.trace.categories()
 
 

@@ -2,14 +2,17 @@
 
 import pytest
 
-from repro.exceptions import DeadlockError
-from repro.simmpi.request import ANY_SOURCE, ANY_TAG
+from repro.clusters.profiles import get_cluster
+from repro.exceptions import DeadlockError, LoweringError
+from repro.registry import ENGINES
+from repro.simmpi.lowering import ANY_SOURCE, ANY_TAG, lower_program
 from repro.simmpi.runtime import Runtime
 from repro.simmpi.transport import TransportParams
 from repro.simnet.topology import single_switch
+from repro.simnet.trace import Trace
 
 
-def make_runtime(n=2, nic=100e6, **transport_kwargs) -> Runtime:
+def make_runtime(n=2, nic=100e6, trace=None, **transport_kwargs) -> Runtime:
     defaults = dict(
         name="test",
         base_latency=10e-6,
@@ -24,7 +27,34 @@ def make_runtime(n=2, nic=100e6, **transport_kwargs) -> Runtime:
     )
     defaults.update(transport_kwargs)
     topo = single_switch(n, nic_bandwidth=nic)
-    return Runtime(topo, TransportParams(**defaults), nprocs=n, seed=0)
+    return Runtime(
+        topo, TransportParams(**defaults), nprocs=n, seed=0, trace=trace
+    )
+
+
+def received(prog, n=2):
+    """``(rank, src, tag, nbytes)`` of every completed receive, in order."""
+    trace = Trace()
+    make_runtime(n, trace=trace).run(prog)
+    return [
+        (r["rank"], r["src"], r["tag"], r["nbytes"])
+        for r in trace.by_category("mpi.recv_complete")
+    ]
+
+
+def paired_sizes(prog, n=2):
+    """Per rank, the sizes of the messages its receives pair with, in
+    post order (the static matching the replay executes)."""
+    lowered = lower_program(prog, n)
+    return [
+        [
+            int(lowered.nbytes[mid])
+            for segment in segments
+            for kind, mid in segment.ops
+            if kind == "recv"
+        ]
+        for segments in lowered.segments
+    ]
 
 
 class TestBasicSendRecv:
@@ -33,19 +63,16 @@ class TestBasicSendRecv:
             if ctx.rank == 0:
                 yield ctx.isend(1, 1000, tag=5)
             else:
-                req = ctx.irecv(0, tag=5)
-                yield req
-                assert req.nbytes == 1000
-                assert req.source == 0
+                yield ctx.irecv(0, tag=5)
 
-        make_runtime().run(prog)
+        assert received(prog) == [(1, 0, 5, 1000)]
 
     def test_one_way_time_close_to_alpha_plus_m_beta(self):
         def prog(ctx):
             if ctx.rank == 0:
                 yield ctx.isend(1, 100_000_000)  # rendezvous path
             else:
-                yield ctx.irecv(0)
+                yield ctx.irecv(0, tag=0)
 
         result = make_runtime().run(prog)
         # wire time 1s + handshake/latency epsilon
@@ -71,11 +98,9 @@ class TestBasicSendRecv:
                 yield ctx.irecv(1, tag=123)
             else:
                 yield ctx.isend(0, 5, tag=123)
-                late = ctx.irecv(0, tag=9)
-                yield late
-                assert late.nbytes == 10
+                yield ctx.irecv(0, tag=9)
 
-        make_runtime().run(prog)
+        assert (1, 0, 9, 10) in received(prog)
 
 
 class TestMatchingSemantics:
@@ -89,22 +114,9 @@ class TestMatchingSemantics:
                 two = ctx.irecv(0, tag=2)
                 one = ctx.irecv(0, tag=1)
                 yield [one, two]
-                assert one.nbytes == 100
-                assert two.nbytes == 200
 
-        make_runtime().run(prog)
-
-    def test_any_source_any_tag(self):
-        def prog(ctx):
-            if ctx.rank == 0:
-                req = ctx.irecv(ANY_SOURCE, tag=ANY_TAG)
-                yield req
-                assert req.source == 1
-                assert req.tag == 42
-            else:
-                yield ctx.isend(0, 77, tag=42)
-
-        make_runtime().run(prog)
+        assert paired_sizes(prog) == [[], [200, 100]]
+        assert sorted(received(prog)) == [(1, 0, 1, 100), (1, 0, 2, 200)]
 
     def test_non_overtaking_same_pair_same_tag(self):
         # Two same-tag messages must match posted receives in order.
@@ -117,10 +129,9 @@ class TestMatchingSemantics:
                 r1 = ctx.irecv(0, tag=7)
                 r2 = ctx.irecv(0, tag=7)
                 yield [r1, r2]
-                assert r1.nbytes == 1000
-                assert r2.nbytes == 2000
 
-        make_runtime().run(prog)
+        assert paired_sizes(prog) == [[], [1000, 2000]]
+        assert received(prog) == [(1, 0, 7, 1000), (1, 0, 7, 2000)]
 
     def test_non_overtaking_eager_after_rendezvous(self):
         # A big rendezvous message followed by a small eager one on the
@@ -134,24 +145,53 @@ class TestMatchingSemantics:
                 r1 = ctx.irecv(0, tag=7)
                 r2 = ctx.irecv(0, tag=7)
                 yield [r1, r2]
-                assert r1.nbytes == 200_000
-                assert r2.nbytes == 8
 
-        make_runtime().run(prog)
+        assert paired_sizes(prog) == [[], [200_000, 8]]
+        # A slow RTS handshake lets the eager message arrive first; its
+        # receive completes only once the envelope ahead of it is in.
+        trace = Trace()
+        make_runtime(trace=trace, ctrl_overhead=1e-3).run(prog)
+        (small,) = [
+            r for r in trace.by_category("mpi.recv_complete") if r["nbytes"] == 8
+        ]
+        assert small.time >= 1e-3
 
-    def test_wildcard_fifo_ordering(self):
-        def prog(ctx):
-            if ctx.rank == 0:
-                a = ctx.isend(1, 10, tag=1)
-                b = ctx.isend(1, 20, tag=2)
-                yield [a, b]
-            else:
-                r1 = ctx.irecv(ANY_SOURCE, tag=ANY_TAG)
-                r2 = ctx.irecv(ANY_SOURCE, tag=ANY_TAG)
-                yield [r1, r2]
-                assert (r1.nbytes, r2.nbytes) == (10, 20)
 
-        make_runtime().run(prog)
+class TestStaticSemantics:
+    """Dynamic MPI semantics neither engine supports: both reject them
+    while the program is lowered."""
+
+    @staticmethod
+    def _run(engine, prog):
+        return ENGINES.get(engine)(get_cluster("myrinet"), 2, prog, None, 0)
+
+    @pytest.mark.parametrize("engine", ("fluid", "vector"))
+    def test_wildcard_receives_rejected(self, engine):
+        for src, tag in ((ANY_SOURCE, 4), (1, ANY_TAG), (ANY_SOURCE, ANY_TAG)):
+
+            def prog(ctx, _arg):
+                if ctx.rank == 0:
+                    yield ctx.irecv(src, tag=tag)
+                else:
+                    yield ctx.isend(0, 77, tag=4)
+
+            with pytest.raises(LoweringError, match="wildcard"):
+                self._run(engine, prog)
+
+    @pytest.mark.parametrize("engine", ("fluid", "vector"))
+    def test_status_reads_rejected(self, engine):
+        for field in ("source", "tag", "nbytes"):
+
+            def prog(ctx, _arg):
+                if ctx.rank == 0:
+                    yield ctx.isend(1, 10, tag=3)
+                else:
+                    req = ctx.irecv(0, tag=3)
+                    yield req
+                    getattr(req, field)
+
+            with pytest.raises(LoweringError, match=f"status \\({field}\\)"):
+                self._run(engine, prog)
 
 
 class TestSelfMessages:
@@ -161,12 +201,11 @@ class TestSelfMessages:
                 send = ctx.isend(0, 1234, tag=3)
                 recv = ctx.irecv(0, tag=3)
                 yield [send, recv]
-                assert recv.nbytes == 1234
             else:
                 return
                 yield  # pragma: no cover
 
-        make_runtime().run(prog)
+        assert received(prog) == [(0, 0, 3, 1234)]
 
     def test_self_message_never_touches_network(self):
         runtime = make_runtime()
@@ -191,7 +230,7 @@ class TestProtocols:
             if ctx.rank == 0:
                 yield ctx.isend(1, 50_000)
             else:
-                yield ctx.irecv(0)
+                yield ctx.irecv(0, tag=0)
 
         eager = make_runtime(eager_threshold=1_000_000).run(prog)
         rendezvous = make_runtime(eager_threshold=1_000).run(prog)
@@ -202,7 +241,7 @@ class TestProtocols:
             if ctx.rank == 0:
                 yield ctx.isend(1, 100)
             else:
-                yield ctx.irecv(0)
+                yield ctx.irecv(0, tag=0)
 
         lean = make_runtime(envelope_bytes=0).run(prog)
         fat = make_runtime(envelope_bytes=100_000).run(prog)
@@ -214,7 +253,7 @@ class TestProtocols:
                 reqs = [ctx.isend(dst, 50_000_000) for dst in (1, 2)]
                 yield reqs
             else:
-                yield ctx.irecv(0)
+                yield ctx.irecv(0, tag=0)
 
         def run(concurrency):
             topo = single_switch(3, nic_bandwidth=100e6)
@@ -239,7 +278,7 @@ class TestProtocols:
             if ctx.rank < n - 1:
                 yield ctx.isend(n - 1, 100_000)
             else:
-                yield [ctx.irecv(src) for src in range(n - 1)]
+                yield [ctx.irecv(src, tag=0) for src in range(n - 1)]
 
         quiet = make_runtime(4, mux_overhead=0.0).run(prog)
         noisy = make_runtime(
@@ -254,7 +293,7 @@ class TestProtocols:
             if ctx.rank < n - 1:
                 yield ctx.isend(n - 1, 100)
             else:
-                yield [ctx.irecv(src) for src in range(n - 1)]
+                yield [ctx.irecv(src, tag=0) for src in range(n - 1)]
 
         quiet = make_runtime(4, mux_overhead=0.0).run(prog)
         noisy = make_runtime(
@@ -265,10 +304,21 @@ class TestProtocols:
 
 class TestLifecycle:
     def test_deadlock_detected(self):
+        # A cyclic wait: each rank receives from its partner before
+        # sending to it, so no rank ever posts its send.
+        def prog(ctx):
+            partner = 1 - ctx.rank
+            yield ctx.irecv(partner, tag=1)
+            yield ctx.isend(partner, 10, tag=1)
+
+        with pytest.raises(DeadlockError):
+            make_runtime().run(prog)
+
+    def test_unmatched_receive_rejected(self):
         def prog(ctx):
             yield ctx.irecv((ctx.rank + 1) % ctx.size, tag=1)
 
-        with pytest.raises(DeadlockError):
+        with pytest.raises(LoweringError, match="unmatched traffic"):
             make_runtime().run(prog)
 
     def test_run_twice_rejected(self):
@@ -307,7 +357,7 @@ class TestLifecycle:
             if ctx.rank == 0:
                 yield ctx.isend(1, 1000)
             else:
-                yield ctx.irecv(0)
+                yield ctx.irecv(0, tag=0)
 
         result = make_runtime().run(prog)
         assert len(result.rank_finish_times) == 2
@@ -321,17 +371,16 @@ class TestLifecycle:
     def test_sendrecv_helper(self):
         def prog(ctx):
             partner = 1 - ctx.rank
-            recv = yield from ctx.sendrecv(partner, 500, partner, tag=4)
-            assert recv.nbytes == 500
+            yield from ctx.sendrecv(partner, 500, partner, tag=4)
 
-        make_runtime().run(prog)
+        assert sorted(received(prog)) == [(0, 1, 4, 500), (1, 0, 4, 500)]
 
     def test_start_skew_shifts_completion(self):
         def prog(ctx):
             if ctx.rank == 0:
                 yield ctx.isend(1, 1000)
             else:
-                yield ctx.irecv(0)
+                yield ctx.irecv(0, tag=0)
 
         topo = single_switch(2, nic_bandwidth=100e6)
         params = TransportParams(jitter_scale=0.0)

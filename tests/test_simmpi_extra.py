@@ -1,6 +1,4 @@
-"""Additional runtime semantics: request lifecycle and program shapes."""
-
-import math
+"""Additional runtime semantics: transport costs and program shapes."""
 
 import numpy as np
 import pytest
@@ -8,47 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.clusters.profiles import get_cluster
-from repro.simmpi.request import ANY_SOURCE, RecvRequest, Request, SendRequest
 from repro.simmpi.runtime import Runtime
 from repro.simmpi.transport import TransportParams
 from repro.simnet.topology import single_switch
-
-
-class TestRequestObjects:
-    def test_complete_fires_callbacks_once(self):
-        req = Request(0)
-        fired = []
-        req.on_done(lambda: fired.append(1))
-        req.complete(1.5)
-        assert fired == [1]
-        assert req.done
-        assert req.completion_time == 1.5
-
-    def test_double_complete_rejected(self):
-        req = Request(0)
-        req.complete(1.0)
-        with pytest.raises(RuntimeError, match="twice"):
-            req.complete(2.0)
-
-    def test_on_done_after_completion_fires_immediately(self):
-        req = Request(0)
-        req.complete(1.0)
-        fired = []
-        req.on_done(lambda: fired.append(1))
-        assert fired == [1]
-
-    def test_send_request_fields(self):
-        req = SendRequest(rank=2, dst=5, tag=7, nbytes=100)
-        assert (req.rank, req.dst, req.tag, req.nbytes) == (2, 5, 7, 100)
-        assert math.isnan(req.completion_time)
-
-    def test_recv_matching_rules(self):
-        req = RecvRequest(rank=0, source=3, tag=9)
-        assert req.matches(3, 9)
-        assert not req.matches(2, 9)
-        assert not req.matches(3, 8)
-        wild = RecvRequest(rank=0, source=ANY_SOURCE, tag=9)
-        assert wild.matches(7, 9)
+from repro.simnet.trace import Trace
 
 
 class TestTransportParams:
@@ -110,27 +71,14 @@ class TestManyToOnePatterns:
     """Gather/scatter-shaped programs exercise matching under fan-in."""
 
     @staticmethod
-    def build(n=5):
+    def build(n=5, trace=None):
         topo = single_switch(n, nic_bandwidth=100e6)
         params = TransportParams(
             base_latency=1e-6, eager_threshold=65_536, envelope_bytes=0,
             mss=10**9, per_segment_wire_bytes=0, jitter_scale=0.0,
             per_message_send_overhead=0.0, ctrl_overhead=0.0,
         )
-        return Runtime(topo, params, nprocs=n, seed=0)
-
-    def test_gather_with_wildcards(self):
-        n = 5
-
-        def prog(ctx):
-            if ctx.rank == 0:
-                reqs = [ctx.irecv(ANY_SOURCE, tag=1) for _ in range(n - 1)]
-                yield reqs
-                assert sorted(r.source for r in reqs) == list(range(1, n))
-            else:
-                yield ctx.isend(0, 1000 * ctx.rank, tag=1)
-
-        self.build(n).run(prog)
+        return Runtime(topo, params, nprocs=n, seed=0, trace=trace)
 
     def test_scatter_then_reduce_roundtrip(self):
         n = 5
@@ -142,13 +90,20 @@ class TestManyToOnePatterns:
                 acks = [ctx.irecv(src, tag=3) for src in range(1, n)]
                 yield acks
             else:
-                req = ctx.irecv(0, tag=2)
-                yield req
-                assert req.nbytes == 4096
+                yield ctx.irecv(0, tag=2)
                 yield ctx.isend(0, 8, tag=3)
 
-        result = self.build(n).run(prog)
+        trace = Trace()
+        result = self.build(n, trace=trace).run(prog)
         assert result.duration > 0
+        received = sorted(
+            (r["rank"], r["src"], r["tag"], r["nbytes"])
+            for r in trace.by_category("mpi.recv_complete")
+        )
+        assert received == sorted(
+            [(rank, 0, 2, 4096) for rank in range(1, n)]
+            + [(0, rank, 3, 8) for rank in range(1, n)]
+        )
 
     def test_ring_shift_pattern(self):
         n = 5
