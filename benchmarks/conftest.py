@@ -11,8 +11,8 @@ The experiment grids route through the sweep engine
 * ``REPRO_BENCH_WORKERS`` — fan sweep points out over N worker
   processes (results are bit-identical to serial runs);
 * ``REPRO_BENCH_EXECUTOR`` — execution backend (``serial`` /
-  ``process`` / ``futures``); the default pool persists across
-  figures, so later grids start on warm workers;
+  ``process``); the default pool persists across figures, so later
+  grids start on warm workers;
 * ``REPRO_BENCH_CACHE`` — serve repeated points from an on-disk result
   cache at the given directory.  Leave unset when the *simulation cost
   itself* is what you are benchmarking.

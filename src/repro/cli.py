@@ -64,6 +64,7 @@ import sys
 from . import api, __version__
 from .obs.export import EXPORT_FORMATS
 from .exceptions import (
+    ExecutionError,
     FittingError,
     MeasurementError,
     ScenarioError,
@@ -72,6 +73,10 @@ from .exceptions import (
 )
 from .experiments.registry import EXPERIMENTS, run_experiment
 from .units import format_time, parse_size
+
+#: Errors a failed sweep point re-raises without ``--keep-going``; a
+#: point whose worker died arrives as :class:`ExecutionError`.
+_SWEEP_ERRORS = (MeasurementError, ScenarioError, SimulationError, ExecutionError)
 
 
 def _scenario_key(scenario) -> str | None:
@@ -458,7 +463,7 @@ def _run_scenario(args: argparse.Namespace) -> int:
     _ledger_note(scenario=args.scenario, scenario_key=_scenario_key(scenario))
     try:
         result = scenario.sweep()
-    except (MeasurementError, ScenarioError, SimulationError) as exc:
+    except _SWEEP_ERRORS as exc:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return 1
     print(f"points    : {result.n_points}")
@@ -981,7 +986,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         try:
             result = scenario.sweep(runner=runner, sinks=sinks, progress=progress)
-        except (MeasurementError, ScenarioError, SimulationError) as exc:
+        except _SWEEP_ERRORS as exc:
             print(f"sweep failed: {exc}", file=sys.stderr)
             return 1
         print(f"sweep     : {scenario.describe()}")
@@ -1037,7 +1042,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # are already cached/streamed.
         print(f"model comparison failed: {exc}", file=sys.stderr)
         return 1
-    except (MeasurementError, ScenarioError, SimulationError) as exc:
+    except _SWEEP_ERRORS as exc:
         # e.g. a pattern whose matrix degenerates at some grid point
         # (shift:offset=n) — report cleanly, not as a traceback.
         print(f"sweep failed: {exc}", file=sys.stderr)
@@ -1344,8 +1349,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--executor", default=None, metavar="NAME",
         help="execution backend for cache-missed points: serial, process "
-             "(persistent warm worker pool, reused across runs), futures, "
-             "or a user-registered executor (default: process when "
+             "(persistent warm worker pool, reused across runs; a dead "
+             "worker fails only its own point; alias futures), or a "
+             "user-registered executor (default: process when "
              "--workers > 1, else serial; see `list executors`)",
     )
     p_sweep.add_argument(

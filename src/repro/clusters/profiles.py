@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from ..registry import CLUSTERS as _CLUSTER_REGISTRY
-from ..registry import DeprecatedMapping, register_cluster
+from ..registry import register_cluster
 from ..simnet.entities import LinkKind
 from ..simnet.loss import LossParams
 from ..simnet.penalty import HolPenalty
@@ -32,7 +32,6 @@ __all__ = [
     "gigabit_ethernet",
     "myrinet",
     "get_cluster",
-    "CLUSTERS",
 ]
 
 MB = 1_000_000.0
@@ -285,14 +284,6 @@ def myrinet() -> ClusterProfile:
         max_hosts=104,
         paper=PaperSignature(gamma=2.49754, delta=0.0, threshold=0),
     )
-
-
-#: Deprecated dict facade; the cluster registry is the source of truth.
-CLUSTERS = DeprecatedMapping(
-    _CLUSTER_REGISTRY,
-    "repro.clusters.profiles.CLUSTERS",
-    "repro.registry.CLUSTERS (or repro.api.list_clusters())",
-)
 
 
 def get_cluster(name: str) -> ClusterProfile:

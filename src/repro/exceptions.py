@@ -83,7 +83,8 @@ class ExecutionError(ReproError, RuntimeError):
 
     Raised when a worker-side exception cannot be re-hydrated as the
     exception type that was originally raised (the isolation boundary
-    ships errors between processes as strings, not pickled objects).
+    ships errors between processes as strings, not pickled objects),
+    and for a point whose worker process died running it.
     """
 
 

@@ -8,9 +8,10 @@ path with three small, separately-testable pieces:
   rebuild recipe) and :func:`run_task`, the never-raising
   failure-isolation boundary every executor funnels through;
 * :mod:`~repro.exec.executors` — the :class:`Executor` protocol behind
-  the ``@register_executor`` registry, with built-ins ``serial``,
-  ``process`` (persistent warm pool + chunked ``imap_unordered``
-  streaming) and ``futures``;
+  the ``@register_executor`` registry, with built-ins ``serial`` and
+  ``process`` (a persistent warm ``concurrent.futures`` pool with
+  chunked streaming, alias ``futures``, where a dead worker fails only
+  its own point);
 * :mod:`~repro.exec.sinks` — streaming :class:`ResultSink` targets
   (incremental CSV/JSONL append, callbacks) fed one row per point as
   it lands, keeping arbitrarily large sweeps in bounded memory.
@@ -23,7 +24,6 @@ can never change a sample — only how fast it arrives.
 
 from .executors import (
     Executor,
-    FuturesExecutor,
     ProcessExecutor,
     SerialExecutor,
     get_executor,
@@ -42,7 +42,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ProcessExecutor",
-    "FuturesExecutor",
     "get_executor",
     "ExecutionTask",
     "TaskOutcome",

@@ -5,14 +5,14 @@ yields :class:`~repro.exec.task.TaskOutcome` objects **as they
 complete** (any order; the runner reassembles by index).  Built-ins:
 
 * ``serial``  — in-process, in-order; zero overhead, always safe.
-* ``process`` — a **persistent** ``multiprocessing.Pool`` streamed
-  through ``imap_unordered`` with batched chunks.  The pool survives
+* ``process`` — a **persistent** ``concurrent.futures`` process pool
+  fed in batched chunks, one future per chunk.  The pool survives
   across ``run()`` calls, so consecutive sweeps on one runner reuse
   warm workers instead of re-forking (the dominant cost of short
   sweeps).  It is recycled automatically when the plugin registries
-  change, so forked workers never run with a stale plugin view.
-* ``futures`` — the same fan-out on ``concurrent.futures``
-  (``ProcessPoolExecutor``), for environments that prefer that stack.
+  change, so forked workers never run with a stale plugin view, and a
+  worker that dies fails only the point that killed it.  ``futures``,
+  ``concurrent-futures``, ``pool`` and ``multiprocessing`` are aliases.
 
 Register additional executors (SLURM, async, …) with
 :func:`repro.registry.register_executor`::
@@ -31,7 +31,6 @@ on the serial path (see ``SweepRunner._plan``).
 from __future__ import annotations
 
 import atexit
-import multiprocessing
 from concurrent import futures as _cf
 from typing import Iterable, Iterator, Sequence
 
@@ -43,7 +42,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ProcessExecutor",
-    "FuturesExecutor",
     "get_executor",
 ]
 
@@ -91,20 +89,35 @@ class SerialExecutor(Executor):
             yield _task.run_task(task)
 
 
-class _PooledExecutor(Executor):
-    """Shared lifecycle for executors holding a persistent worker pool.
+def _run_chunk(tasks: Sequence[ExecutionTask]) -> list[TaskOutcome]:
+    """Pool worker entry point: run one chunk, outcomes in task order.
 
-    The pool is created lazily on first ``run`` and **reused** across
-    calls — a runner doing many consecutive ``run_points`` batches pays
-    the spin-up cost once (warm start).  It is recycled automatically
-    when the plugin registries change (forked workers must never
-    resolve a stale registry view), and an ``atexit`` hook — registered
-    only while a pool is live, unregistered on :meth:`close` so closed
-    executors are not pinned in memory — reaps leftovers at interpreter
-    exit.  Subclasses supply :meth:`_make_pool` / :meth:`_shutdown_pool`
-    and ``run``.
+    Module-level so workers can pickle it; ``run_task`` is resolved
+    through its module at call time, so a wrapper installed there before
+    the pool forks runs in the workers too.
+    """
+    return [_task.run_task(task) for task in tasks]
+
+
+class ProcessExecutor(Executor):
+    """Persistent ``concurrent.futures`` process pool, one future per chunk.
+
+    The pool starts lazily and is **reused** across ``run`` calls, so
+    consecutive batches start on warm workers.  It is recycled when the
+    plugin registries change (forked workers must never resolve a stale
+    registry view), and an ``atexit`` hook, held only while a pool is
+    live, reaps it at interpreter exit.  With *k* tasks on *w* workers,
+    chunks of ``max(1, k // (4 w))`` amortise IPC while bounding the
+    tail of the last chunk; outcomes stream back as chunks land, so
+    memory stays bounded by the in-flight window, not the sweep size.
+
+    A worker that dies (OOM kill, segfault, ``os._exit``) breaks the
+    pool and every chunk in flight.  The pool is closed and those tasks
+    re-run one at a time on a fresh pool, so only a task that kills its
+    worker on its own fails, as a ``WorkerDied`` outcome.
     """
 
+    name = "process"
     distributed = True
 
     def __init__(self, workers: int) -> None:
@@ -119,6 +132,11 @@ class _PooledExecutor(Executor):
         """Whether a live pool is ready for reuse."""
         return self._pool is not None
 
+    @staticmethod
+    def chunksize(n_tasks: int, workers: int) -> int:
+        """Batched-streaming chunk size (4 waves per worker)."""
+        return max(1, n_tasks // (workers * 4))
+
     def _ensure_pool(self):
         epoch = registry_epoch()
         if self._pool is not None and epoch != self._epoch:
@@ -126,79 +144,52 @@ class _PooledExecutor(Executor):
             # stale pool would resolve yesterday's registry view.
             self.close()
         if self._pool is None:
-            self._pool = self._make_pool()
+            self._pool = _cf.ProcessPoolExecutor(max_workers=self.workers)
             self._epoch = epoch
             atexit.register(self.close)
         return self._pool
 
     def close(self) -> None:
         if self._pool is not None:
-            self._shutdown_pool(self._pool)
+            self._pool.shutdown(cancel_futures=True)
             self._pool = None
             atexit.unregister(self.close)
 
-    def _make_pool(self):
-        raise NotImplementedError
-
-    def _shutdown_pool(self, pool) -> None:
-        raise NotImplementedError
-
-
-class ProcessExecutor(_PooledExecutor):
-    """Persistent ``multiprocessing.Pool`` streaming ``imap_unordered``.
-
-    Chunked submission amortises IPC: with *k* tasks and *w* workers,
-    chunks of ``max(1, k // (4 w))`` keep the pool busy while bounding
-    the tail latency of the final chunk.  Results stream back as
-    workers finish, so the runner can append to sinks and fill the
-    cache while later points are still simulating — memory stays
-    bounded by the in-flight window, not the sweep size.
-    """
-
-    name = "process"
-
-    @staticmethod
-    def chunksize(n_tasks: int, workers: int) -> int:
-        """Batched-streaming chunk size (4 waves per worker)."""
-        return max(1, n_tasks // (workers * 4))
-
-    def _make_pool(self):
-        return multiprocessing.Pool(self.workers)
-
-    def _shutdown_pool(self, pool) -> None:
-        pool.terminate()
-        pool.join()
-
     def run(self, tasks: Sequence[ExecutionTask]) -> Iterator[TaskOutcome]:
-        pool = self._ensure_pool()
-        yield from pool.imap_unordered(
-            _task.run_task, tasks, chunksize=self.chunksize(len(tasks), self.workers)
-        )
-
-
-class FuturesExecutor(_PooledExecutor):
-    """``concurrent.futures.ProcessPoolExecutor`` fan-out.
-
-    Same persistence and registry-epoch recycling as
-    :class:`ProcessExecutor`; submission is per-task (no chunking), so
-    prefer ``process`` for very large sweeps and ``futures`` where the
-    ``concurrent.futures`` ecosystem (custom pools, instrumentation)
-    matters more than peak submission throughput.
-    """
-
-    name = "futures"
-
-    def _make_pool(self):
-        return _cf.ProcessPoolExecutor(max_workers=self.workers)
-
-    def _shutdown_pool(self, pool) -> None:
-        pool.shutdown()
-
-    def run(self, tasks: Sequence[ExecutionTask]) -> Iterator[TaskOutcome]:
-        pool = self._ensure_pool()
-        pending = [pool.submit(_task.run_task, task) for task in tasks]
+        size = self.chunksize(len(tasks), self.workers)
+        chunks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
+        try:
+            pool = self._ensure_pool()
+            pending = {pool.submit(_run_chunk, chunk): chunk for chunk in chunks}
+        except _cf.BrokenExecutor:
+            # A worker died while the pool sat idle between batches;
+            # this batch's results would die with it, so start afresh.
+            self.close()
+            pool = self._ensure_pool()
+            pending = {pool.submit(_run_chunk, chunk): chunk for chunk in chunks}
+        broken: list[ExecutionTask] = []
         for future in _cf.as_completed(pending):
-            yield future.result()
+            # Drop each future as it lands: holding them until the batch
+            # ends would keep every outcome (and metrics delta) alive.
+            chunk = pending.pop(future)
+            try:
+                outcomes = future.result()
+            except _cf.BrokenExecutor as exc:
+                self.close()
+                if len(tasks) == 1:
+                    yield TaskOutcome(
+                        index=chunk[0].index,
+                        error=f"worker process died: {exc}",
+                        error_type="WorkerDied",
+                    )
+                else:
+                    broken += chunk
+                continue
+            yield from outcomes
+        # Alone in its batch, a task that breaks the pool is the one
+        # that killed its worker.
+        for task in broken:
+            yield from self.run([task])
 
 
 @register_executor("serial", aliases=("inline", "sync"))
@@ -207,16 +198,13 @@ def _make_serial(workers: int = 1) -> SerialExecutor:
     return SerialExecutor()
 
 
-@register_executor("process", aliases=("pool", "multiprocessing"))
+@register_executor(
+    "process",
+    aliases=("futures", "concurrent-futures", "pool", "multiprocessing"),
+)
 def _make_process(workers: int = 1) -> ProcessExecutor:
-    """Persistent multiprocessing pool with chunked unordered streaming."""
+    """Persistent process pool with chunked streaming."""
     return ProcessExecutor(workers)
-
-
-@register_executor("futures", aliases=("concurrent-futures",))
-def _make_futures(workers: int = 1) -> FuturesExecutor:
-    """concurrent.futures process pool."""
-    return FuturesExecutor(workers)
 
 
 def get_executor(kind: str, workers: int = 1) -> Executor:

@@ -12,7 +12,7 @@ deltas back in with :meth:`MetricsRegistry.merge`.  The sweep engine
 wires exactly this: :func:`repro.exec.task.run_task` attaches its delta
 to the :class:`~repro.exec.task.TaskOutcome`, and the runner merges it
 when (and only when) the outcome crossed a process boundary — so
-serial, process and futures executors all land the same totals.
+the serial and process executors land the same totals.
 
 Three metric kinds:
 

@@ -20,23 +20,18 @@ Lookups are *normalised*: case is folded and ``_``/space collapse to
 
 The five process-wide registries live here (:data:`TOPOLOGIES`,
 :data:`CLUSTERS`, :data:`ALGORITHMS`, :data:`BACKENDS`,
-:data:`PATTERNS`); the legacy
-module-level dicts (``repro.clusters.profiles.CLUSTERS``,
-``repro.simmpi.collectives.ALGORITHMS``) remain importable as
-:class:`DeprecatedMapping` views that warn on access.
+:data:`PATTERNS`).
 """
 
 from __future__ import annotations
 
-import warnings
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator
 from typing import Callable, Generic, TypeVar
 
 from .exceptions import DuplicateNameError, UnknownNameError
 
 __all__ = [
     "Registry",
-    "DeprecatedMapping",
     "normalize_name",
     "registry_epoch",
     "TOPOLOGIES",
@@ -64,10 +59,10 @@ __all__ = [
 T = TypeVar("T")
 
 #: Monotonic counter bumped on every (un)registration, in any registry.
-#: Long-lived worker pools compare it against the value they forked at:
-#: a changed epoch means the parent gained (or lost) plugins the workers
-#: never saw, so the pool must be recycled before reuse (see
-#: :class:`repro.exec.ProcessExecutor`).
+#: The persistent process pool compares it against the value its
+#: workers were started at: a changed epoch means the parent gained (or
+#: lost) plugins the workers never saw, so the pool must be recycled
+#: before reuse (see :class:`repro.exec.ProcessExecutor`).
 _epoch = 0
 
 
@@ -182,49 +177,6 @@ class Registry(Generic[T]):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Registry({self.kind!r}, {self.names()})"
-
-
-class DeprecatedMapping(Mapping):
-    """Read-only dict facade over a :class:`Registry` that warns on use.
-
-    Keeps ``CLUSTERS["myrinet"]``, ``sorted(ALGORITHMS)`` and
-    ``name in CLUSTERS`` working for pre-registry call sites while
-    steering them to the registry API.
-    """
-
-    def __init__(self, registry: Registry, old_name: str, new_name: str) -> None:
-        self._registry = registry
-        self._old = old_name
-        self._new = new_name
-
-    def _warn(self) -> None:
-        warnings.warn(
-            f"{self._old} is deprecated; use {self._new} instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def __getitem__(self, key: str):
-        self._warn()
-        try:
-            return self._registry.get(key)
-        except UnknownNameError as exc:
-            raise KeyError(exc.args[0]) from None
-
-    def __iter__(self) -> Iterator[str]:
-        self._warn()
-        return iter(self._registry.names())
-
-    def __len__(self) -> int:
-        self._warn()
-        return len(self._registry)
-
-    def __contains__(self, key: object) -> bool:
-        self._warn()
-        return key in self._registry
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"DeprecatedMapping({self._old} -> {self._new})"
 
 
 # ----------------------------------------------------------------------

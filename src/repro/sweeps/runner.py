@@ -4,13 +4,13 @@ The runner resolves every point against the :class:`ResultCache` first,
 plans the remaining (cache-miss) points as
 :class:`~repro.exec.ExecutionTask` payloads, and hands them to an
 **executor** from the :data:`repro.registry.EXECUTORS` registry —
-``serial`` (in-process), ``process`` (persistent warm worker pool with
-chunked ``imap_unordered`` streaming, the default when ``workers > 1``)
-or ``futures``.  Simulation order never affects results: each point's
-random streams are derived *by name* from its own coordinates (see the
-package docstring), so a point simulated by worker 3 of an 8-way pool
-is bit-identical to the same point simulated serially — and so are the
-cache keys.
+``serial`` (in-process) or ``process`` (a persistent warm
+``concurrent.futures`` worker pool with chunked streaming, the default
+when ``workers > 1``).  Simulation order never affects results: each
+point's random streams are derived *by name* from its own coordinates
+(see the package docstring), so a point simulated by worker 3 of an
+8-way pool is bit-identical to the same point simulated serially — and
+so are the cache keys.
 
 Three cluster rebuild recipes mirror the three kinds of call site
 (plain registry names, scenario specs, ad-hoc profile objects); the
@@ -19,7 +19,8 @@ a fabric cannot be rebuilt faithfully in a worker (non-registry
 profiles, spawn-started platforms with user plugins — see
 ``_parallel_safe``).
 
-Failures are isolated per point: a worker exception becomes an error
+Failures are isolated per point: a worker exception — or a worker
+process dying on the point (``WorkerDied``) — becomes an error
 :class:`PointResult` (optionally retried ``retries`` times) instead of
 killing the sweep; with the default ``on_error="raise"`` the original
 exception is re-raised *after* every other point has resolved — and
@@ -277,8 +278,8 @@ class SweepRunner:
     cache:
         Result cache, or ``None`` to always simulate.
     executor:
-        Executor registry name (``serial`` / ``process`` / ``futures``
-        or a user-registered one), or a live
+        Executor registry name (``serial`` / ``process`` or an alias
+        such as ``futures``, or a user-registered one), or a live
         :class:`~repro.exec.Executor` instance.  Default: ``process``
         when ``workers > 1``, else ``serial``.  The instance is built
         lazily and **kept** — consecutive ``run_points`` calls on one

@@ -1,7 +1,12 @@
 """Unit tests for the execution subsystem (repro.exec)."""
 
+import contextlib
 import csv
 import json
+import multiprocessing
+import os
+import signal
+import time
 
 import pytest
 
@@ -11,7 +16,6 @@ from repro.exec import (
     CallbackSink,
     CsvSink,
     ExecutionTask,
-    FuturesExecutor,
     JsonlSink,
     ProcessExecutor,
     ResultSink,
@@ -45,12 +49,15 @@ def bad_point():
 class TestExecutorRegistry:
     def test_builtins_registered(self):
         names = EXECUTORS.names()
-        assert {"serial", "process", "futures"} <= set(names)
+        assert {"serial", "process"} <= set(names)
+        assert "futures" not in names  # an alias, not a second pool
+        assert EXECUTORS.canonical("futures") == "process"
 
     def test_aliases_resolve(self):
         assert isinstance(get_executor("pool", 2), ProcessExecutor)
+        assert isinstance(get_executor("futures", 2), ProcessExecutor)
         assert isinstance(get_executor("inline"), SerialExecutor)
-        assert isinstance(get_executor("concurrent-futures", 2), FuturesExecutor)
+        assert isinstance(get_executor("concurrent-futures", 2), ProcessExecutor)
 
     def test_unknown_executor_lists_known(self):
         with pytest.raises(UnknownNameError, match="serial"):
@@ -125,9 +132,7 @@ class TestExecutorsAgree:
     def test_process_and_futures_match_serial(self):
         tasks = self._tasks()
         serial = self._times(SerialExecutor().run(tasks))
-        with ProcessExecutor(2) as pool:
-            assert self._times(pool.run(tasks)) == serial
-        with FuturesExecutor(2) as pool:
+        with ProcessExecutor(2) as pool:  # ``futures`` is its alias
             assert self._times(pool.run(tasks)) == serial
 
 
@@ -372,7 +377,7 @@ class TestRunnerStreaming:
         }
 
     def test_sink_files_byte_identical_across_worker_counts(self, tmp_path):
-        # Regression: imap_unordered completions must be re-sequenced —
+        # Regression: unordered pool completions must be re-sequenced —
         # a streamed CSV written in completion order differed between
         # worker counts, breaking the repo's determinism invariant.
         points = [good_point(n, m) for n in (4, 5, 6) for m in (2_048, 8_192)]
@@ -413,7 +418,7 @@ class TestEnvConfiguration:
     def test_executor_env_selects_backend(self, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_EXECUTOR", "futures")
         runner = configure_default_runner()
-        assert runner.executor_name == "futures"
+        assert runner.executor_name == "process"
 
     def test_malformed_workers_named_in_error(self, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", "many")
@@ -466,3 +471,144 @@ class TestBitIdenticalAcrossExecutors:
         )
         assert serial_rows == process_rows == futures_rows
         assert serial_keys == process_keys == futures_keys
+
+
+@contextlib.contextmanager
+def hang_guard(seconds=60):
+    """Fail the block with ``TimeoutError`` if it runs over *seconds*.
+
+    A pool that waits forever on a dead worker would otherwise hang the
+    whole test run instead of failing one test.
+    """
+
+    def expire(signum, frame):
+        raise TimeoutError(f"pooled call still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def dying_cluster():
+    """A registered cluster whose factory kills any process but this one.
+
+    Built in the test process (cache fingerprints, serial runs) it is
+    plain GigE; resolved in a pool worker it ends that worker with
+    ``os._exit(3)``, as an OOM kill or a segfault would.
+    """
+    parent = os.getpid()
+
+    @register_cluster("test-worker-death")
+    def factory():
+        if os.getpid() != parent:
+            os._exit(3)
+        from repro.clusters import gigabit_ethernet
+
+        return gigabit_ethernet().with_overrides(name="test-worker-death")
+
+    try:
+        yield "test-worker-death"
+    finally:
+        CLUSTERS.unregister("test-worker-death")
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="user-registered clusters only reach pool workers under fork",
+)
+class TestWorkerDeath:
+    """A worker that dies fails its own point and never hangs the sweep."""
+
+    DYING = 3  # index of the point on the dying cluster
+
+    def _points(self, cluster):
+        points = [good_point(n, m) for n in (4, 5) for m in (2_048, 4_096, 8_192)]
+        points += [good_point(6, 2_048)]
+        points.insert(self.DYING, SweepPoint(cluster, 4, 2_048, "direct", 0, 1))
+        return points
+
+    def _others(self, rows):
+        return rows[:self.DYING] + rows[self.DYING + 1:]
+
+    def test_keep_fails_only_the_dying_point(self, dying_cluster):
+        points = self._points(dying_cluster)
+        serial = SweepRunner(on_error="keep").run_points(points)
+        with SweepRunner(workers=2, on_error="keep") as runner, hang_guard():
+            result = runner.run_points(points)
+        expected = [None] * len(points)
+        expected[self.DYING] = "WorkerDied"
+        assert [r.error_type for r in result.results] == expected
+        assert result.results[self.DYING].error.startswith("worker process died: ")
+        assert self._others(result.to_rows()[1]) == self._others(serial.to_rows()[1])
+
+    def test_retry_reruns_the_dying_point(self, dying_cluster):
+        points = self._points(dying_cluster)
+        with SweepRunner(workers=2, on_error="keep", retries=1) as runner, hang_guard():
+            result = runner.run_points(points)
+        assert result.n_failed == 1
+        assert result.results[self.DYING].error_type == "WorkerDied"
+        assert result.results[self.DYING].attempts == 2
+
+    def test_raise_after_batch_keeps_good_points_cached(self, dying_cluster, tmp_path):
+        points = self._points(dying_cluster)
+        with SweepRunner(
+            workers=2, cache=ResultCache(tmp_path / "cache")
+        ) as runner, hang_guard():
+            with pytest.raises(ExecutionError, match="worker process died"):
+                runner.run_points(points)
+        rerun = SweepRunner(cache=ResultCache(tmp_path / "cache")).run_points(
+            self._others(points)
+        )
+        assert rerun.n_cached == len(points) - 1
+
+    def test_runner_recovers_for_the_next_sweep(self, dying_cluster):
+        points = self._points(dying_cluster)
+        with SweepRunner(workers=2, on_error="keep") as runner, hang_guard():
+            runner.run_points(points)
+            result = runner.run_points(self._others(points))
+        assert result.n_failed == 0
+        assert result.n_simulated == len(points) - 1
+
+    def test_pool_broken_while_idle_is_replaced(self):
+        tasks = [ExecutionTask(i, good_point(4, m)) for i, m in enumerate((2_048, 8_192))]
+        with ProcessExecutor(2) as executor, hang_guard():
+            list(executor.run(tasks))
+            pool = executor._pool
+            victim = next(iter(pool._processes.values()))
+            os.kill(victim.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while not pool._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            outcomes = list(executor.run(tasks))
+            assert executor._pool is not pool
+        assert sorted(o.index for o in outcomes if o.ok) == [0, 1]
+
+    def test_cli_reports_dead_worker_cleanly(self, dying_cluster, tmp_path, capsys):
+        from repro.cli import main
+
+        argv = [
+            "sweep", "--clusters", f"gigabit-ethernet,{dying_cluster}",
+            "--nprocs", "4", "--sizes", "2kB,8kB", "--reps", "1",
+            "--workers", "2", "--no-cache", "--csv", str(tmp_path / "rows.csv"),
+        ]
+        with hang_guard():
+            assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "sweep failed: worker process died" in err
+        assert "Traceback" not in err
+
+        with hang_guard():
+            assert main(argv + ["--keep-going"]) == 1
+        with open(tmp_path / "rows.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 4
+        for row in rows:
+            if row["cluster"] == dying_cluster:
+                assert row["error"].startswith("worker process died: ")
+            else:
+                assert row["error"] == ""

@@ -1,4 +1,4 @@
-"""Unit tests for the plugin registries and their deprecation shims."""
+"""Unit tests for the plugin registries."""
 
 import pytest
 
@@ -112,42 +112,10 @@ class TestRegistration:
 
 
 class TestDeprecationShims:
-    def test_legacy_clusters_dict_warns_but_works(self):
-        from repro.clusters.profiles import CLUSTERS as LEGACY
-
-        with pytest.warns(DeprecationWarning, match="repro.clusters.profiles.CLUSTERS"):
-            profile = LEGACY["fast-ethernet"]()
-        assert profile.name == "fast-ethernet"
-        with pytest.warns(DeprecationWarning):
-            assert sorted(LEGACY) == ["fast-ethernet", "gigabit-ethernet", "myrinet"]
-        with pytest.warns(DeprecationWarning):
-            assert "myrinet" in LEGACY
-        with pytest.warns(DeprecationWarning):
-            assert len(LEGACY) == 3
-
-    def test_legacy_algorithms_dict_warns_but_works(self):
-        from repro.simmpi.collectives import ALGORITHMS as LEGACY, alltoall_direct
-
-        with pytest.warns(DeprecationWarning, match="repro.simmpi.collectives.ALGORITHMS"):
-            assert LEGACY["direct"] is alltoall_direct
-        with pytest.warns(DeprecationWarning):
-            assert sorted(LEGACY) == [
-                "alltoallv-direct", "alltoallv-rounds",
-                "bruck", "direct", "ring", "rounds",
-            ]
-
     def test_legacy_imports_still_resolve(self):
-        # Old import paths keep working (the shim objects are re-exported).
-        from repro.clusters import CLUSTERS as a  # noqa: F401
-        from repro.simmpi import ALGORITHMS as b  # noqa: F401
+        # Old import paths keep working.
         from repro.simnet.topology import edge_core, single_switch  # noqa: F401
         from repro.measure import get_backend  # noqa: F401
-
-    def test_legacy_dict_missing_key_is_keyerror(self):
-        from repro.clusters.profiles import CLUSTERS as LEGACY
-
-        with pytest.warns(DeprecationWarning), pytest.raises(KeyError):
-            LEGACY["infiniband"]
 
 
 class TestBackendRegistry:
