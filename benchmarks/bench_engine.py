@@ -39,6 +39,7 @@ from record import finish, make_metric
 
 from repro.clusters.profiles import get_cluster
 from repro.measure.alltoall import measure_alltoall
+from repro.obs.metrics import REGISTRY
 
 OUTPUT_PATH = Path(__file__).parent / "output" / "BENCH_engine.json"
 
@@ -106,23 +107,24 @@ def _scale_cluster():
 def _timed_point(cluster, engine: str, n: int, *, rounds_table=ROUNDS):
     """(best-of-rounds elapsed seconds, measured time, total losses).
 
-    Loss counts ride on the ``REPRO_SIM_STATS`` counters (plain ints —
-    they do not perturb the timing the way a recording trace would);
-    when the flag is off the loss count reads 0.
+    The loss count is the ``sim.losses`` registry delta around the last
+    round (plain counter bumps — they do not perturb the timing the way
+    a recording trace would).
     """
+    losses = REGISTRY.counter("sim.losses").series
     rounds = 1 if n > FLUID_MAX_N else rounds_table[engine]
     best = math.inf
     sample = None
     for _ in range(rounds):
+        before = sum(losses.values())
         start = time.perf_counter()
         sample = measure_alltoall(
             cluster, n, MSG_SIZE, reps=1, seed=0,
             algorithm="direct", engine=engine,
         )
         best = min(best, time.perf_counter() - start)
-    stats = getattr(sample, "sim_stats", None)
-    losses = 0 if stats is None else stats.losses
-    return best, sample.mean_time, losses
+        run_losses = int(sum(losses.values()) - before)
+    return best, sample.mean_time, run_losses
 
 
 def _lossless_ladder() -> tuple[dict, dict, bool]:
@@ -154,22 +156,6 @@ def _lossless_ladder() -> tuple[dict, dict, bool]:
 
 
 def _lossy_ladder() -> dict:
-    import os
-
-    out: dict[str, dict] = {}
-    prev = os.environ.get("REPRO_SIM_STATS")
-    os.environ["REPRO_SIM_STATS"] = "1"
-    try:
-        out.update(_lossy_ladder_inner())
-    finally:
-        if prev is None:
-            os.environ.pop("REPRO_SIM_STATS", None)
-        else:
-            os.environ["REPRO_SIM_STATS"] = prev
-    return out
-
-
-def _lossy_ladder_inner() -> dict:
     out: dict[str, dict] = {}
     for name in LOSSY_CLUSTERS:
         cluster = _lossy_cluster(name)

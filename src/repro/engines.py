@@ -35,6 +35,10 @@ Programs that cannot be lowered (wildcard receives, ``ctx.now``, reads
 of a receive's status) raise :class:`~repro.exceptions.LoweringError`
 on both engines.
 
+The measurement layer adds each run's :class:`~repro.simmpi.RunResult`
+counts to the ``sim.*`` metric counters, labelled with the engine's
+registry name (a user-registered engine's included).
+
 The process-wide default is ``fluid`` unless the ``REPRO_SIM_ENGINE``
 environment variable names another registered engine (see
 :func:`default_engine`).

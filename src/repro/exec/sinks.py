@@ -40,9 +40,10 @@ ROW_FIELDS = [
 ]
 
 #: Observability columns appended when ``REPRO_SIM_STATS`` is truthy:
-#: which engine simulated the point and its per-point simulation-effort
-#: counters (summed over reps; empty for cache hits, which carry no
-#: counters).
+#: which engine simulated the point and its simulation-effort counts —
+#: the point's ``sim.*`` registry deltas (``sim_resolves`` is
+#: ``sim.solves``), summed over reps.  Empty for cache hits and failed
+#: points.
 STATS_ROW_FIELDS = [
     "engine", "sim_resolves", "sim_epochs", "sim_events",
     "sim_losses", "sim_stalls", "sim_solve_reuses",

@@ -77,10 +77,13 @@ class TaskOutcome:
     ``metrics`` is the worker-side metrics delta of this task (a
     :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`-shaped dict of
     what the task's work incremented), captured where the work ran.  It
-    pickles across any executor; the runner merges it into the parent
-    registry only when the outcome actually crossed a process boundary
-    (in-process execution already incremented the parent's counters
-    directly — merging again would double-count).
+    pickles across any executor; the runner merges every attempt's
+    delta, a retried failure's included, into the parent registry only
+    when the outcome actually crossed a process boundary (in-process
+    execution already incremented the parent's counters directly —
+    merging again would double-count).  With ``REPRO_SIM_STATS`` set,
+    the final attempt's ``sim.*`` deltas become the row's ``sim_*``
+    columns.
     """
 
     index: int

@@ -32,12 +32,11 @@ from ..clusters.profiles import ClusterProfile
 from ..core.signature import AlltoallSample
 from ..engines import default_engine
 from ..exceptions import MeasurementError, ScenarioError, UnknownNameError
-from ..obs.metrics import REGISTRY, record_sim_stats
+from ..obs.metrics import REGISTRY
 from ..placement import apply_placement, as_placement
 from ..registry import ALGORITHMS, ENGINES
 from ..simmpi.collectives import variant_for
 from ..simnet.rng import RngFactory
-from ..simnet.stats import stats_enabled
 from ..traffic import PatternSpec, as_pattern
 
 __all__ = ["measure_alltoall", "sweep_sizes", "sweep_grid"]
@@ -121,18 +120,21 @@ def measure_alltoall(
     engine-independent, so engines are compared on identical draws.
     Each engine call (lowering plus replay, on any engine) runs with
     the cyclic garbage collector paused; the caller's collector state
-    is restored afterwards.  When ``REPRO_SIM_STATS`` is truthy the
-    returned sample carries a ``sim_stats`` attribute (a
-    :class:`~repro.simnet.stats.SimStats` summed over reps).
+    is restored afterwards.  Every rep adds its
+    :class:`~repro.simmpi.RunResult` counts to the ``sim.*`` counters
+    of :data:`repro.obs.metrics.REGISTRY` (``sim.runs``,
+    ``sim.solves``, ``sim.solve_reuses``, ``sim.epochs``,
+    ``sim.events``, ``sim.losses``, ``sim.stalls``), labelled with the
+    engine's registry name.
 
     With ``observe=True`` the **first repetition** runs instrumented —
     a recording :class:`~repro.simnet.trace.Trace` and a per-link
     :class:`~repro.obs.LinkTimeline` — and the sample carries an
     ``observed`` attribute (a :class:`~repro.obs.Observation`: trace,
-    timeline, and the MED :class:`~repro.obs.ContentionReport`).  Like
-    ``sim_stats`` this is an opt-in rider: it never enters cache
-    payloads, and observation does not perturb timings or RNG draws
-    (the instrumented rep replays the same seed).
+    timeline, and the MED :class:`~repro.obs.ContentionReport`).  This
+    is an opt-in rider: it never enters cache payloads, and observation
+    does not perturb timings or RNG draws (the instrumented rep replays
+    the same seed).
     """
     if n_processes < 2:
         raise MeasurementError("All-to-All needs at least two processes")
@@ -175,8 +177,6 @@ def measure_alltoall(
             f"alltoallv/{stream_tag}/{pattern.key()}/{n_processes}/{msg_size}"
         )
     engine_name, engine_fn = _resolve_engine(engine)
-    collect_stats = stats_enabled()
-    merged_stats = None
     obs_trace = obs_timeline = obs_topology = None
     if observe:
         from ..obs import LinkTimeline
@@ -206,12 +206,16 @@ def measure_alltoall(
         times[rep] = result.duration
         # Always-on self-measurement: a handful of counter bumps per
         # rep, orders of magnitude below the simulation they describe.
-        record_sim_stats(result.stats)
-        if collect_stats and result.stats is not None:
-            merged_stats = (
-                result.stats if merged_stats is None
-                else merged_stats.merged(result.stats)
-            )
+        for name, amount in (
+            ("sim.runs", 1),
+            ("sim.epochs", result.epochs),
+            ("sim.solves", result.solves),
+            ("sim.solve_reuses", result.solve_reuses),
+            ("sim.events", result.events_processed),
+            ("sim.losses", result.total_losses),
+            ("sim.stalls", result.stalls),
+        ):
+            REGISTRY.counter(name).inc(amount, engine=engine_name)
     REGISTRY.counter("measure.samples").inc(1, engine=engine_name)
     sample = AlltoallSample(
         n_processes=n_processes,
@@ -220,9 +224,6 @@ def measure_alltoall(
         std_time=float(times.std(ddof=1)) if reps > 1 else 0.0,
         reps=reps,
     )
-    if merged_stats is not None:
-        # Opt-in observability rider; never enters cache payloads.
-        object.__setattr__(sample, "sim_stats", merged_stats)
     if observe:
         from ..obs import ContentionReport, Observation
 
@@ -238,7 +239,7 @@ def measure_alltoall(
                 obs_timeline, obs_topology, matrix
             ),
         )
-        # Same rider pattern as sim_stats: opt-in, cache-invisible.
+        # Opt-in observability rider; never enters cache payloads.
         object.__setattr__(sample, "observed", observation)
     return sample
 

@@ -18,9 +18,9 @@ lets you watch that happen instead of trusting a final duration:
 * :class:`SweepProfile` — where a sweep's wall-time went (cache hits,
   in-worker simulation seconds, executor overhead, retries);
 * :mod:`repro.obs.metrics` — the process-safe registry of labeled
-  counters/gauges/histograms every layer records into, with the
-  snapshot/merge protocol that carries worker-side increments back to
-  the parent across any executor;
+  counters every layer records into, with the snapshot/merge protocol
+  that carries worker-side increments back to the parent across any
+  executor;
 * :mod:`repro.obs.ledger` — the append-only JSONL run ledger
   (fingerprinted entries per CLI/bench invocation);
 * :mod:`repro.obs.bench` — the shared benchmark-record schema and the
@@ -49,12 +49,8 @@ from .ledger import LEDGER_ENV, Ledger, default_ledger, record_run
 from .metrics import (
     REGISTRY,
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     diff_snapshots,
-    merge_snapshots,
-    record_sim_stats,
 )
 from .observe import Observation
 from .profile import SweepProfile
@@ -72,13 +68,9 @@ __all__ = [
     "to_jsonl",
     "write_trace",
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "REGISTRY",
     "diff_snapshots",
-    "merge_snapshots",
-    "record_sim_stats",
     "Ledger",
     "LEDGER_ENV",
     "default_ledger",

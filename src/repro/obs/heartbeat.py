@@ -56,15 +56,15 @@ def _format_beat(
 
 
 def _counter_deltas(before: dict, after: dict) -> dict[str, float]:
-    """Summed-over-labels counter deltas between two registry snapshots."""
-    out: dict[str, float] = {}
-    for name, entry in diff_snapshots(before, after).items():
-        if entry.get("kind") != "counter":
-            continue
-        total = sum(entry.get("values", {}).values())
-        if total:
-            out[name] = total
-    return out
+    """Summed-over-labels counter deltas between two registry snapshots.
+
+    A delta holds only series that moved, and counters only grow, so
+    every total is positive.
+    """
+    return {
+        name: sum(entry["values"].values())
+        for name, entry in diff_snapshots(before, after).items()
+    }
 
 
 class HeartbeatSink:

@@ -24,9 +24,10 @@ kernel and leaves only the movement of wire bytes to a *network model*:
 A network model implements ``attach(replay)`` (read the message columns,
 keep :meth:`ProtocolReplay.flow_done`), ``inject(mid)`` (message *mid*'s
 payload enters the wire; the model calls ``flow_done(mid, inbound)``
-once its last byte has left) and ``counters(events)``.  The fluid
-engine's model is :class:`~repro.simmpi.runtime.Runtime`, the vector
-engine's :class:`~repro.simnet.vector.VectorSimulator`.
+once its last byte has left) and ``counters()`` (its :class:`RunResult`
+count fields, by name).  The fluid engine's model is
+:class:`~repro.simmpi.runtime.Runtime`, the vector engine's
+:class:`~repro.simnet.vector.VectorSimulator`.
 
 With an enabled trace the replay records ``mpi.phase`` (one per posted
 segment), ``mpi.isend``, ``mpi.irecv``, ``mpi.local_copy`` and
@@ -44,7 +45,6 @@ from ..exceptions import DeadlockError, SimulationError
 from ..simnet.engine import Engine
 from ..simnet.resources import SerialResource
 from ..simnet.rng import RngFactory
-from ..simnet.stats import SimStats
 from ..simnet.trace import NullTrace, Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -61,8 +61,21 @@ class RunResult:
 
     ``duration`` is the paper's completion-time definition: "the
     difference between the start time and the time at which all processes
-    are finished".  ``stats`` carries the engine's cost counters
-    (:class:`~repro.simnet.stats.SimStats`).
+    are finished".  The counts are what the run *cost*; the measurement
+    layer adds them to the ``sim.*`` counters of
+    :data:`repro.obs.metrics.REGISTRY`:
+
+    * ``events_processed`` — discrete events the kernel executed;
+    * ``total_losses`` — TCP loss events (RTO detections);
+    * ``solves`` — bandwidth-allocation (max-min) solves;
+    * ``epochs`` — flow-advance epochs: distinct timesteps at which a
+      non-empty active set progressed;
+    * ``stalls`` — times a flow left the active set to sit out an RTO
+      penalty (one stall may cover chained losses, so
+      ``stalls <= total_losses``);
+    * ``solve_reuses`` — solves skipped because a warm-started
+      allocation was still valid (always 0 on the fluid engine, which
+      re-solves on every flow event).
     """
 
     duration: float
@@ -71,8 +84,11 @@ class RunResult:
     flows_completed: int
     total_losses: int
     max_concurrent_flows: int
+    solves: int = 0
+    epochs: int = 0
+    stalls: int = 0
+    solve_reuses: int = 0
     trace: Trace = field(repr=False, default_factory=NullTrace)
-    stats: SimStats | None = None
 
 
 class _HostScheduler:
@@ -260,17 +276,12 @@ class ProtocolReplay:
                 "(cyclic wait?)"
             )
         finish = [s.finish_time for s in self._ranks]
-        events = self.engine.events_processed
-        flows_completed, max_concurrent, stats = network.counters(events)
         return RunResult(
             duration=max(finish),
             rank_finish_times=finish,
-            events_processed=events,
-            flows_completed=flows_completed,
-            total_losses=stats.losses,
-            max_concurrent_flows=max_concurrent,
+            events_processed=self.engine.events_processed,
             trace=self.trace,
-            stats=stats,
+            **network.counters(),
         )
 
     def _advance(self, rank: int) -> None:

@@ -19,7 +19,6 @@ from ..simnet.fluid import FluidNetwork
 from ..simnet.loss import LossParams
 from ..simnet.penalty import HolPenalty
 from ..simnet.rng import RngFactory
-from ..simnet.stats import SimStats
 from ..simnet.topology import Topology
 from ..simnet.trace import Trace
 from .lowering import lower_program
@@ -119,14 +118,14 @@ class Runtime:
             label=f"msg{mid}",
         )
 
-    def counters(self, events: int) -> tuple[int, int, SimStats]:
-        """``(flows_completed, max_concurrent_flows, stats)`` of the run."""
+    def counters(self) -> dict[str, int]:
+        """The run's :class:`RunResult` count fields, by name."""
         network = self.network
-        return network.flows_completed, network.max_concurrent, SimStats(
-            engine="fluid",
-            resolves=network.resolves,
-            epochs=network.epochs,
-            events=events,
-            losses=network.total_losses,
-            stalls=network.stalls,
-        )
+        return {
+            "flows_completed": network.flows_completed,
+            "max_concurrent_flows": network.max_concurrent,
+            "total_losses": network.total_losses,
+            "solves": network.resolves,
+            "epochs": network.epochs,
+            "stalls": network.stalls,
+        }

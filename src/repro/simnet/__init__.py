@@ -12,7 +12,7 @@ from .loss import LossModel, LossParams
 from .penalty import HolPenalty
 from .resources import SerialResource
 from .rng import RngFactory
-from .stats import SimStats, Summary, stats_enabled, summarize
+from .stats import Summary, stats_enabled, summarize
 from .topology import Topology, edge_core, single_switch
 from .trace import NullTrace, Trace, TraceRecord
 from .vector import VectorSimulator
@@ -35,7 +35,6 @@ __all__ = [
     "HolPenalty",
     "SerialResource",
     "RngFactory",
-    "SimStats",
     "Summary",
     "stats_enabled",
     "summarize",

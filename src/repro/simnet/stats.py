@@ -1,11 +1,12 @@
-"""Summary statistics helpers and per-simulation cost counters.
+"""Summary statistics helpers and the sweep-row cost-column flag.
 
-:class:`Summary` condenses samples of durations/throughputs;
-:class:`SimStats` counts what one simulation *cost* (allocation
-resolves, advance epochs, engine events) so engine regressions are
-visible in sweep output.  Collection is always cheap (plain counters);
-*surfacing* the counters on measurement rows is gated behind the
-``REPRO_SIM_STATS`` environment flag (see :func:`stats_enabled`).
+:class:`Summary` condenses samples of durations/throughputs.  What one
+simulation *cost* (allocation solves, advance epochs, engine events,
+losses, stalls) comes back as plain :class:`~repro.simmpi.RunResult`
+fields and is counted in the ``sim.*`` counters of
+:data:`repro.obs.metrics.REGISTRY`.  *Surfacing* a point's counts as
+sweep-row columns is gated behind the ``REPRO_SIM_STATS`` environment
+flag (see :func:`stats_enabled`).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Summary", "summarize", "SimStats", "stats_enabled"]
+__all__ = ["Summary", "summarize", "stats_enabled"]
 
 #: Environment flag gating the sim_* columns on measurement rows.
 STATS_ENV = "REPRO_SIM_STATS"
@@ -27,54 +28,6 @@ def stats_enabled() -> bool:
     """Whether ``REPRO_SIM_STATS`` asks for per-simulation cost columns."""
     raw = os.environ.get(STATS_ENV, "")
     return raw.strip().lower() in _TRUTHY
-
-
-@dataclass(frozen=True)
-class SimStats:
-    """Cost counters of one simulation (or a sum over repetitions).
-
-    Attributes
-    ----------
-    engine:
-        Name of the simulation engine that produced the run.
-    resolves:
-        Bandwidth-allocation solves (max-min re-solves) performed.
-    epochs:
-        Flow-advance epochs: distinct timesteps at which active flows
-        actually progressed (``dt > 0`` with a non-empty active set).
-    events:
-        Discrete events executed by the event kernel.
-    losses:
-        TCP loss events (RTO detections) sampled by the loss overlay.
-    stalls:
-        Flow stalls: how many times a flow left the active set to sit
-        out an RTO penalty.  One stall may cover several chained losses,
-        so ``stalls <= losses`` whenever the loss overlay is enabled.
-    solve_reuses:
-        Allocation solves skipped because a warm-started solution was
-        still valid (the vector engine's reuse optimization; always 0
-        for the fluid engine, which re-solves every epoch).
-    """
-
-    engine: str
-    resolves: int
-    epochs: int
-    events: int
-    losses: int = 0
-    stalls: int = 0
-    solve_reuses: int = 0
-
-    def merged(self, other: "SimStats") -> "SimStats":
-        """Counter-wise sum (for aggregating repetitions of one point)."""
-        return SimStats(
-            engine=self.engine,
-            resolves=self.resolves + other.resolves,
-            epochs=self.epochs + other.epochs,
-            events=self.events + other.events,
-            losses=self.losses + other.losses,
-            stalls=self.stalls + other.stalls,
-            solve_reuses=self.solve_reuses + other.solve_reuses,
-        )
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,6 @@ from .fluid import _BYTE_EPS, _RESOLVE_PRIORITY
 from .loss import LossModel, LossParams
 from .penalty import HolPenalty
 from .rng import RngFactory
-from .stats import SimStats
 from .topology import Topology
 from .trace import Trace
 
@@ -273,17 +272,17 @@ class VectorSimulator:
             self._flow_losses = np.zeros(n_messages, dtype=np.int64)
             self._flow_remaining = wire.copy()
 
-    def counters(self, events: int) -> tuple[int, int, SimStats]:
-        """``(flows_completed, max_concurrent_flows, stats)`` of the run."""
-        return self.flows_completed, self.max_concurrent, SimStats(
-            engine="vector",
-            resolves=self.resolves,
-            epochs=self.epochs,
-            events=events,
-            losses=self.total_losses,
-            stalls=self.stalls,
-            solve_reuses=self.solve_reuses,
-        )
+    def counters(self) -> dict[str, int]:
+        """The run's ``RunResult`` count fields, by name."""
+        return {
+            "flows_completed": self.flows_completed,
+            "max_concurrent_flows": self.max_concurrent,
+            "total_losses": self.total_losses,
+            "solves": self.resolves,
+            "epochs": self.epochs,
+            "stalls": self.stalls,
+            "solve_reuses": self.solve_reuses,
+        }
 
     # ------------------------------------------------------------------
     # Batched flow core (the epoch loop)

@@ -46,10 +46,11 @@ from ..analysis.io import write_csv
 from ..clusters.profiles import ClusterProfile, get_cluster
 from ..core.signature import AlltoallSample
 from ..exec.executors import Executor, SerialExecutor
-from ..exec.sinks import ResultSink, row_fields
+from ..exec.sinks import STATS_ROW_FIELDS, ResultSink, row_fields
 from ..simnet.stats import stats_enabled
 from ..exec.task import ExecutionTask
 from ..exceptions import ExecutionError, UnknownNameError
+from ..obs.metrics import REGISTRY
 from ..registry import CLUSTERS, EXECUTORS
 from ..scenario import ScenarioSpec
 from .cache import ResultCache, point_key, profile_fingerprint
@@ -66,6 +67,23 @@ __all__ = [
 #: Shared fallback for batches that must run in-process (unpicklable
 #: profile recipes, single misses, spawn-unsafe plugins).  Stateless.
 _INLINE = SerialExecutor()
+
+#: The registry counter behind each ``sim_*`` column of
+#: :data:`~repro.exec.sinks.STATS_ROW_FIELDS` (after ``engine``).
+_STATS_COUNTERS = (
+    "sim.solves", "sim.epochs", "sim.events",
+    "sim.losses", "sim.stalls", "sim.solve_reuses",
+)
+
+
+def _sim_counts(metrics: dict | None) -> tuple[int, ...] | None:
+    """A point's ``sim_*`` cells: its ``sim.*`` deltas, summed over labels."""
+    if not metrics:
+        return None
+    return tuple(
+        int(sum(metrics.get(name, {}).get("values", {}).values()))
+        for name in _STATS_COUNTERS
+    )
 
 
 class _OrderedEmitter:
@@ -115,6 +133,9 @@ class PointResult:
     attempts: int = 1
     #: In-worker wall seconds of the final attempt (0 for cache hits).
     elapsed: float = 0.0
+    #: The final attempt's ``sim_*`` counts, kept only while
+    #: ``REPRO_SIM_STATS`` is set (``None`` for cache hits and failures).
+    sim_counts: tuple[int, ...] | None = None
 
     @property
     def ok(self) -> bool:
@@ -124,8 +145,9 @@ class PointResult:
         """Flat tabular view of this point (:func:`row_fields` schema).
 
         The base columns are fixed; with ``REPRO_SIM_STATS`` set, the
-        engine name and simulation-effort counters are appended (empty
-        for cache hits — cached samples carry no counters).
+        engine name and simulation-effort counts are appended (empty
+        for cache hits and failed points, which simulated nothing the
+        row can report).
         """
         row: dict[str, object] = {
             "cluster": self.point.cluster,
@@ -148,16 +170,11 @@ class PointResult:
             "error": self.error or "",
         }
         if stats_enabled():
-            stats = getattr(self.sample, "sim_stats", None)
             row["engine"] = self.point.engine
-            row["sim_resolves"] = "" if stats is None else stats.resolves
-            row["sim_epochs"] = "" if stats is None else stats.epochs
-            row["sim_events"] = "" if stats is None else stats.events
-            row["sim_losses"] = "" if stats is None else stats.losses
-            row["sim_stalls"] = "" if stats is None else stats.stalls
-            row["sim_solve_reuses"] = (
-                "" if stats is None else stats.solve_reuses
-            )
+            row.update(zip(
+                STATS_ROW_FIELDS[1:],
+                self.sim_counts or ("",) * len(_STATS_COUNTERS),
+            ))
         return row
 
 
@@ -440,6 +457,7 @@ class SweepRunner:
         misses = [idx for idx in range(len(points)) if idx not in samples]
 
         total = len(points)
+        stats_on = stats_enabled()
         resolved: dict[int, PointResult] = {}
         opened: list[ResultSink] = []
         emitter = _OrderedEmitter(total, opened)
@@ -468,6 +486,10 @@ class SweepRunner:
                     error_type=outcome.error_type,
                     attempts=outcome.attempts,
                     elapsed=outcome.elapsed,
+                    sim_counts=(
+                        _sim_counts(outcome.metrics)
+                        if stats_on and outcome.ok else None
+                    ),
                 )
                 resolved[idx] = result
                 emitter.land(idx, result)
@@ -649,27 +671,26 @@ class SweepRunner:
             return
         tasks, fan_out = self._plan(misses, points, profile, scenario)
         executor = self.executor if fan_out else _INLINE
-        if fan_out:
-            # Worker-side metric deltas ride back on the outcomes; fold
-            # them into this process's registry.  In-process execution
-            # already incremented it directly — merging there would
-            # double-count, so the merge is fan-out-only.
-            from ..obs.metrics import REGISTRY
+        yield from self._with_retries(executor, tasks, merge=fan_out)
 
-            for outcome in self._with_retries(executor, tasks):
-                REGISTRY.merge(outcome.metrics)
-                yield outcome
-        else:
-            yield from self._with_retries(executor, tasks)
+    def _with_retries(
+        self, executor: Executor, tasks: list[ExecutionTask], *, merge: bool
+    ):
+        """Run *tasks*, re-submitting failures up to ``retries`` times.
 
-    def _with_retries(self, executor: Executor, tasks: list[ExecutionTask]):
-        """Run *tasks*, re-submitting failures up to ``retries`` times."""
+        With *merge*, every attempt's worker-side metrics delta — a
+        retried failure's too — is folded into this process's registry.
+        In-process execution already incremented it directly; merging
+        there would double-count, so only fan-out batches merge.
+        """
         by_index = {task.index: task for task in tasks}
         pending = tasks
         for attempt in range(1, self.retries + 2):
             last = attempt == self.retries + 1
             retry: list[ExecutionTask] = []
             for outcome in executor.run(pending):
+                if merge:
+                    REGISTRY.merge(outcome.metrics)
                 outcome = dataclasses.replace(outcome, attempts=attempt)
                 if outcome.ok or last:
                     yield outcome

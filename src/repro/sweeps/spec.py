@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from .. import models as _models  # noqa: F401 - registers the built-in cost models
 from ..engines import DEFAULT_ENGINE, default_engine
+from ..exceptions import UnknownNameError
 from ..placement import PlacementSpec, as_placement
 from ..registry import ALGORITHMS, CLUSTERS, ENGINES, MODELS
 from ..simmpi.collectives import variant_for
@@ -53,6 +54,14 @@ class SweepPoint:
             raise ValueError("msg_size must be >= 1 byte")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        # Registered algorithm aliases share their canonical name's key;
+        # unknown names pass through and fail when measured.
+        try:
+            object.__setattr__(
+                self, "algorithm", ALGORITHMS.canonical(self.algorithm)
+            )
+        except UnknownNameError:
+            pass
         # Uniform canonicalises to None: one identity, one cache key.
         object.__setattr__(self, "pattern", as_pattern(self.pattern))
         # Identity placement likewise collapses to None.

@@ -19,8 +19,10 @@ from repro.exceptions import (
     UnknownNameError,
 )
 from repro.measure.alltoall import measure_alltoall
+from repro.obs.metrics import REGISTRY, diff_snapshots
 from repro.registry import ALGORITHMS, ENGINES
 from repro.scenario import ScenarioSpec
+from repro.simmpi import RunResult
 from repro.simmpi.lowering import lower_program
 from repro.sweeps.cache import point_key, profile_fingerprint
 from repro.sweeps.spec import SweepPoint, SweepSpec
@@ -184,27 +186,27 @@ class TestLossyVector:
         vector_mean = sum(vector) / len(vector)
         assert vector_mean == pytest.approx(fluid_mean, rel=0.10)
 
-    def test_loss_counters_surfaced(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_STATS", "1")
+    def test_loss_counters_surfaced(self):
         cluster_name, n, m = self.GIGE
         cluster = get_cluster(cluster_name)
-        sample = measure_alltoall(
-            cluster, n, m, reps=2, seed=0, engine="vector"
-        )
-        stats = sample.sim_stats
-        assert stats.engine == "vector"
-        assert stats.losses > 0
-        assert 0 < stats.stalls <= stats.losses
+        before = REGISTRY.snapshot()
+        measure_alltoall(cluster, n, m, reps=2, seed=0, engine="vector")
+        delta = diff_snapshots(before, REGISTRY.snapshot())
+        losses = delta["sim.losses"]["values"]["engine=vector"]
+        stalls = delta["sim.stalls"]["values"]["engine=vector"]
+        assert losses > 0
+        assert 0 < stalls <= losses
 
-    def test_result_total_losses_matches_stats(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_STATS", "1")
+    def test_result_total_losses_matches_stats(self):
         cluster_name, n, m = self.GIGE
         for engine in ("fluid", "vector"):
-            sample = measure_alltoall(
+            before = REGISTRY.snapshot()
+            measure_alltoall(
                 get_cluster(cluster_name), n, m, reps=1, seed=0,
                 engine=engine,
             )
-            assert sample.sim_stats.losses > 0
+            delta = diff_snapshots(before, REGISTRY.snapshot())
+            assert delta["sim.losses"]["values"][f"engine={engine}"] > 0
 
     def test_stall_resume_trace(self):
         cluster_name, n, m = self.GIGE
@@ -496,14 +498,89 @@ class TestStatsColumns:
         assert row["sim_losses"] == 0
         assert row["sim_stalls"] == 0
 
-    def test_sample_carries_merged_stats(self, monkeypatch):
+    def test_row_counts_sum_over_reps(self, monkeypatch):
+        from repro.exec.sinks import STATS_ROW_FIELDS
+        from repro.sweeps.runner import SweepRunner
+
+        def engine(cluster, n_processes, program, run_arg, seed):
+            return RunResult(
+                duration=1.0, rank_finish_times=[1.0] * n_processes,
+                events_processed=11, flows_completed=12, total_losses=1,
+                max_concurrent_flows=2, solves=3, epochs=5, stalls=1,
+                solve_reuses=2,
+            )
+
         monkeypatch.setenv("REPRO_SIM_STATS", "1")
-        sample = measure_alltoall(
-            get_cluster("myrinet"), 4, 2048, reps=2, engine="fluid"
+        ENGINES.register("test-fixed-counts", engine)
+        try:
+            point = SweepPoint(
+                "myrinet", 4, 2048, "direct", 0, 2, engine="test-fixed-counts"
+            )
+            before = REGISTRY.snapshot()
+            result = SweepRunner(workers=1, cache=None).run_points([point])
+            delta = diff_snapshots(before, REGISTRY.snapshot())
+        finally:
+            ENGINES.unregister("test-fixed-counts")
+        row = result.to_rows()[1][0]
+        assert row["engine"] == "test-fixed-counts"
+        cells = [row[field] for field in STATS_ROW_FIELDS[1:]]
+        # solves, epochs, events, losses, stalls, solve_reuses; two reps.
+        assert cells == [6, 10, 22, 2, 2, 4]
+        assert all(type(cell) is int for cell in cells)
+        # A user-registered engine's runs carry its own registry name.
+        assert delta["sim.runs"]["values"] == {"engine=test-fixed-counts": 2.0}
+
+    def test_cache_hits_and_failed_points_keep_empty_cells(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.exec.sinks import STATS_ROW_FIELDS
+        from repro.sweeps.cache import ResultCache
+        from repro.sweeps.runner import SweepRunner
+
+        calls = []
+
+        def engine(cluster, n_processes, program, run_arg, seed):
+            # The first rep runs and is counted; the second one fails.
+            calls.append(seed)
+            if len(calls) == 2:
+                raise RuntimeError("second rep failed")
+            return ENGINES.get("fluid")(
+                cluster, n_processes, program, run_arg, seed
+            )
+
+        monkeypatch.setenv("REPRO_SIM_STATS", "1")
+        good = SweepPoint("myrinet", 4, 2048, "direct", 0, 1)
+        cache = ResultCache(tmp_path)
+        ENGINES.register("test-fails-second-rep", engine)
+        try:
+            bad = SweepPoint(
+                "myrinet", 4, 2048, "direct", 0, 2,
+                engine="test-fails-second-rep",
+            )
+            first = SweepRunner(cache=cache, on_error="keep").run_points(
+                [good, bad]
+            )
+        finally:
+            ENGINES.unregister("test-fails-second-rep")
+        second = SweepRunner(cache=cache).run_points([good])
+        simulated, failed = first.to_rows()[1]
+        (hit,) = second.to_rows()[1]
+        assert simulated["sim_events"] > 0
+        assert failed["error"] and hit["cached"]
+        for row in (failed, hit):
+            assert [row[f] for f in STATS_ROW_FIELDS[1:]] == [""] * 6
+        assert first.results[1].sim_counts is None
+        assert second.results[0].sim_counts is None
+
+    def test_point_results_hold_no_counts_without_the_flag(self, monkeypatch):
+        from repro.sweeps.runner import SweepRunner
+
+        monkeypatch.delenv("REPRO_SIM_STATS", raising=False)
+        result = SweepRunner(cache=None).run_points(
+            [SweepPoint("myrinet", 4, 2048, "direct", 0, 1)]
         )
-        stats = getattr(sample, "sim_stats", None)
-        assert stats is not None and stats.engine == "fluid"
-        assert stats.resolves > 0
+        (point,) = result.results
+        assert point.ok and point.sim_counts is None
 
 
 class TestCli:
@@ -605,9 +682,21 @@ class TestBitIdentityGoldens:
         )
         got = (
             float(result.duration).hex(), result.events_processed,
-            result.total_losses, result.stats.stalls,
+            result.total_losses, result.stalls,
         )
         assert got == self.GOLDEN[(config, engine)]
+
+    @pytest.mark.parametrize("engine", ["fluid", "vector"])
+    def test_run_fills_every_count(self, engine):
+        cluster, n, run_arg, algorithm = _golden_config("gige-lossy-n16")
+        result = ENGINES.get(engine)(
+            cluster, n, ALGORITHMS.get(algorithm), run_arg, 0
+        )
+        assert result.solves > 0 and result.epochs > 0
+        assert 0 < result.stalls <= result.total_losses
+        if engine == "fluid":
+            # The fluid engine re-solves on every flow event.
+            assert result.solve_reuses == 0
 
 
 class TestCollectorWindow:
@@ -616,15 +705,17 @@ class TestCollectorWindow:
 
     @pytest.fixture
     def probe(self):
-        import types
-
         seen = []
 
         def engine(cluster, n_processes, program, run_arg, seed):
             seen.append(gc.isenabled())
             if probe_state["raise"]:
                 raise RuntimeError("engine failed")
-            return types.SimpleNamespace(duration=1.0, stats=None)
+            return RunResult(
+                duration=1.0, rank_finish_times=[1.0] * n_processes,
+                events_processed=0, flows_completed=0, total_losses=0,
+                max_concurrent_flows=0,
+            )
 
         probe_state = {"raise": False, "seen": seen}
         ENGINES.register("gc-probe", engine)

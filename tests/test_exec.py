@@ -376,10 +376,19 @@ class TestRunnerStreaming:
             (n, m) for n in (4, 5) for m in (2_048, 8_192)
         }
 
-    def test_sink_files_byte_identical_across_worker_counts(self, tmp_path):
+    @pytest.mark.parametrize("flag", [None, "1"], ids=["plain", "sim-stats"])
+    def test_sink_files_byte_identical_across_worker_counts(
+        self, tmp_path, monkeypatch, flag
+    ):
         # Regression: unordered pool completions must be re-sequenced —
         # a streamed CSV written in completion order differed between
-        # worker counts, breaking the repo's determinism invariant.
+        # worker counts, breaking the repo's determinism invariant.  With
+        # REPRO_SIM_STATS set, the sim_* cells come from worker-side
+        # metric deltas and must match the in-process ones too.
+        if flag is None:
+            monkeypatch.delenv("REPRO_SIM_STATS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_SIM_STATS", flag)
         points = [good_point(n, m) for n in (4, 5, 6) for m in (2_048, 8_192)]
         paths = []
         for name, kwargs in (
@@ -612,3 +621,70 @@ class TestWorkerDeath:
                 assert row["error"].startswith("worker process died: ")
             else:
                 assert row["error"] == ""
+
+
+@pytest.fixture
+def flaky_second_rep(tmp_path):
+    """A registered engine whose first second-rep call, anywhere, raises.
+
+    Each process counts its own calls, and a point's reps run back to
+    back in one process, so every even call is a point's second rep.
+    The first such call in any process creates a flag file and raises;
+    the flag makes "once" hold across pool workers.  Yields the engine
+    name and the flag (delete it to re-arm the failure).
+    """
+    from repro.engines import run_vector
+    from repro.registry import ENGINES
+
+    flag = tmp_path / "failed-once"
+    calls = []
+
+    def engine(cluster, n_processes, program, run_arg, seed):
+        calls.append(seed)
+        if len(calls) % 2 == 0:
+            try:
+                os.close(os.open(flag, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                pass
+            else:
+                raise RuntimeError("transient engine failure")
+        return run_vector(cluster, n_processes, program, run_arg, seed)
+
+    ENGINES.register("test-flaky-second-rep", engine)
+    try:
+        yield "test-flaky-second-rep", flag
+    finally:
+        ENGINES.unregister("test-flaky-second-rep")
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="user-registered engines only reach pool workers under fork",
+)
+def test_retried_attempt_counters_agree_across_executors(flaky_second_rep):
+    # A failed attempt that is retried still ran (and counted) its first
+    # rep.  The serial executor counts it in-process; the pool must merge
+    # that attempt's worker delta too, not only the final attempt's.
+    from repro.obs.metrics import REGISTRY, diff_snapshots
+
+    engine, flag = flaky_second_rep
+    points = [
+        SweepPoint("myrinet", 4, 2_048, "direct", seed, 2, engine=engine)
+        for seed in (0, 1)
+    ]
+    totals = []
+    for workers in (1, 2):
+        flag.unlink(missing_ok=True)
+        before = REGISTRY.snapshot()
+        with SweepRunner(workers=workers, retries=1) as runner, hang_guard():
+            result = runner.run_points(points)
+        delta = diff_snapshots(before, REGISTRY.snapshot())
+        assert sorted(r.attempts for r in result.results) == [1, 2]
+        totals.append({
+            name: sum(delta[name]["values"].values())
+            for name in ("sim.runs", "sim.events")
+        })
+    serial, pooled = totals
+    # 2 points x 2 reps, plus the first rep of the failed attempt.
+    assert serial["sim.runs"] == 5.0
+    assert pooled == serial

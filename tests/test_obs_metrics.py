@@ -1,9 +1,9 @@
 """Observability: the process-safe metrics registry.
 
-Covers the three metric kinds, the snapshot/merge/diff protocol, and —
-the load-bearing part — its threading through the stack: engine runs
-land in ``sim.*`` counters, the sweep cache counts hits/misses/bytes,
-and worker-side deltas ride ``TaskOutcome.metrics`` across the process
+Covers labeled counters, the snapshot/merge/diff protocol, and — the
+load-bearing part — its threading through the stack: engine runs land
+in ``sim.*`` counters, the sweep cache counts hits/misses/bytes, and
+worker-side deltas ride ``TaskOutcome.metrics`` across the process
 executor back into the parent registry without double counting.
 """
 
@@ -11,18 +11,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.clusters.profiles import get_cluster
 from repro.exec.task import ExecutionTask, run_task
-from repro.obs.metrics import (
-    REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    diff_snapshots,
-    merge_snapshots,
-    record_sim_stats,
-)
-from repro.simnet.stats import SimStats
+from repro.measure.alltoall import measure_alltoall
+from repro.measure.pingpong import measure_pingpong
+from repro.obs.metrics import REGISTRY, MetricsRegistry, diff_snapshots
+from repro.registry import ENGINES
+from repro.simmpi import RunResult
 from repro.sweeps.cache import ResultCache
 from repro.sweeps.runner import SweepRunner
 from repro.sweeps.spec import SweepPoint
@@ -53,6 +48,31 @@ def _total(name: str) -> float:
     return sum(metric.series.values())
 
 
+def _fixed_run(cluster, n_processes, program, run_arg, seed):
+    """An engine whose every run reports the same counts."""
+    return RunResult(
+        duration=1.0, rank_finish_times=[1.0] * n_processes,
+        events_processed=11, flows_completed=12, total_losses=3,
+        max_concurrent_flows=2, solves=5, epochs=7, stalls=2,
+        solve_reuses=4,
+    )
+
+
+@pytest.fixture
+def register_engine():
+    """Register engines for one test and unregister them afterwards."""
+    names = []
+
+    def register(name, fn):
+        ENGINES.register(name, fn)
+        names.append(name)
+        return name
+
+    yield register
+    for name in names:
+        ENGINES.unregister(name)
+
+
 class TestCounter:
     def test_labeled_series_are_independent(self):
         reg = MetricsRegistry()
@@ -79,27 +99,6 @@ class TestCounter:
         assert c.value(a=1, b=2) == 2.0
 
 
-class TestGaugeAndHistogram:
-    def test_gauge_keeps_the_last_write(self):
-        g = MetricsRegistry().gauge("workers")
-        g.set(4)
-        g.set(2)
-        assert g.value() == 2.0
-
-    def test_histogram_buckets_and_aggregates(self):
-        h = MetricsRegistry().histogram("t", buckets=(0.1, 1.0))
-        for v in (0.05, 0.5, 0.5, 5.0):
-            h.observe(v)
-        cell = h.value()
-        assert cell["counts"] == [1, 2, 1]  # <=0.1, <=1.0, overflow
-        assert cell["count"] == 4
-        assert cell["sum"] == pytest.approx(6.05)
-
-    def test_histogram_requires_buckets(self):
-        with pytest.raises(ValueError, match="bucket"):
-            MetricsRegistry().histogram("t", buckets=())
-
-
 class TestRegistry:
     def test_get_or_create_is_idempotent(self):
         reg = MetricsRegistry()
@@ -107,11 +106,16 @@ class TestRegistry:
         assert "a" in reg
         assert reg.names() == ["a"]
 
-    def test_kind_mismatch_raises(self):
+    def test_snapshot_entries_keep_the_counter_shape(self):
+        # Worker deltas, heartbeats and ledger entries all read this
+        # shape; a counter that was never incremented still has one.
         reg = MetricsRegistry()
-        reg.counter("a")
-        with pytest.raises(TypeError, match="already registered"):
-            reg.gauge("a")
+        reg.counter("a").inc(1, engine="fluid")
+        reg.counter("b")
+        assert reg.snapshot() == {
+            "a": {"kind": "counter", "values": {"engine=fluid": 1.0}},
+            "b": {"kind": "counter", "values": {}},
+        }
 
     def test_snapshot_is_a_copy(self):
         reg = MetricsRegistry()
@@ -122,20 +126,18 @@ class TestRegistry:
 
 
 class TestSnapshotMergeDiff:
-    def _registry(self, runs=2.0, depth=3.0):
+    def _registry(self, runs=2.0):
         reg = MetricsRegistry()
         reg.counter("runs").inc(runs, engine="fluid")
-        reg.gauge("depth").set(depth)
-        reg.histogram("t", buckets=(1.0,)).observe(0.5)
+        reg.counter("hits").inc()
         return reg
 
-    def test_merge_sums_counters_and_overwrites_gauges(self):
-        parent = self._registry(runs=2, depth=3)
-        worker = self._registry(runs=5, depth=7)
+    def test_merge_sums_counters(self):
+        parent = self._registry(runs=2)
+        worker = self._registry(runs=5)
         parent.merge(worker.snapshot())
         assert parent.counter("runs").value(engine="fluid") == 7.0
-        assert parent.gauge("depth").value() == 7.0
-        assert parent.histogram("t", buckets=(1.0,)).value()["count"] == 2
+        assert parent.counter("hits").value() == 2.0
 
     def test_merge_creates_unseen_metrics(self):
         parent = MetricsRegistry()
@@ -149,16 +151,23 @@ class TestSnapshotMergeDiff:
         assert reg.names() == []
 
     def test_merge_rejects_unknown_kinds(self):
-        with pytest.raises(ValueError, match="unknown kind"):
-            MetricsRegistry().merge({"x": {"kind": "summary", "values": {}}})
+        # Counters are the only kind; gauge and histogram entries are
+        # as foreign as any other.
+        for kind in ("summary", "gauge", "histogram"):
+            with pytest.raises(ValueError, match="unknown kind"):
+                MetricsRegistry().merge({"x": {"kind": kind, "values": {}}})
 
     def test_snapshot_merge_round_trip_is_exact(self):
-        a, b = self._registry(runs=1), self._registry(runs=9)
-        combined = merge_snapshots(a.snapshot(), b.snapshot(), None)
+        combined = MetricsRegistry()
+        for runs in (1, 9):
+            combined.merge(self._registry(runs=runs).snapshot())
+        snapshot = combined.snapshot()
+        assert snapshot["runs"] == {
+            "kind": "counter", "values": {"engine=fluid": 10.0},
+        }
         restored = MetricsRegistry()
-        restored.merge(combined)
-        assert restored.counter("runs").value(engine="fluid") == 10.0
-        assert restored.snapshot() == combined
+        restored.merge(snapshot)
+        assert restored.snapshot() == snapshot
 
     def test_diff_subtracts_and_drops_idle_series(self):
         reg = self._registry(runs=2)
@@ -169,46 +178,31 @@ class TestSnapshotMergeDiff:
         assert delta["runs"]["values"]["engine=fluid"] == 3.0
         assert "other" not in delta
 
-    def test_diff_of_idle_stretch_keeps_only_gauges(self):
-        # Counters/histograms subtract away to nothing; a gauge is a
-        # reading, not an accumulation, so it passes through unchanged.
-        reg = self._registry()
-        snap = reg.snapshot()
-        delta = diff_snapshots(snap, snap)
-        assert set(delta) == {"depth"}
-        assert delta["depth"]["values"][""] == 3.0
-        assert diff_snapshots(None, None) == {}
-
     def test_diff_of_idle_counters_is_empty(self):
         reg = MetricsRegistry()
         reg.counter("runs").inc(2)
         snap = reg.snapshot()
         assert diff_snapshots(snap, snap) == {}
 
-    def test_diff_histograms_subtract_per_bucket(self):
+    def test_diff_subtracts_each_label_series(self):
         reg = MetricsRegistry()
-        h = reg.histogram("t", buckets=(1.0,))
-        h.observe(0.5)
+        runs = reg.counter("runs")
+        runs.inc(2, engine="fluid")
+        runs.inc(4, engine="vector")
         before = reg.snapshot()
-        h.observe(2.0)
+        runs.inc(3, engine="vector")
+        runs.inc(1, engine="plugin")
         delta = diff_snapshots(before, reg.snapshot())
-        assert delta["t"]["values"][""]["counts"] == [0, 1]
-        assert delta["t"]["buckets"] == [1.0]
+        # The idle series drops out; a new series counts from zero.
+        assert delta == {"runs": {
+            "kind": "counter",
+            "values": {"engine=vector": 3.0, "engine=plugin": 1.0},
+        }}
 
-
-class TestRecordSimStats:
-    def test_stats_land_labeled_by_engine(self):
-        record_sim_stats(SimStats(
-            engine="vector", epochs=3, resolves=2, events=10,
-            losses=1, stalls=0, solve_reuses=4,
-        ))
-        assert REGISTRY.counter("sim.runs").value(engine="vector") == 1.0
-        assert REGISTRY.counter("sim.epochs").value(engine="vector") == 3.0
-        assert REGISTRY.counter("sim.solve_reuses").value(engine="vector") == 4.0
-
-    def test_none_is_a_noop(self):
-        record_sim_stats(None)
-        assert REGISTRY.names() == []
+    def test_diff_from_no_snapshot_is_everything_recorded(self):
+        snap = self._registry().snapshot()
+        assert diff_snapshots(None, snap) == snap
+        assert diff_snapshots(None, None) == {}
 
 
 class TestMeasurementThreading:
@@ -217,6 +211,53 @@ class TestMeasurementThreading:
         assert _total("sim.runs") == 1.0
         assert _total("measure.samples") == 1.0
         assert _total("sim.epochs") > 0
+
+    def test_each_rep_adds_its_run_counts(self, register_engine):
+        engine = register_engine("test-fixed-counts", _fixed_run)
+        measure_alltoall(
+            get_cluster("myrinet"), 4, 2048, reps=3, engine=engine
+        )
+        # Three reps of _fixed_run, labelled with the engine's own name.
+        expected = {
+            "measure.samples": 1, "sim.runs": 3, "sim.epochs": 21,
+            "sim.solves": 15, "sim.solve_reuses": 12, "sim.events": 33,
+            "sim.losses": 9, "sim.stalls": 6,
+        }
+        assert REGISTRY.snapshot() == {
+            name: {"kind": "counter",
+                   "values": {"engine=test-fixed-counts": float(value)}}
+            for name, value in sorted(expected.items())
+        }
+
+    def test_a_failed_rep_keeps_the_counts_of_earlier_reps(
+        self, register_engine
+    ):
+        calls = []
+
+        def engine(cluster, n_processes, program, run_arg, seed):
+            calls.append(seed)
+            if len(calls) == 2:
+                raise RuntimeError("second rep failed")
+            return _fixed_run(cluster, n_processes, program, run_arg, seed)
+
+        name = register_engine("test-fails-second-rep", engine)
+        with pytest.raises(RuntimeError, match="second rep failed"):
+            measure_alltoall(
+                get_cluster("myrinet"), 4, 2048, reps=3, engine=name
+            )
+        # The first rep ran and is counted; no sample came of it.
+        assert REGISTRY.counter("sim.runs").series == {
+            "engine=test-fails-second-rep": 1.0,
+        }
+        assert REGISTRY.counter("sim.events").value(
+            engine="test-fails-second-rep"
+        ) == 11.0
+        assert "measure.samples" not in REGISTRY
+
+    def test_pingpong_runs_are_not_counted(self):
+        # The sim.* counters cover All-to-All reps only.
+        measure_pingpong(get_cluster("myrinet"), sizes=(1024, 4096), reps=1)
+        assert not [name for name in REGISTRY.names() if name.startswith("sim.")]
 
     def test_cache_counters_track_misses_hits_and_bytes(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -85,7 +85,7 @@ PINGPONG = {
 def _signature(result) -> tuple:
     return (
         float(result.duration).hex(), result.events_processed,
-        result.total_losses, result.stats.stalls,
+        result.total_losses, result.stalls,
     )
 
 

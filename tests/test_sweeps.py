@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.clusters.profiles import gigabit_ethernet, myrinet
@@ -78,8 +80,101 @@ class TestSpec:
         assert "2 sizes" in tiny_spec().describe()
 
 
+#: Other spellings of registered names: aliases plus case and
+#: separator variants, all of which the registries resolve.
+SPELLINGS = {
+    "gigabit-ethernet": ("gige", "gdx", "Gigabit_Ethernet"),
+    "myrinet": ("gm", "icluster2-myrinet", "MYRINET"),
+    "direct": ("linear", "LINEAR", "Direct"),
+    "rounds": ("pairwise", "PAIRWISE"),
+    "fluid": ("reference", "event-driven", "Event_Driven"),
+    "vector": ("batched", "VECTOR"),
+    "hotspot": ("incast", "HotSpot"),
+    "block": ("BLOCK",),
+    "round-robin": ("rr", "cyclic", "Round_Robin"),
+}
+
+#: Spellings of the trivial pattern and placement, which key as ``None``.
+UNIFORM = ("uniform", "alltoall", "regular", {"name": "Regular"},
+           {"name": "uniform", "params": {}})
+IDENTITY = ("identity", "none", {"name": "Identity"})
+
+
+@st.composite
+def spelled_points(draw):
+    """``(canonical, spelled)`` constructor arguments of one point.
+
+    The canonical side uses registry names, parameters in declaration
+    order and ``None`` for the trivial pattern and placement; the
+    spelled side draws any other spelling of each.
+    """
+
+    def spell(name):
+        return draw(st.sampled_from((name, *SPELLINGS.get(name, ()))))
+
+    def spec(choices, trivial):
+        choice = draw(st.sampled_from((None, *choices)))
+        if choice is None:
+            return None, draw(st.sampled_from((None, *trivial)))
+        name, params = choice
+        items = list(params.items())
+        if draw(st.booleans()):
+            items.reverse()
+        return (
+            {"name": name, "params": params},
+            {"name": spell(name), "params": dict(items)},
+        )
+
+    coords = dict(
+        n_processes=draw(st.sampled_from((4, 8))),
+        msg_size=draw(st.sampled_from((2_048, 65_536))),
+        seed=draw(st.integers(0, 3)),
+        reps=draw(st.integers(1, 3)),
+    )
+    canonical, spelled = dict(coords), dict(coords)
+    for field, names in (
+        ("cluster", ("gigabit-ethernet", "myrinet")),
+        ("algorithm", ("direct", "rounds")),
+        ("engine", ("fluid", "vector")),
+    ):
+        name = draw(st.sampled_from(names))
+        canonical[field], spelled[field] = name, spell(name)
+    canonical["pattern"], spelled["pattern"] = spec(
+        [("hotspot", {"targets": t, "factor": f})
+         for t in (1, 2) for f in (2.0, 4.0)],
+        UNIFORM,
+    )
+    canonical["placement"], spelled["placement"] = spec(
+        [("block", {"size": 2, "shift": 1}), ("round-robin", {"groups": 2})],
+        IDENTITY,
+    )
+    return canonical, spelled
+
+
 class TestCacheKey:
     POINT = SweepPoint("gigabit-ethernet", 4, 2_048, "direct", 0, 1)
+
+    @given(spelled_points())
+    def test_every_spelling_shares_one_key(self, drawn):
+        canonical, spelled = drawn
+        fp = {"probe": "fixed"}
+        key = point_key(SweepPoint(**canonical), fp)
+        # Direct callers: cluster names stay free-form (scenario labels).
+        direct = SweepPoint(**{**spelled, "cluster": canonical["cluster"]})
+        assert point_key(direct, fp) == key
+        # Through a spec, cluster aliases canonicalise too.
+        spec = SweepSpec(
+            clusters=(spelled["cluster"],),
+            nprocs=(spelled["n_processes"],),
+            sizes=(spelled["msg_size"],),
+            algorithms=(spelled["algorithm"],),
+            patterns=(spelled["pattern"],),
+            placements=(spelled["placement"],),
+            seeds=(spelled["seed"],),
+            reps=spelled["reps"],
+            engine=spelled["engine"],
+        )
+        assert point_key(spec.points()[0], fp) == key
 
     def test_key_is_stable(self):
         fp = profile_fingerprint(gigabit_ethernet())

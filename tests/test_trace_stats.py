@@ -1,12 +1,12 @@
 """Unit coverage for the structured trace (:mod:`repro.simnet.trace`)
-and the simulation cost counters (:mod:`repro.simnet.stats`) — dormant
-plumbing the observability layer now builds on."""
+and the ``REPRO_SIM_STATS`` row-column flag (:mod:`repro.simnet.stats`)
+— dormant plumbing the observability layer now builds on."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.simnet.stats import STATS_ENV, SimStats, stats_enabled
+from repro.simnet.stats import STATS_ENV, stats_enabled
 from repro.simnet.trace import NullTrace, Trace, TraceRecord
 
 
@@ -56,16 +56,6 @@ class TestTrace:
 
 
 class TestSimStats:
-    def test_merged_sums_counters_and_keeps_the_engine(self):
-        first = SimStats(engine="fluid", resolves=3, epochs=5, events=11)
-        second = SimStats(engine="fluid", resolves=2, epochs=1, events=4)
-        merged = first.merged(second)
-        assert merged == SimStats(
-            engine="fluid", resolves=5, epochs=6, events=15
-        )
-        # Frozen inputs are untouched.
-        assert first.resolves == 3 and second.resolves == 2
-
     @pytest.mark.parametrize(
         "value", ["1", "true", "YES", " on ", "True"]
     )
