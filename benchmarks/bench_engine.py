@@ -1,30 +1,28 @@
 """Bench: simulation-engine throughput (fluid vs vector).
 
-Three ladders, all written to ``benchmarks/output/BENCH_engine.json``:
+Three ladders, one record (``benchmarks/output/BENCH_engine.json``):
 
 * **lossless** — the same All-to-All point with both engines on a
   lossless Gigabit Ethernet fabric (the configuration where the engines
-  are provably equivalent): one leg per (engine, n) with wall-clock and
-  points/sec, ``speedup`` per n, and ``equivalent`` (measured times
-  within 1e-6 relative on every n both ran).
+  are provably equivalent): the vector ÷ fluid speedup at n=64, and
+  whether the measured times agree within 1e-6 relative on every n
+  both ran.  The n=256 rung runs on the vector engine only.
 * **lossy** — the paper's headline configurations: the *stock* gige and
   fast-ethernet profiles with the TCP loss overlay enabled.  Lossy runs
-  are statistically (not bit-) equivalent, so these legs record each
-  engine's measured time and loss count alongside the speedup; the
-  acceptance bar is >= 2.5x points/sec at n=64 on both clusters.
+  are statistically (not bit-) equivalent, so these legs are held to a
+  speedup only: >= 2.5x at n=64 on both clusters.
 * **scale** — one n=1024 lossless vector point with jitter and start
   skew disabled (desynchronized completions would make the epoch count
   quadratic; with them off the whole grid collapses to a handful of
-  epochs and the cost is per-message protocol work).  Records the
-  wall-clock so CI can hold it to a budget.
+  epochs and the cost is per-message protocol work), held to a
+  wall-clock budget.
 
 The fluid engine's event loop is O(flows x epochs) in pure Python, so
 it is only run up to n=64 (n=256 would take tens of minutes); the
 vector engine runs the full ladder, which is the point of the exercise:
 the batched epoch loop is what makes n=256..1024 grids tractable.
 
-Runs standalone (``python benchmarks/bench_engine.py``) or under
-pytest.
+Run ``pytest benchmarks/bench_engine.py -q -s`` (a few minutes).
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ from record import finish, make_metric
 
 from repro.clusters.profiles import get_cluster
 from repro.measure.alltoall import measure_alltoall
-from repro.obs.metrics import REGISTRY
 
 OUTPUT_PATH = Path(__file__).parent / "output" / "BENCH_engine.json"
 
@@ -60,13 +57,12 @@ REQUIRED_LOSSY_SPEEDUP_N64 = 2.5
 #: Lossy ladder: paper clusters with the loss overlay left ON.
 LOSSY_CLUSTERS = ("gigabit-ethernet", "fast-ethernet")
 LOSSY_NPROCS = (16, 64)
-#: Thousand-rank rung: n and the wall-clock ceiling CI enforces.
+#: Thousand-rank rung: n and its wall-clock ceiling.
 SCALE_N = 1_024
 SCALE_BUDGET_S = 420.0
 #: Timing rounds per leg; the minimum is reported (the standard
-#: noise-resistant estimator — shared CI runners jitter badly).  The
-#: fluid n=64 legs cost ~15 s per round, so they get one; legs above
-#: FLUID_MAX_N run once (minutes long, no fluid baseline to race).
+#: noise-resistant estimator — shared CI runners jitter badly).  Legs
+#: above FLUID_MAX_N run once (no fluid baseline to race).
 ROUNDS = {"fluid": 2, "vector": 3}
 LOSSY_ROUNDS = {"fluid": 1, "vector": 2}
 
@@ -105,180 +101,108 @@ def _scale_cluster():
 
 
 def _timed_point(cluster, engine: str, n: int, *, rounds_table=ROUNDS):
-    """(best-of-rounds elapsed seconds, measured time, total losses).
-
-    The loss count is the ``sim.losses`` registry delta around the last
-    round (plain counter bumps — they do not perturb the timing the way
-    a recording trace would).
-    """
-    losses = REGISTRY.counter("sim.losses").series
+    """(best-of-rounds elapsed seconds, measured time)."""
     rounds = 1 if n > FLUID_MAX_N else rounds_table[engine]
     best = math.inf
-    sample = None
     for _ in range(rounds):
-        before = sum(losses.values())
         start = time.perf_counter()
         sample = measure_alltoall(
             cluster, n, MSG_SIZE, reps=1, seed=0,
             algorithm="direct", engine=engine,
         )
         best = min(best, time.perf_counter() - start)
-        run_losses = int(sum(losses.values()) - before)
-    return best, sample.mean_time, run_losses
+    return best, sample.mean_time
 
 
-def _lossless_ladder() -> tuple[dict, dict, bool]:
+def _lossless_ladder() -> tuple[dict[int, float], dict[int, float], bool]:
+    """Best-of-rounds seconds per n on each engine, and whether the
+    measured times agree on every n both engines ran."""
     cluster = _bench_cluster()
-    legs: dict[str, dict] = {}
-    speedups: dict[str, float] = {}
+    fluid: dict[int, float] = {}
+    vector: dict[int, float] = {}
     equivalent = True
     for n in NPROCS:
-        fluid_s = fluid_t = None
         if n <= FLUID_MAX_N:
-            fluid_s, fluid_t, _ = _timed_point(cluster, "fluid", n)
-        vector_s, vector_t, _ = _timed_point(cluster, "vector", n)
-        leg: dict[str, object] = {
-            "vector": {
-                "elapsed_s": round(vector_s, 4),
-                "points_per_sec": round(1.0 / vector_s, 3),
-            },
-        }
-        if fluid_s is not None:
-            leg["fluid"] = {
-                "elapsed_s": round(fluid_s, 4),
-                "points_per_sec": round(1.0 / fluid_s, 3),
-            }
-            speedups[str(n)] = round(fluid_s / vector_s, 2)
-            if abs(vector_t - fluid_t) > REL_TOL * abs(fluid_t):
-                equivalent = False
-        legs[str(n)] = leg
-    return legs, speedups, equivalent
+            fluid[n], fluid_t = _timed_point(cluster, "fluid", n)
+        vector[n], vector_t = _timed_point(cluster, "vector", n)
+        if n in fluid and abs(vector_t - fluid_t) > REL_TOL * abs(fluid_t):
+            equivalent = False
+    return fluid, vector, equivalent
 
 
-def _lossy_ladder() -> dict:
-    out: dict[str, dict] = {}
+def _lossy_speedups() -> dict[str, dict[int, float]]:
+    """Fluid ÷ vector seconds per stock lossy cluster and n."""
+    speedups: dict[str, dict[int, float]] = {}
     for name in LOSSY_CLUSTERS:
         cluster = _lossy_cluster(name)
         assert cluster.loss is not None and cluster.loss.enabled
-        legs: dict[str, dict] = {}
-        speedups: dict[str, float] = {}
+        speedups[name] = {}
         for n in LOSSY_NPROCS:
-            fluid_s, fluid_t, fluid_losses = _timed_point(
+            fluid_s, _ = _timed_point(
                 cluster, "fluid", n, rounds_table=LOSSY_ROUNDS
             )
-            vector_s, vector_t, vector_losses = _timed_point(
+            vector_s, _ = _timed_point(
                 cluster, "vector", n, rounds_table=LOSSY_ROUNDS
             )
-            legs[str(n)] = {
-                "fluid": {
-                    "elapsed_s": round(fluid_s, 4),
-                    "points_per_sec": round(1.0 / fluid_s, 3),
-                    "mean_time": round(fluid_t, 6),
-                    "losses": fluid_losses,
-                },
-                "vector": {
-                    "elapsed_s": round(vector_s, 4),
-                    "points_per_sec": round(1.0 / vector_s, 3),
-                    "mean_time": round(vector_t, 6),
-                    "losses": vector_losses,
-                },
-            }
-            speedups[str(n)] = round(fluid_s / vector_s, 2)
-        out[name] = {"legs": legs, "speedup": speedups}
-    return out
+            speedups[name][n] = round(fluid_s / vector_s, 2)
+    return speedups
 
 
-def _scale_rung() -> dict:
+def _scale_seconds() -> float:
+    """Wall seconds of the n=1024 vector rung."""
     cluster = _scale_cluster()
     start = time.perf_counter()
-    sample = measure_alltoall(
+    measure_alltoall(
         cluster, SCALE_N, MSG_SIZE, reps=1, seed=0,
         algorithm="direct", engine="vector",
     )
-    elapsed = time.perf_counter() - start
-    return {
-        "n": SCALE_N,
-        "engine": "vector",
-        "jitter": "disabled",
-        "elapsed_s": round(elapsed, 2),
-        "budget_s": SCALE_BUDGET_S,
-        "within_budget": elapsed <= SCALE_BUDGET_S,
-        "mean_time": round(float(sample.mean_time), 6),
-    }
+    return time.perf_counter() - start
 
 
-def run_engine_bench(output_path: Path = OUTPUT_PATH) -> dict:
-    """Run all three ladders; write and return the schema record."""
-    legs, speedups, equivalent = _lossless_ladder()
-    lossy = _lossy_ladder()
-    scale = _scale_rung()
-    entry = {
-        "bench": "engine_throughput",
-        "cluster": "gigabit-ethernet (loss=None)",
-        "algorithm": "direct",
-        "msg_size": MSG_SIZE,
-        "nprocs": list(NPROCS),
-        "fluid_max_n": FLUID_MAX_N,
-        "rounds": dict(ROUNDS),
-        "legs": legs,
-        "speedup": speedups,
-        "equivalent": equivalent,
-        "lossy": lossy,
-        "scale": scale,
-    }
+def test_bench_engine():
+    """Equivalence, the 5x lossless and 2.5x lossy floors, and the
+    thousand-rank rung inside its wall-clock budget."""
+    fluid, vector, equivalent = _lossless_ladder()
+    lossy = _lossy_speedups()
+    scale_s = _scale_seconds()
+    speedup_n64 = round(fluid[64] / vector[64], 2)
     # Tracked, machine-normalized metrics: every value is a ratio
     # against the fluid reference engine on this same machine, so a
     # committed baseline gates runs on any container speed.  Tolerances
-    # mirror the existing CI bars (5x/2.5x floors vs ~10x/~4-8x typical).
-    fluid_64_s = legs[str(FLUID_MAX_N)]["fluid"]["elapsed_s"]
+    # mirror the floors below (5x/2.5x vs ~10x/~4-8x typical).  The
+    # scale ratio divides seconds kept to 10 ms and 0.1 ms.
     metrics = {
         "lossless_speedup_n64": make_metric(
-            speedups["64"], direction="higher", tolerance=0.30, unit="x"
+            speedup_n64, direction="higher", tolerance=0.30, unit="x"
         ),
         "lossy_speedup_gige_n64": make_metric(
-            lossy["gigabit-ethernet"]["speedup"]["64"],
+            lossy["gigabit-ethernet"][64],
             direction="higher", tolerance=0.40, unit="x",
         ),
         "lossy_speedup_fast_ethernet_n64": make_metric(
-            lossy["fast-ethernet"]["speedup"]["64"],
+            lossy["fast-ethernet"][64],
             direction="higher", tolerance=0.40, unit="x",
         ),
         "scale_n1024_vs_fluid_n64": make_metric(
-            round(scale["elapsed_s"] / fluid_64_s, 3),
+            round(round(scale_s, 2) / round(fluid[64], 4), 3),
             direction="lower", tolerance=0.60, unit="x",
         ),
         "equivalent": make_metric(
             1.0 if equivalent else 0.0, direction="higher", tolerance=0.0
         ),
     }
-    return finish("engine_throughput", metrics, entry, output_path)
+    record = finish("engine_throughput", metrics, OUTPUT_PATH)
+    assert json.loads(OUTPUT_PATH.read_text()) == record
 
-
-def test_bench_engine():
-    """Pytest entry: equivalence, the 5x lossless and 2.5x lossy bars,
-    and the thousand-rank rung inside its wall-clock budget."""
-    entry = run_engine_bench()
-    assert entry["equivalent"] is True
-    assert entry["speedup"]["64"] >= REQUIRED_SPEEDUP_N64, entry["speedup"]
+    assert equivalent
+    assert speedup_n64 >= REQUIRED_SPEEDUP_N64, speedup_n64
     # The n=256 leg exists at all only because of the vector engine.
-    assert entry["legs"]["256"]["vector"]["points_per_sec"] > 0
+    assert round(1.0 / vector[256], 3) > 0, vector
     for name in LOSSY_CLUSTERS:
-        lossy = entry["lossy"][name]
-        assert (
-            lossy["speedup"]["64"] >= REQUIRED_LOSSY_SPEEDUP_N64
-        ), (name, lossy["speedup"])
-    assert entry["scale"]["within_budget"], entry["scale"]
-    assert json.loads(OUTPUT_PATH.read_text()) == entry
+        assert lossy[name][64] >= REQUIRED_LOSSY_SPEEDUP_N64, (name, lossy[name])
+    assert scale_s <= SCALE_BUDGET_S, scale_s
     print(
-        f"\nengine bench: n=64 lossless "
-        f"{entry['speedup']['64']}x, lossy "
-        + ", ".join(
-            f"{name} {entry['lossy'][name]['speedup']['64']}x"
-            for name in LOSSY_CLUSTERS
-        )
-        + f"; n={SCALE_N} in {entry['scale']['elapsed_s']}s"
+        f"\nengine bench: n=64 lossless {speedup_n64}x, lossy "
+        + ", ".join(f"{name} {lossy[name][64]}x" for name in LOSSY_CLUSTERS)
+        + f"; n={SCALE_N} in {scale_s:.2f}s"
     )
-
-
-if __name__ == "__main__":
-    print(json.dumps(run_engine_bench(), indent=2))

@@ -7,12 +7,13 @@ measured workload), then per registered built-in model measures
 * fit throughput   — fits/second over the 32-sample set;
 * predict throughput — vectorised predictions/second over a 10k grid;
 
-asserts every fitted parameter is finite and that two independent
+and checks that every fitted parameter is finite, that two independent
 model-comparison runs rank identically (the selection pipeline is
-deterministic by construction), and writes
-``benchmarks/output/BENCH_models.json``.
+deterministic by construction), and that the contention signature
+ranks above Hockney.
 
-Runs standalone (``python benchmarks/bench_models.py``) or under pytest.
+Run ``pytest benchmarks/bench_models.py -q -s``; it writes
+``benchmarks/output/BENCH_models.json``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 
 from record import finish, make_metric, per_fluid_unit
 
+from repro.clusters.profiles import get_cluster
 from repro.core import AlltoallSample, ContentionSignature, HockneyParams
 from repro.models import DEFAULT_MODELS, compare_models, get_model
 
@@ -59,18 +61,13 @@ def synthetic_samples() -> list[AlltoallSample]:
     return samples
 
 
-def run_models_bench(output_path: Path = OUTPUT_PATH) -> dict:
-    """Fit/predict throughput per model; write and return the entry."""
+def test_models_bench():
+    """Finite fits, positive throughputs, a deterministic ranking with
+    the signature above Hockney."""
     samples = synthetic_samples()
-    gige = None
-    try:
-        from repro.clusters.profiles import get_cluster
+    gige = get_cluster("gigabit-ethernet")
 
-        gige = get_cluster("gigabit-ethernet")
-    except Exception:  # pragma: no cover - bench must run even degraded
-        pass
-
-    per_model = {}
+    fits_per_sec, predict_per_sec = {}, {}
     for name in DEFAULT_MODELS:
         model = get_model(name)
         fitted = model.fit(samples, hockney=HOCKNEY, cluster=gige)
@@ -82,62 +79,43 @@ def run_models_bench(output_path: Path = OUTPUT_PATH) -> dict:
         start = time.perf_counter()
         for _ in range(FIT_REPEATS):
             model.fit(samples, hockney=HOCKNEY, cluster=gige)
-        fit_elapsed = time.perf_counter() - start
+        fits_per_sec[name] = round(FIT_REPEATS / (time.perf_counter() - start), 2)
 
         n_grid = np.linspace(4, 64, PREDICT_GRID)
         m_grid = np.linspace(1_024, 1_048_576, PREDICT_GRID)
         start = time.perf_counter()
         predictions = np.asarray(fitted.predict(n_grid, m_grid))
-        predict_elapsed = time.perf_counter() - start
+        predict_per_sec[name] = round(
+            PREDICT_GRID / (time.perf_counter() - start), 0
+        )
         assert predictions.shape == (PREDICT_GRID,)
         assert np.all(np.isfinite(predictions))
 
-        per_model[name] = {
-            "fits_per_sec": round(FIT_REPEATS / fit_elapsed, 2),
-            "predict_points_per_sec": round(PREDICT_GRID / predict_elapsed, 0),
-            "params_finite": True,
-        }
-
     first = compare_models(samples, hockney=HOCKNEY, cluster=gige)
     second = compare_models(samples, hockney=HOCKNEY, cluster=gige)
-    assert first.ranking == second.ranking, (first.ranking, second.ranking)
-    assert first.ranking.index("signature") < first.ranking.index("hockney")
-
-    entry = {
-        "bench": "cost_model_zoo",
-        "samples": len(samples),
-        "fit_repeats": FIT_REPEATS,
-        "predict_grid": PREDICT_GRID,
-        "models": per_model,
-        "ranking": first.ranking,
-        "ranking_deterministic": True,
-    }
+    deterministic = first.ranking == second.ranking
+    beats = first.ranking.index("signature") < first.ranking.index("hockney")
     # Tracked: the paper's headline ordering (signature beats hockney),
     # selection determinism, and the signature model's fit throughput
     # in fluid units.
-    beats = first.ranking.index("signature") < first.ranking.index("hockney")
     metrics = {
         "ranking_deterministic": make_metric(
-            1.0, direction="higher", tolerance=0.0
+            1.0 if deterministic else 0.0, direction="higher", tolerance=0.0
         ),
         "signature_beats_hockney": make_metric(
             1.0 if beats else 0.0, direction="higher", tolerance=0.0
         ),
         "signature_fits_per_fluid_unit": make_metric(
-            round(per_fluid_unit(per_model["signature"]["fits_per_sec"]), 3),
+            round(per_fluid_unit(fits_per_sec["signature"]), 3),
             direction="higher", tolerance=0.50,
         ),
     }
-    return finish("cost_model_zoo", metrics, entry, output_path)
+    record = finish("cost_model_zoo", metrics, OUTPUT_PATH)
+    assert json.loads(OUTPUT_PATH.read_text()) == record
 
-
-def test_models_bench(tmp_path):
-    """Pytest entry: the bench must complete with finite throughputs."""
-    entry = run_models_bench(tmp_path / "BENCH_models.json")
-    for name, stats in entry["models"].items():
-        assert stats["fits_per_sec"] > 0, name
-        assert stats["predict_points_per_sec"] > 0, name
-
-
-if __name__ == "__main__":
-    print(json.dumps(run_models_bench(), indent=2))
+    assert deterministic, (first.ranking, second.ranking)
+    assert beats, first.ranking
+    for name in DEFAULT_MODELS:
+        assert fits_per_sec[name] > 0, name
+        assert predict_per_sec[name] > 0, name
+    print(f"\nmodels bench: {', '.join(DEFAULT_MODELS)}; ranking {first.ranking}")

@@ -3,20 +3,17 @@
 The obs subsystem is opt-in by design: engines accept ``trace=`` /
 ``timeline=`` keywords, and when neither is given the only added work
 is a handful of ``is not None`` checks per resolve.  This bench pins
-that property with numbers, writing
-``benchmarks/output/BENCH_obs.json``:
+that property with numbers, per engine:
 
-* ``baseline`` / ``observed`` legs per engine — best-of-rounds seconds
-  for the same All-to-All point with ``observe`` off and on;
-* ``overhead`` per engine — observed / baseline (instrumentation cost,
-  informational: tracing every flow event is allowed to cost real
-  time);
-* ``disabled_overhead`` per engine — a second uninstrumented run
-  raced against the first, the acceptance metric: the *default* path
-  must stay within ``MAX_DISABLED_OVERHEAD`` of itself, i.e. the
-  hooks are free when unused.
+* an ``observe=True`` leg — best-of-rounds seconds for the All-to-All
+  point with observation on, which must run and take time;
+* ``disabled_overhead`` — a second uninstrumented run raced against
+  the first, the acceptance metric: the *default* path must stay
+  within ``MAX_DISABLED_OVERHEAD`` of itself, i.e. the hooks are free
+  when unused.
 
-Runs standalone (``python benchmarks/bench_obs.py``) or under pytest.
+Run ``pytest benchmarks/bench_obs.py -q -s``; it writes
+``benchmarks/output/BENCH_obs.json``.
 """
 
 from __future__ import annotations
@@ -88,10 +85,10 @@ def _race_disabled(cluster, engine: str) -> float:
     return ratios[len(ratios) // 2]
 
 
-def run_obs_bench(output_path: Path = OUTPUT_PATH) -> dict:
-    """Time baseline vs observed per engine; write and return the entry."""
+def test_bench_obs():
+    """The default path pays nothing for the obs hooks."""
     cluster = _bench_cluster()
-    legs: dict[str, dict] = {}
+    observed, disabled = {}, {}
     for engine in ENGINES:
         # Untimed warm-up: first-touch costs (route caches, lazy
         # imports) land here, not in whichever leg happens to go first.
@@ -99,56 +96,25 @@ def run_obs_bench(output_path: Path = OUTPUT_PATH) -> dict:
             cluster, NPROCS, MSG_SIZE, reps=1, seed=0,
             algorithm="direct", engine=engine,
         )
-        baseline = _timed(cluster, engine, observe=False)
-        observed = _timed(cluster, engine, observe=True)
-        legs[engine] = {
-            "baseline_s": round(baseline, 5),
-            "observed_s": round(observed, 5),
-            "overhead": round(observed / baseline, 3),
-            "disabled_overhead": round(_race_disabled(cluster, engine), 3),
-        }
-    entry = {
-        "bench": "obs_overhead",
-        "cluster": "gigabit-ethernet (loss=None)",
-        "algorithm": "direct",
-        "n_processes": NPROCS,
-        "msg_size": MSG_SIZE,
-        "rounds": ROUNDS,
-        "race_rounds": RACE_ROUNDS,
-        "max_disabled_overhead": MAX_DISABLED_OVERHEAD,
-        "legs": legs,
-    }
+        observed[engine] = round(_timed(cluster, engine, observe=True), 5)
+        disabled[engine] = round(_race_disabled(cluster, engine), 3)
     # Tracked overheads are ratios of two runs on the same machine —
     # inherently machine-normalized.  Tolerance matches the existing
     # 1.05 acceptance bar around the 1.0 ideal.
     metrics = {
         f"disabled_overhead_{engine}": make_metric(
-            legs[engine]["disabled_overhead"],
-            direction="lower", tolerance=0.05, unit="x",
+            disabled[engine], direction="lower", tolerance=0.05, unit="x",
         )
         for engine in ENGINES
     }
-    return finish("obs_overhead", metrics, entry, output_path)
+    record = finish("obs_overhead", metrics, OUTPUT_PATH)
+    assert json.loads(OUTPUT_PATH.read_text()) == record
 
-
-def test_bench_obs():
-    """Pytest entry: the default path pays nothing for the obs hooks."""
-    entry = run_obs_bench()
-    for engine, leg in entry["legs"].items():
-        assert leg["disabled_overhead"] <= MAX_DISABLED_OVERHEAD, (
-            engine, leg,
-        )
+    for engine in ENGINES:
+        assert disabled[engine] <= MAX_DISABLED_OVERHEAD, (engine, disabled)
         # Sanity: the instrumented leg actually ran (and took time).
-        assert leg["observed_s"] > 0
-    assert json.loads(OUTPUT_PATH.read_text()) == entry
+        assert observed[engine] > 0, (engine, observed)
     print(
         "\nobs bench: disabled-path overhead "
-        + ", ".join(
-            f"{engine} {leg['disabled_overhead']}x"
-            for engine, leg in entry["legs"].items()
-        )
+        + ", ".join(f"{engine} {disabled[engine]}x" for engine in ENGINES)
     )
-
-
-if __name__ == "__main__":
-    print(json.dumps(run_obs_bench(), indent=2))

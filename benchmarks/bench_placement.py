@@ -2,21 +2,21 @@
 
 Runs both registered placement optimizers (greedy swap descent,
 simulated annealing) on the edge-core GigE stress fabric under the
-cross-switch ``shift`` workload at n = 16 and n = 64 and writes
-``benchmarks/output/BENCH_placement.json``:
+cross-switch ``shift`` workload at n = 16 and n = 64, measuring per
+(optimizer, n) leg:
 
-* one leg per (optimizer, n) with its wall-clock, objective
-  evaluations, and evaluations/sec (the search is pure objective
-  arithmetic — no simulation — so this is the cost of the MED
-  matrix-permutation inner loop);
-* the predicted-MED improvement ratio (identity / optimized) per leg.
+* evaluations/sec (the search is pure objective arithmetic — no
+  simulation — so this is the cost of the MED matrix-permutation
+  inner loop);
+* the predicted-MED improvement ratio (identity / optimized).
 
 Every leg must end at or below the identity objective — the built-in
 optimizers cannot regress past their identity start by construction,
-and this bench is the regression net for that invariant.
+and this bench is the regression net for that invariant.  At n=16
+greedy must win more than 3x and annealing more than 1.5x.
 
-Runs standalone (``python benchmarks/bench_placement.py``) or under
-pytest.
+Run ``pytest benchmarks/bench_placement.py -q -s``; it writes
+``benchmarks/output/BENCH_placement.json``.
 """
 
 from __future__ import annotations
@@ -40,12 +40,11 @@ OPTIMIZERS = ("greedy", "anneal")
 ANNEAL_ITERATIONS = 4_000
 
 
-def run_placement_bench(output_path: Path = OUTPUT_PATH) -> dict:
-    """Time both optimizers over the n ladder; write and return the entry."""
+def test_bench_placement():
+    """Optimized <= identity everywhere, real wins at n=16."""
     profile = stress_scenario().profile
     pattern = {"name": "shift", "params": {"offset": SHIFT_OFFSET}}
-    legs: dict[str, dict] = {}
-    never_regressed = True
+    evals_per_sec, improvement, regressed = {}, {}, []
     for n in NPROCS:
         for optimizer in OPTIMIZERS:
             params = (
@@ -58,68 +57,42 @@ def run_placement_bench(output_path: Path = OUTPUT_PATH) -> dict:
                 pattern=pattern, optimizer=optimizer, seed=0, params=params,
             )
             elapsed = time.perf_counter() - start
+            leg = f"{optimizer}/{n}"
             if result.objective > result.identity_objective:
-                never_regressed = False  # pragma: no cover - invariant net
-            legs[f"{optimizer}/{n}"] = {
-                "elapsed_s": round(elapsed, 4),
-                "evaluations": result.evaluations,
-                "evaluations_per_sec": round(result.evaluations / elapsed, 1),
-                "identity_objective_s": result.identity_objective,
-                "optimized_objective_s": result.objective,
-                "improvement_ratio": round(result.ratio, 3),
-            }
-    entry = {
-        "bench": "placement_optimizers",
-        "cluster": "edge-core-gige-placed",
-        "pattern": f"shift(offset={SHIFT_OFFSET})",
-        "msg_size": MSG_SIZE,
-        "nprocs": list(NPROCS),
-        "optimizers": list(OPTIMIZERS),
-        "legs": legs,
-        "never_regressed": never_regressed,
-    }
+                regressed.append(leg)  # pragma: no cover - invariant net
+            evals_per_sec[leg] = round(result.evaluations / elapsed, 1)
+            improvement[leg] = round(result.ratio, 3)
     # Tracked: the no-regression invariant, both optimizers' predicted
     # improvement ratios at n=16 (pure model arithmetic — already
     # machine-independent), and greedy search throughput in fluid units.
     metrics = {
         "never_regressed": make_metric(
-            1.0 if never_regressed else 0.0, direction="higher",
-            tolerance=0.0,
+            0.0 if regressed else 1.0, direction="higher", tolerance=0.0,
         ),
         "greedy_improvement_n16": make_metric(
-            legs["greedy/16"]["improvement_ratio"],
+            improvement["greedy/16"],
             direction="higher", tolerance=0.25, unit="x",
         ),
         "anneal_improvement_n16": make_metric(
-            legs["anneal/16"]["improvement_ratio"],
+            improvement["anneal/16"],
             direction="higher", tolerance=0.25, unit="x",
         ),
         "greedy_evals_per_fluid_unit": make_metric(
-            round(per_fluid_unit(legs["greedy/16"]["evaluations_per_sec"]), 1),
+            round(per_fluid_unit(evals_per_sec["greedy/16"]), 1),
             direction="higher", tolerance=0.60,
         ),
     }
-    return finish("placement_optimizers", metrics, entry, output_path)
+    record = finish("placement_optimizers", metrics, OUTPUT_PATH)
+    assert json.loads(OUTPUT_PATH.read_text()) == record
 
-
-def test_bench_placement():
-    """Pytest entry: optimized <= identity everywhere, real wins at n=16."""
-    entry = run_placement_bench()
-    assert entry["never_regressed"] is True
-    for leg_name, leg in entry["legs"].items():
-        assert leg["optimized_objective_s"] <= leg["identity_objective_s"], leg_name
-        assert leg["evaluations_per_sec"] > 0
+    # Optimized <= identity on every leg.
+    assert not regressed, regressed
+    assert all(rate > 0 for rate in evals_per_sec.values()), evals_per_sec
     # The cross-switch shift workload has real avoidable contention:
-    # both optimizers must find a strictly better mapping at n=16.
-    for optimizer in entry["optimizers"]:
-        assert entry["legs"][f"{optimizer}/16"]["improvement_ratio"] > 1.5
-    assert json.loads(OUTPUT_PATH.read_text()) == entry
-    greedy = entry["legs"]["greedy/16"]
+    # both optimizers must find a much better mapping at n=16.
+    assert improvement["greedy/16"] > 3.0, improvement
+    assert improvement["anneal/16"] > 1.5, improvement
     print(
-        f"\nplacement bench: greedy n=16 {greedy['evaluations_per_sec']} "
-        f"eval/s, {greedy['improvement_ratio']}x predicted improvement"
+        f"\nplacement bench: greedy n=16 {evals_per_sec['greedy/16']} "
+        f"eval/s, {improvement['greedy/16']}x predicted improvement"
     )
-
-
-if __name__ == "__main__":
-    print(json.dumps(run_placement_bench(), indent=2))

@@ -2,7 +2,7 @@
 
 Runs one fixed 64-point multi-pattern grid three times through the
 sweep engine with caching disabled — the simulation cost itself is the
-measured workload — and writes ``benchmarks/output/BENCH_sweep.json``:
+measured workload:
 
 * ``serial``        — the in-process executor (baseline);
 * ``process_cold``  — the persistent-pool executor's **first**
@@ -11,14 +11,13 @@ measured workload — and writes ``benchmarks/output/BENCH_sweep.json``:
   reusing the warm pool (the steady-state of consecutive sweeps).
 
 The three runs must produce bit-identical rows (every point derives
-its random streams by name from its own coordinates), so the entry
-doubles as an executor-equivalence check; ``identical_rows`` records
-it.  Speedups are whatever the hardware gives: on a single-core
-container the process executor cannot beat serial, so consumers should
-read ``cpu_count`` alongside ``speedup_*``.
+its random streams by name from its own coordinates), so the bench
+doubles as an executor-equivalence check.  The warm pool must beat
+serial only where there are two or more CPUs to run on.
 
-Runs standalone (``python benchmarks/bench_sweep.py``) or under
-pytest; honours ``REPRO_BENCH_WORKERS`` (default: all cores, max 8).
+Run ``pytest benchmarks/bench_sweep.py -q -s``; it writes
+``benchmarks/output/BENCH_sweep.json`` and honours
+``REPRO_BENCH_WORKERS`` (default: all cores, max 8).
 """
 
 from __future__ import annotations
@@ -67,8 +66,8 @@ def _timed_run(runner: SweepRunner, points) -> tuple[float, list[dict]]:
     return elapsed, rows
 
 
-def run_sweep_bench(output_path: Path = OUTPUT_PATH) -> dict:
-    """Execute the three passes; write and return the bench entry."""
+def test_bench_sweep():
+    """All three legs complete and agree, and warm reuse pays."""
     spec = SweepSpec(**SPEC)
     points = spec.points()
     assert spec.n_points == 64, spec.describe()
@@ -82,25 +81,7 @@ def run_sweep_bench(output_path: Path = OUTPUT_PATH) -> dict:
         assert pooled.executor.warm
         warm_s, warm_rows = _timed_run(pooled, points)      # pool reuse
 
-    def leg(elapsed: float) -> dict:
-        return {
-            "elapsed_s": round(elapsed, 4),
-            "points_per_sec": round(len(points) / elapsed, 2),
-        }
-
     identical = serial_rows == cold_rows == warm_rows
-    entry = {
-        "bench": "sweep_executor_throughput",
-        "points": len(points),
-        "workers": workers,
-        "cpu_count": os.cpu_count(),
-        "serial": leg(serial_s),
-        "process_cold": leg(cold_s),
-        "process_warm": leg(warm_s),
-        "speedup_cold": round(serial_s / cold_s, 2),
-        "speedup_warm": round(serial_s / warm_s, 2),
-        "identical_rows": identical,
-    }
     # Tracked metrics: executor-equivalence (hard invariant), warm-pool
     # reuse vs cold spin-up (a same-machine ratio), and the serial
     # pipeline's throughput in fluid units (machine-normalized).
@@ -117,28 +98,20 @@ def run_sweep_bench(output_path: Path = OUTPUT_PATH) -> dict:
             direction="higher", tolerance=0.50,
         ),
     }
-    return finish("sweep_executor_throughput", metrics, entry, output_path)
+    record = finish("sweep_executor_throughput", metrics, OUTPUT_PATH)
+    assert json.loads(OUTPUT_PATH.read_text()) == record
 
-
-def test_bench_sweep():
-    """Pytest entry: all three legs complete, agree, and land on disk."""
-    entry = run_sweep_bench()
-    assert entry["points"] == 64
-    assert entry["identical_rows"] is True
-    for leg in ("serial", "process_cold", "process_warm"):
-        assert entry[leg]["points_per_sec"] > 0
+    assert identical
+    for elapsed in (serial_s, cold_s, warm_s):
+        assert round(len(points) / elapsed, 2) > 0, elapsed
     # Warm-pool reuse must at least not regress vs cold start.
-    assert entry["process_warm"]["elapsed_s"] <= entry["process_cold"]["elapsed_s"] * 1.5
+    assert round(warm_s, 4) <= round(cold_s, 4) * 1.5, (warm_s, cold_s)
+    speedup_warm = round(serial_s / warm_s, 2)
     if (os.cpu_count() or 1) >= 2:
         # With real parallel hardware the pooled executor must win.
-        assert entry["speedup_warm"] > 1.0, entry
-    assert json.loads(OUTPUT_PATH.read_text()) == entry
+        assert speedup_warm > 1.0, (serial_s, warm_s)
     print(
-        f"\nsweep bench: serial {entry['serial']['points_per_sec']} pt/s, "
-        f"process warm {entry['process_warm']['points_per_sec']} pt/s "
-        f"({entry['speedup_warm']}x, {entry['workers']} workers)"
+        f"\nsweep bench: serial {len(points) / serial_s:.2f} pt/s, "
+        f"process warm {len(points) / warm_s:.2f} pt/s "
+        f"({speedup_warm}x, {workers} workers)"
     )
-
-
-if __name__ == "__main__":
-    print(json.dumps(run_sweep_bench(), indent=2))

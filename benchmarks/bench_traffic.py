@@ -2,12 +2,12 @@
 
 Runs a fixed 64-point irregular-pattern grid (4 patterns x 2 process
 counts x 4 sizes x 2 seeds) through the sweep engine with caching
-disabled — the simulation cost itself is the measured workload — and
-writes the throughput entry ``benchmarks/output/BENCH_traffic.json``
-so the perf trajectory tracks the pattern pipeline across PRs.
+disabled — the simulation cost itself is the measured workload — so
+the perf trajectory tracks the pattern pipeline.
 
-Runs standalone (``python benchmarks/bench_traffic.py``) or under
-pytest; honours ``REPRO_BENCH_WORKERS``.
+Run ``pytest benchmarks/bench_traffic.py -q -s``; it writes
+``benchmarks/output/BENCH_traffic.json`` and honours
+``REPRO_BENCH_WORKERS``.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ SPEC = dict(
 )
 
 
-def run_traffic_bench(output_path: Path = OUTPUT_PATH) -> dict:
-    """Execute the 64-point pattern sweep; write and return the entry."""
+def test_bench_traffic():
+    """The 64-point pattern sweep completes and its record lands."""
     spec = SweepSpec(**SPEC)
     assert spec.n_points == 64, spec.describe()
     workers = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
@@ -48,16 +48,6 @@ def run_traffic_bench(output_path: Path = OUTPUT_PATH) -> dict:
     start = time.perf_counter()
     result = runner.run(spec)
     elapsed = time.perf_counter() - start
-    entry = {
-        "bench": "traffic_pattern_sweep",
-        "points": result.n_points,
-        "workers": workers,
-        "elapsed_s": round(elapsed, 4),
-        "points_per_sec": round(result.n_points / elapsed, 2),
-        "mean_time_sum_s": round(
-            sum(s.mean_time for s in result.samples), 6
-        ),
-    }
     # The absolute points/sec is container-speed-dependent; the tracked
     # value is scaled into fluid units so baselines travel.
     metrics = {
@@ -66,17 +56,10 @@ def run_traffic_bench(output_path: Path = OUTPUT_PATH) -> dict:
             direction="higher", tolerance=0.50,
         ),
     }
-    return finish("traffic_pattern_sweep", metrics, entry, output_path)
+    record = finish("traffic_pattern_sweep", metrics, OUTPUT_PATH)
+    assert json.loads(OUTPUT_PATH.read_text()) == record
 
-
-def test_bench_traffic():
-    """Pytest entry: the sweep completes and the JSON entry lands."""
-    entry = run_traffic_bench()
-    assert entry["points"] == 64
-    assert entry["points_per_sec"] > 0
-    assert json.loads(OUTPUT_PATH.read_text()) == entry
-    print(f"\ntraffic bench: {entry['points_per_sec']} points/sec")
-
-
-if __name__ == "__main__":
-    print(json.dumps(run_traffic_bench(), indent=2))
+    points_per_sec = round(result.n_points / elapsed, 2)
+    assert result.n_points == 64
+    assert points_per_sec > 0
+    print(f"\ntraffic bench: {points_per_sec} points/sec")

@@ -1,16 +1,16 @@
-"""Shared benchmark-record schema adapter for the ``bench_*.py`` suite.
+"""Shared benchmark-record helpers for the six throughput benches.
 
-Every bench emitter builds its legacy entry dict exactly as before,
-then routes it through :func:`finish` with a ``metrics`` dict of
-tracked, **machine-normalized** values — speedups and overheads are
+Each ``bench_*.py`` pytest function measures its workload, hands a
+``metrics`` dict of tracked, **machine-normalized** values to
+:func:`finish`, and then makes its checks.  Speedups and overheads are
 already ratios against the fluid reference engine; absolute
 throughputs are scaled by :func:`fluid_unit_seconds`, one calibration
 point measured on this machine, so the committed baselines in
 ``benchmarks/baselines/`` gate runs on any container speed.
 
 The schema itself (and the regression gate reading it) lives in
-:mod:`repro.obs.bench`; this module is the thin bridge the bench
-scripts import — they always run with ``repro`` importable.
+:mod:`repro.obs.bench`; this module is the thin bridge the benches
+import — they always run with ``repro`` importable.
 """
 
 from __future__ import annotations
@@ -65,14 +65,9 @@ def per_fluid_unit(rate_per_sec: float) -> float:
     return rate_per_sec * fluid_unit_seconds()
 
 
-def finish(
-    bench: str,
-    metrics: dict[str, dict],
-    legacy: dict,
-    output_path: Path,
-) -> dict:
+def finish(bench: str, metrics: dict[str, dict], output_path: Path) -> dict:
     """Assemble the schema record, write it, and return it."""
-    record = make_record(bench, metrics, legacy)
+    record = make_record(bench, metrics)
     output_path = Path(output_path)
     output_path.parent.mkdir(parents=True, exist_ok=True)
     output_path.write_text(json.dumps(record, indent=2) + "\n")

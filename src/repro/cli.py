@@ -341,11 +341,11 @@ def _load_scenario(path: str) -> "api.Scenario | None":
         return None
 
 
-def _print_sweep_summary(result, *, csv=None, jsonl=None, streamed=()) -> None:
+def _print_sweep_summary(result, *, streamed=()) -> None:
     """The shared simulated/cached/elapsed block of sweep-style output.
 
     *streamed* paths were written incrementally during the run by
-    streaming sinks; *csv*/*jsonl* are saved here, post-hoc.
+    streaming sinks.
     """
     print(f"simulated : {result.n_simulated}")
     print(f"cached    : {result.n_cached}")
@@ -359,10 +359,6 @@ def _print_sweep_summary(result, *, csv=None, jsonl=None, streamed=()) -> None:
     print(f"elapsed   : {result.elapsed:.2f} s")
     for label, path in streamed:
         print(f"{label:<10}: {path}")
-    if csv:
-        print(f"csv       : {result.save_csv(csv)}")
-    if jsonl:
-        print(f"jsonl     : {result.save_jsonl(jsonl)}")
 
 
 def _sweep_sinks(args) -> tuple[tuple, list[tuple[str, str]]]:
@@ -461,13 +457,18 @@ def _run_scenario(args: argparse.Namespace) -> int:
             return 2
     print(f"scenario  : {scenario.describe()}")
     _ledger_note(scenario=args.scenario, scenario_key=_scenario_key(scenario))
+    from .exec.sinks import CsvSink
+
+    sinks, streamed = (), []
+    if args.csv:
+        sinks, streamed = (CsvSink(args.csv),), [("csv", args.csv)]
     try:
-        result = scenario.sweep()
+        result = scenario.sweep(sinks=sinks)
     except _SWEEP_ERRORS as exc:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return 1
     print(f"points    : {result.n_points}")
-    _print_sweep_summary(result, csv=args.csv)
+    _print_sweep_summary(result, streamed=streamed)
     try:
         ch = scenario.fit_signature()
     except (FittingError, MeasurementError, SimulationError) as exc:
@@ -980,7 +981,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.heartbeat is not None:
             from .obs.heartbeat import HeartbeatSink
 
-            sinks = sinks + (HeartbeatSink(args.heartbeat),)
+            total = len(scenario.sweep_points())
+            sinks = sinks + (HeartbeatSink(args.heartbeat, total=total),)
         _ledger_note(
             scenario=args.scenario, scenario_key=_scenario_key(scenario)
         )

@@ -284,27 +284,12 @@ def sweep_sizes(
     ``REPRO_SWEEP_EXECUTOR`` / ``REPRO_SWEEP_CACHE``) to parallelise
     and cache the points; *progress* is called per landed point.
     """
-    from ..sweeps.spec import SweepPoint
-
-    try:
-        points = [
-            SweepPoint(
-                cluster=cluster.name,
-                n_processes=n_processes,
-                msg_size=int(size),
-                algorithm=algorithm,
-                seed=seed,
-                reps=reps,
-                pattern=pattern,
-                engine=engine,
-                placement=placement,
-            )
-            for size in sizes
-        ]
-    except ValueError as exc:
-        # Preserve the measure layer's exception hierarchy.
-        raise MeasurementError(str(exc)) from None
-    return _run_points(cluster, points, runner, scenario, progress)
+    return sweep_grid(
+        cluster, [n_processes], sizes, reps=reps, seed=seed,
+        algorithm=algorithm, pattern=pattern, engine=engine,
+        placement=placement, runner=runner, scenario=scenario,
+        progress=progress,
+    )
 
 
 def sweep_grid(

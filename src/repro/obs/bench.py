@@ -1,8 +1,8 @@
 """Benchmark-record schema and the regression gate.
 
-Six ``benchmarks/bench_*.py`` emitters used to each invent their own
-JSON shape; this module is the shared schema they all adopt (via the
-thin :mod:`benchmarks.record` adapter) and the comparison logic behind
+The six ``benchmarks/bench_*.py`` pytest functions write their records
+in this schema (via the thin :mod:`benchmarks.record` adapter); this
+module also holds the comparison logic behind
 ``repro.cli bench ingest|report|compare``.
 
 A **record** is one bench run::
@@ -17,8 +17,7 @@ A **record** is one bench run::
           "tolerance": 0.3
         },
         ...
-      },
-      ...legacy keys, untouched...
+      }
     }
 
 ``metrics`` is the *tracked* surface: every entry names which way is
@@ -27,9 +26,7 @@ relative fraction).  Tracked values are **machine-normalized** — ratios
 against the fluid reference engine (speedups, overhead ratios) or
 throughputs scaled by a fluid calibration unit — never absolute
 seconds, so a committed baseline from one container gates runs on
-another.  All pre-existing keys of each bench ride along at the top
-level, so legacy consumers (CI asserts, the bench scripts' own tests)
-keep reading the exact shapes they always did.
+another.
 
 The **gate** (:func:`compare`) is min-of-N on both sides: each side's
 best value per (bench, metric) — ``max`` for higher-is-better, ``min``
@@ -86,12 +83,13 @@ def make_metric(
     }
 
 
-def make_record(bench: str, metrics: dict[str, dict], legacy: dict) -> dict:
+def make_record(
+    bench: str, metrics: dict[str, dict], extra: dict | None = None
+) -> dict:
     """Assemble one schema-conforming record.
 
-    *legacy* is the bench's historical entry; its keys are merged at the
-    top level (schema fields win on collision) so every existing
-    consumer keeps working.
+    *extra* fields (the e2e harness's ``seed``) ride at the top level;
+    the schema fields win on a collision.
     """
     from .ledger import environment_fingerprint
 
@@ -99,7 +97,7 @@ def make_record(bench: str, metrics: dict[str, dict], legacy: dict) -> dict:
         for field in ("value", "direction", "tolerance"):
             if field not in cell:
                 raise ValueError(f"metric {name!r} is missing {field!r}")
-    record = dict(legacy)
+    record = dict(extra or {})
     record["schema"] = SCHEMA
     record["bench"] = bench
     record["fingerprint"] = environment_fingerprint()

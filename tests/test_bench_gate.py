@@ -30,7 +30,7 @@ def _record(bench="engine_throughput", **metrics):
         name: (value if isinstance(value, dict) else make_metric(value))
         for name, value in metrics.items()
     }
-    return make_record(bench, cells, {})
+    return make_record(bench, cells)
 
 
 class TestMakeMetric:
@@ -51,22 +51,22 @@ class TestMakeMetric:
 
 
 class TestMakeRecord:
-    def test_legacy_keys_ride_at_the_top_level(self):
-        legacy = {"speedup": {"64": 14.2}, "points": 64}
+    def test_extra_fields_ride_at_the_top_level_and_schema_fields_win(self):
+        extra = {"seed": 3, "bench": "spoofed", "metrics": {}}
         record = make_record(
-            "engine_throughput", {"m": make_metric(1.0)}, legacy
+            "engine_throughput", {"m": make_metric(1.0)}, extra
         )
         assert record["schema"] == SCHEMA
-        assert record["speedup"]["64"] == 14.2
-        assert record["points"] == 64
+        assert record["seed"] == 3
+        assert record["bench"] == "engine_throughput"
         assert record["metrics"]["m"]["value"] == 1.0
         assert "git_sha" in record["fingerprint"]
         # The input is not mutated.
-        assert "schema" not in legacy
+        assert extra == {"seed": 3, "bench": "spoofed", "metrics": {}}
 
     def test_incomplete_metric_cells_are_rejected(self):
         with pytest.raises(ValueError, match="missing"):
-            make_record("b", {"m": {"value": 1.0}}, {})
+            make_record("b", {"m": {"value": 1.0}})
 
 
 class TestCompare:
@@ -295,6 +295,7 @@ class TestCliGate:
         }
         for record in records:
             assert record["metrics"], record["bench"]
+            assert set(record) == {"schema", "bench", "fingerprint", "metrics"}
 
     def test_committed_baselines_gate_a_two_x_slowdown(self, tmp_path):
         # The full acceptance path on the real committed baselines: take

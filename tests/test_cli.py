@@ -1,8 +1,13 @@
 """Unit tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
+from repro import api
 from repro.cli import build_parser, main
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "scenarios"
 
 
 class TestParser:
@@ -113,10 +118,15 @@ class TestListSections:
         assert "bruck" in out
         assert "mpi4py" in out
 
-    def test_list_single_section(self, capsys):
-        assert main(["list", "clusters"]) == 0
+    @pytest.mark.parametrize("section, names", [
+        ("clusters", {"gigabit-ethernet"}),
+        ("executors", {"serial", "process"}),
+        ("placement-optimizers", {"greedy", "anneal"}),
+    ], ids=["clusters", "executors", "placement-optimizers"])
+    def test_list_single_section(self, capsys, section, names):
+        assert main(["list", section]) == 0
         out = capsys.readouterr().out
-        assert "gigabit-ethernet" in out
+        assert names <= {line.split()[0] for line in out.splitlines() if line.strip()}
         assert "fig06" not in out
 
 
@@ -142,18 +152,30 @@ class TestNearMissClusterNames:
         assert "unknown cluster" in capsys.readouterr().err
 
 
+def _scenario_file(tmp_path, example):
+    """*example* from ``examples/scenarios``, or the inline test scenario."""
+    if example is not None:
+        return EXAMPLES / example
+    path = tmp_path / "scenario.toml"
+    path.write_text(SCENARIO_TOML)
+    return path
+
+
 class TestScenarioCli:
-    def test_run_scenario_sweeps_and_fits(self, tmp_path, capsys):
-        path = tmp_path / "scenario.toml"
-        path.write_text(SCENARIO_TOML)
+    @pytest.mark.parametrize("example", [
+        None, "edge_core_gige_stress.toml", "placed_edge_core_stress.toml",
+    ], ids=lambda example: example or "inline")
+    def test_run_scenario_sweeps_and_fits(self, tmp_path, capsys, example):
+        path = _scenario_file(tmp_path, example)
+        scenario = api.Scenario.from_file(path)
         csv_path = tmp_path / "rows.csv"
         assert main([
             "run", "--scenario", str(path), "--csv", str(csv_path),
         ]) == 0
         out = capsys.readouterr().out
-        assert "cli-test-scenario" in out
-        assert "simulated : 4" in out
-        assert "signature" in out
+        assert f"scenario  : {scenario.describe()}" in out
+        assert f"simulated : {len(scenario.sweep_points())}" in out
+        assert "signature : " in out
         assert csv_path.exists()
 
     def test_run_without_experiment_or_scenario_errors(self, capsys):
@@ -164,18 +186,24 @@ class TestScenarioCli:
         assert main(["run", "--scenario", "/no/such/file.toml"]) == 2
         assert capsys.readouterr().err
 
-    def test_sweep_scenario_cache_hit(self, tmp_path, capsys):
-        path = tmp_path / "scenario.toml"
-        path.write_text(SCENARIO_TOML)
+    @pytest.mark.parametrize(
+        "example", [None, *sorted(p.name for p in EXAMPLES.glob("*.toml"))],
+        ids=lambda example: example or "inline",
+    )
+    def test_sweep_scenario_cache_hit(self, tmp_path, capsys, example):
+        path = _scenario_file(tmp_path, example)
+        scenario = api.Scenario.from_file(path)
+        n_points = len(scenario.sweep_points())
         cache = str(tmp_path / "cache")
         args = ["sweep", "--scenario", str(path), "--cache-dir", cache]
         assert main(args) == 0
         first = capsys.readouterr().out
-        assert "simulated : 4" in first
+        assert f"sweep     : {scenario.describe()}" in first
+        assert f"simulated : {n_points}" in first
         assert main(args) == 0
         second = capsys.readouterr().out
         assert "simulated : 0" in second
-        assert "cached    : 4" in second
+        assert f"cached    : {n_points}" in second
 
     def test_characterize_scenario_file(self, tmp_path, capsys):
         path = tmp_path / "scenario.toml"

@@ -681,30 +681,42 @@ class TestCli:
             assert name in out
 
     def test_compare_models_edge_core_ranks_signature_above_hockney(
-        self, capsys
+        self, capsys, tmp_path
     ):
         # The acceptance grid: fast-ethernet is the edge-core fabric.
         from repro.cli import main
+        from repro.sweeps import configure_default_runner
 
-        assert main([
+        argv = [
             "compare-models", "fast-ethernet",
             "--nprocs", "4,6", "--sizes", "2kB,8kB,32kB,131072",
             "--reps", "1", "--models", "hockney,signature,loggp",
-        ]) == 0
-        out = capsys.readouterr().out
+        ]
+        runner = configure_default_runner(cache_dir=tmp_path)
+        try:
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            # A rerun served from the cache reports the same, byte for byte.
+            assert main(argv) == 0
+            assert capsys.readouterr().out == out
+            assert runner.cache.hits == 8
+        finally:
+            configure_default_runner()
         ranking = next(
             line for line in out.splitlines() if line.startswith("ranking:")
         )
         assert ranking.index("signature") < ranking.index("hockney")
         assert "best      : " in out
 
-    def test_fit_named_model(self, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["myrinet", "--model", "loggp",
+         "--nprocs", "4,6", "--sizes", "2kB,32kB,262144", "--reps", "1"],
+        ["examples/scenarios/loggp_myrinet_zoo.toml"],
+    ], ids=["flags", "scenario"])
+    def test_fit_named_model(self, capsys, argv):
         from repro.cli import main
 
-        assert main([
-            "fit", "myrinet", "--model", "loggp",
-            "--nprocs", "4,6", "--sizes", "2kB,32kB,262144", "--reps", "1",
-        ]) == 0
+        assert main(["fit", *argv]) == 0
         out = capsys.readouterr().out
         assert "model     : loggp" in out
         assert "gap" in out

@@ -132,7 +132,8 @@ class TestTraceCli:
         assert code == 0
         _assert_valid_chrome(json.loads(out.read_text()))
         stdout = capsys.readouterr().out
-        assert "MED" in stdout and "engine" in stdout
+        assert "observed peaks match the MED prediction" in stdout
+        assert "engine" in stdout
 
     def test_trace_streams_jsonl_to_stdout(self, capsys):
         code = main([

@@ -147,12 +147,19 @@ class TestCliFlag:
             "--sizes", "2kB,8kB", "--cache-dir", str(tmp_path), *extra,
         ]
 
-    def test_heartbeat_lands_on_stderr(self, tmp_path, capsys):
-        assert main(self._argv(tmp_path, "--heartbeat", "0.0001")) == 0
+    @pytest.mark.parametrize("grid, rows", [
+        (("--clusters", "myrinet", "--nprocs", "4", "--sizes", "2kB,8kB"), "2/2"),
+        (("--scenario", "examples/scenarios/hotspot_gige_incast.toml"), "8/8"),
+    ], ids=["grid", "scenario"])
+    def test_heartbeat_lands_on_stderr(self, tmp_path, capsys, grid, rows):
+        argv = [
+            "sweep", *grid, "--cache-dir", str(tmp_path), "--heartbeat", "0.0001",
+        ]
+        assert main(argv) == 0
         captured = capsys.readouterr()
         assert "[heartbeat]" in captured.err
         assert "[heartbeat]" not in captured.out  # stdout stays clean
-        assert "2/2 rows (100%)" in captured.err
+        assert f"{rows} rows (100%)" in captured.err
 
     def test_flag_without_value_defaults_to_five_seconds(
         self, tmp_path, capsys

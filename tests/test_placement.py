@@ -473,7 +473,7 @@ class TestCli:
             line.split()[0] for line in capsys.readouterr().out.splitlines()
         ]
         assert names == sorted(names)
-        assert "round-robin" in names
+        assert {"block", "identity", "random", "round-robin"} <= set(names)
 
     def test_list_all_sections_sorted_and_stable(self, capsys):
         assert main(["list"]) == 0
@@ -504,7 +504,7 @@ class TestCli:
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "identity" in out and "optimized" in out
+        assert "identity" in out and "optimized" in out and "ratio" in out
         entry = json.loads(out_json.read_text())
         assert entry["objective"] < entry["identity_objective"]
         assert sorted(entry["placement"]["perm"]) == list(range(16))
@@ -524,14 +524,21 @@ class TestCli:
 
     def test_sweep_placement_axis_end_to_end(self, capsys, tmp_path):
         csv_path = tmp_path / "sweep.csv"
-        code = main([
+        argv = [
             "sweep", "--clusters", "gigabit-ethernet",
             "--nprocs", "4", "--sizes", "2kB", "--reps", "1",
             "--pattern", "shift:offset=2",
             "--placement", "identity", "--placement", "random:seed=3",
-            "--no-cache", "--csv", str(csv_path),
-        ])
-        assert code == 0
+            "--cache-dir", str(tmp_path / "cache"), "--csv", str(csv_path),
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "2 placements" in out
+        assert "simulated : 2" in out
+        # Placed cache keys are stable: the rerun simulates nothing.
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "simulated : 0" in out and "cached    : 2" in out
         rows = read_sweep_rows(csv_path)
         assert {row["placement"] for row in rows} == {
             "identity", "random(seed=3)",

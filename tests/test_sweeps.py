@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -349,11 +350,13 @@ class TestRunner:
 
 
 class TestSweepHelpersRouteThroughEngine:
-    def test_sweep_sizes_accepts_runner_with_cache(self, tmp_path):
+    # A NumPy integer n must reach the cache key as a plain int.
+    @pytest.mark.parametrize("n", [4, np.int64(4)], ids=["int", "np.int64"])
+    def test_sweep_sizes_accepts_runner_with_cache(self, tmp_path, n):
         cluster = gigabit_ethernet()
         runner = SweepRunner(workers=1, cache=ResultCache(tmp_path))
-        first = sweep_sizes(cluster, 4, [2048, 8192], reps=1, seed=0, runner=runner)
-        again = sweep_sizes(cluster, 4, [2048, 8192], reps=1, seed=0, runner=runner)
+        first = sweep_sizes(cluster, n, [2048, 8192], reps=1, seed=0, runner=runner)
+        again = sweep_sizes(cluster, n, [2048, 8192], reps=1, seed=0, runner=runner)
         assert [s.mean_time for s in first] == [s.mean_time for s in again]
         assert runner.cache.hits == 2
 
