@@ -36,8 +36,13 @@ ENGINES = ("fluid", "vector")
 #: shared CI runners).
 ROUNDS = 5
 #: Rounds of the interleaved disabled-path race (the acceptance
-#: metric needs the tighter estimate).
-RACE_ROUNDS = 9
+#: metric needs the tighter estimate).  On a shared 2-vCPU host single
+#: pairs of the 16-rank point read 0.87-1.18 (5th-95th percentile) on
+#: the fluid engine and 0.69-1.44 on the vector engine, whose point
+#: takes only about 55 ms.  A bootstrap over 200 recorded vector pairs
+#: puts the median of 9 above the 1.05 bar in 12% of races, of 31 in
+#: 1.4% and of 61 in 0.1%.
+RACE_ROUNDS = 61
 #: Acceptance bar: the uninstrumented path may not slow down by more
 #: than 5% from the observability hooks (measured as the ratio of two
 #: interleaved uninstrumented runs, so fixture drift cancels out).

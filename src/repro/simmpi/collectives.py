@@ -89,16 +89,17 @@ def alltoallv_direct(ctx: RankContext, matrix) -> Generator[Any, None, None]:
     """
     n, me = ctx.size, ctx.rank
     W = _as_matrix(ctx, matrix)
+    outbound, inbound = W[me].tolist(), W[:, me].tolist()
     requests = []
     for t in range(1, n):
         src = (me - t) % n
-        if W[src, me] > 0:
+        if inbound[src] > 0:
             requests.append(ctx.irecv(src, tag=TAG_ALLTOALL))
     for t in range(1, n):
         dst = (me + t) % n
-        if W[me, dst] > 0:
-            requests.append(ctx.isend(dst, int(W[me, dst]), tag=TAG_ALLTOALL))
-    ctx.local_copy(int(W[me, me]))
+        if outbound[dst] > 0:
+            requests.append(ctx.isend(dst, outbound[dst], tag=TAG_ALLTOALL))
+    ctx.local_copy(outbound[me])
     if requests:
         yield requests
 
@@ -113,14 +114,15 @@ def alltoallv_rounds(ctx: RankContext, matrix) -> Generator[Any, None, None]:
     """
     n, me = ctx.size, ctx.rank
     W = _as_matrix(ctx, matrix)
-    ctx.local_copy(int(W[me, me]))
+    outbound, inbound = W[me].tolist(), W[:, me].tolist()
+    ctx.local_copy(outbound[me])
     for t in range(1, n):
         dst = (me + t) % n
         src = (me - t) % n
         batch = []
-        if W[me, dst] > 0:
-            batch.append(ctx.isend(dst, int(W[me, dst]), tag=TAG_ALLTOALL + t))
-        if W[src, me] > 0:
+        if outbound[dst] > 0:
+            batch.append(ctx.isend(dst, outbound[dst], tag=TAG_ALLTOALL + t))
+        if inbound[src] > 0:
             batch.append(ctx.irecv(src, tag=TAG_ALLTOALL + t))
         if batch:
             yield batch

@@ -8,7 +8,7 @@ model.  For the collectives this repo studies, the communication
 structure of ``direct``, ``rounds``, ``bruck``, ``ring`` and the
 ``alltoallv_*`` variants depends only on ``(n, msg_size/matrix)`` —
 never on wildcards, message contents, or the simulation clock — so a
-static schedule loses nothing.  The schedule holds
+static schedule loses nothing.  The schedule is all columns:
 
 * **messages** — one int64 column per field (``src``, ``dst``, ``tag``,
   ``nbytes``, ``seq``, ``send_segment``, ``recv_segment``), indexed by
@@ -19,12 +19,19 @@ static schedule loses nothing.  The schedule holds
   k-th receive of that class.  One stable ``np.lexsort`` per side lines
   the classes up;
 * **segments** — the spans of each rank's program between ``yield``
-  points, each with its ordered operation list and the *gate* (the set
-  of requests the yield blocks on) that must complete before the next
-  segment posts.
+  points, numbered rank-major.  Segment *g*'s operations are
+  ``op_kind``/``op_arg`` over ``op_ptr[g]:op_ptr[g+1]`` and its *gate*
+  (the requests the yield blocks on, which must complete before the
+  next segment posts) is ``gate_kind``/``gate_mid`` over
+  ``gate_ptr[g]:gate_ptr[g+1]``; rank *r* owns segments
+  ``rank_segments[r]:rank_segments[r+1]``.
 
-Recording appends to flat per-field lists; no per-message object is
-built beyond the operation and gate tuples the segments carry.
+Recording appends plain ints to typed arrays (:mod:`array`), only what
+the op order cannot tell (a send's destination, tag, size and
+per-pair seq, a receive's source and tag, a copy's size, each op's
+kind, each gate entry); ranks, segment indices and op arguments follow
+array-wide from the segment bounds.  No per-operation object outlives
+the program's own request handles.
 
 Segment k+1 of a rank depends on gate k; a message edges from its send
 segment on the source rank to its receive segment on the destination —
@@ -34,12 +41,13 @@ without ever resuming a Python generator mid-simulation.
 Programs whose behaviour cannot be known statically raise
 :class:`~repro.exceptions.LoweringError`: wildcard receives
 (``ANY_SOURCE``/``ANY_TAG``), reads of ``ctx.now``, reads of a
-receive's status (``source``, ``tag``, ``nbytes``), and send/receive
-counts that do not pair up.
+receive's status (``source``, ``tag``, ``nbytes``), send/receive counts
+that do not pair up, and waits on a request another rank posted.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Any, Generator, Iterable
 
@@ -50,6 +58,9 @@ from ..exceptions import LoweringError
 __all__ = [
     "ANY_SOURCE",
     "ANY_TAG",
+    "OP_SEND",
+    "OP_RECV",
+    "OP_COPY",
     "RankContext",
     "Segment",
     "LoweredProgram",
@@ -60,6 +71,15 @@ __all__ = [
 #: static, so posting either raises :class:`~repro.exceptions.LoweringError`.
 ANY_SOURCE = -1
 ANY_TAG = -1
+
+#: Operation kinds of the ``op_kind`` column; gates use the first two.
+#: ``op_arg`` holds the message id of a send or receive and the byte
+#: count of a local copy.
+OP_SEND = 0
+OP_RECV = 1
+OP_COPY = 2
+
+_KIND_NAMES = ("send", "recv", "copy")
 
 
 @dataclass(frozen=True)
@@ -85,11 +105,14 @@ class Segment:
 class LoweredProgram:
     """A rank program compiled to a static phase schedule.
 
-    Message columns are read-only int64 arrays indexed by message id.
-    ``seq`` is the per-ordered-pair (src, dst) sequence number — the
-    numbering the replay uses for its non-overtaking guarantee.
-    Messages with ``src == dst`` are *local*: they never touch the wire
-    and model the rank's message to itself.
+    Every field but ``nprocs`` is a read-only NumPy column.  Message
+    columns are int64 and indexed by message id.  ``seq`` is the
+    per-ordered-pair (src, dst) sequence number — the numbering the
+    replay uses for its non-overtaking guarantee.  Messages with
+    ``src == dst`` are *local*: they never touch the wire and model the
+    rank's message to itself.  The segment columns are CSR over the
+    rank-major segment numbering (see the module docstring);
+    :attr:`segments` shows them as :class:`Segment` objects.
     """
 
     nprocs: int
@@ -100,12 +123,23 @@ class LoweredProgram:
     seq: np.ndarray
     send_segment: np.ndarray
     recv_segment: np.ndarray
-    segments: tuple[tuple[Segment, ...], ...]  # [rank][segment index]
+    rank_segments: np.ndarray  # (nprocs + 1,)
+    op_ptr: np.ndarray  # (n_segments + 1,)
+    op_kind: np.ndarray  # int8, OP_SEND / OP_RECV / OP_COPY
+    op_arg: np.ndarray
+    gate_ptr: np.ndarray  # (n_segments + 1,)
+    gate_kind: np.ndarray  # int8, OP_SEND / OP_RECV
+    gate_mid: np.ndarray
 
     @property
     def n_messages(self) -> int:
         """Number of matched messages (wire and local)."""
         return len(self.src)
+
+    @property
+    def n_segments(self) -> int:
+        """Number of segments over all ranks."""
+        return len(self.op_ptr) - 1
 
     @property
     def local(self) -> np.ndarray:
@@ -115,7 +149,42 @@ class LoweredProgram:
     @property
     def n_phases(self) -> int:
         """Largest segment count over all ranks (phases of the schedule)."""
-        return max(len(segs) for segs in self.segments)
+        return int(np.diff(self.rank_segments).max())
+
+    @property
+    def segments(self) -> tuple[tuple[Segment, ...], ...]:
+        """The schedule as ``[rank][segment index]`` :class:`Segment` objects.
+
+        Built from the columns on every access, for inspection and
+        tests; the replay reads the columns.
+        """
+        bounds = self.rank_segments.tolist()
+        op_ptr = self.op_ptr.tolist()
+        gate_ptr = self.gate_ptr.tolist()
+        ops = [
+            (_KIND_NAMES[kind], arg)
+            for kind, arg in zip(self.op_kind.tolist(), self.op_arg.tolist())
+        ]
+        gates = [
+            (_KIND_NAMES[kind], mid)
+            for kind, mid in zip(self.gate_kind.tolist(), self.gate_mid.tolist())
+        ]
+        return tuple(
+            tuple(
+                Segment(
+                    rank=rank,
+                    index=g - bounds[rank],
+                    ops=tuple(ops[op_ptr[g]:op_ptr[g + 1]]),
+                    gate=(
+                        None
+                        if g == bounds[rank + 1] - 1
+                        else tuple(gates[gate_ptr[g]:gate_ptr[g + 1]])
+                    ),
+                )
+                for g in range(bounds[rank], bounds[rank + 1])
+            )
+            for rank in range(self.nprocs)
+        )
 
     def flow_matrix(self, phase: int) -> np.ndarray:
         """(n, n) byte matrix of messages *posted* in segment *phase*.
@@ -157,21 +226,25 @@ class LoweredProgram:
 
 
 class _SendToken:
-    """What a recorded ``isend`` returns: its gate entry ``("send", mid)``."""
+    """What a recorded ``isend`` returns.
 
-    __slots__ = ("entry",)
+    ``code`` is its gate entry: ``mid << 1`` for a send,
+    ``index << 1 | 1`` for a receive's post index.
+    """
+
+    __slots__ = ("code",)
 
     def __init__(self, mid: int) -> None:
-        self.entry = ("send", mid)
+        self.code = mid << 1
 
 
 class _RecvToken:
-    """What a recorded ``irecv`` returns; ``entry`` is set once matched."""
+    """What a recorded ``irecv`` returns (``code``: see :class:`_SendToken`)."""
 
-    __slots__ = ("entry",)
+    __slots__ = ("code",)
 
-    def __init__(self) -> None:
-        self.entry: tuple[str, int] | None = None
+    def __init__(self, index: int) -> None:
+        self.code = index << 1 | 1
 
     def __getattr__(self, name: str):
         if name in ("source", "tag", "nbytes"):
@@ -201,14 +274,14 @@ class RankContext:
 
     def isend(self, dst: int, nbytes: int, *, tag: int = 0) -> _SendToken:
         """Post a nonblocking send of *nbytes* to rank *dst*."""
-        return self._recorder.record_send(self.rank, int(dst), int(nbytes), int(tag))
+        return self._recorder.record_send(int(dst), int(nbytes), int(tag))
 
     def irecv(self, src: int = ANY_SOURCE, *, tag: int = ANY_TAG) -> _RecvToken:
         """Post a nonblocking receive from *src* with *tag*.
 
         The wildcard defaults raise :class:`~repro.exceptions.LoweringError`.
         """
-        return self._recorder.record_recv(self.rank, int(src), int(tag))
+        return self._recorder.record_recv(int(src), int(tag))
 
     def sendrecv(
         self, dst: int, nbytes: int, src: int, *, tag: int = 0
@@ -233,55 +306,52 @@ class RankContext:
 
 
 class _Recorder:
-    """Flat per-field columns of the operations recorded so far.
+    """Typed-array columns of the operations recorded so far.
 
     Ranks are recorded one after another, so message ids follow send
-    order and receive ids follow post order within each rank.
-    ``segment`` is the current rank's span index (its yield count).
-    Span op lists hold the tokens themselves for sends and receives and
-    ``("copy", nbytes)`` tuples for copies; tokens become their gate
-    entries once the receives are matched.
+    order, receive indices follow post order, and segments are numbered
+    rank-major.  Only what the op order cannot tell is recorded per
+    operation; :func:`lower_program` derives the rest array-wide.
     """
 
     def __init__(self, nprocs: int) -> None:
         self.nprocs = nprocs
-        self.send_src: list[int] = []
-        self.send_dst: list[int] = []
-        self.send_tag: list[int] = []
-        self.send_nbytes: list[int] = []
-        self.send_seq: list[int] = []
-        self.send_segment: list[int] = []
-        self.recv_src: list[int] = []
-        self.recv_dst: list[int] = []
-        self.recv_tag: list[int] = []
-        self.recv_segment: list[int] = []
-        self.recv_tokens: list[_RecvToken] = []
-        self.segment = 0
+        self.dst = array("q")
+        self.tag = array("q")
+        self.nbytes = array("q")
+        self.seq = array("q")
+        self.recv_src = array("q")
+        self.recv_tag = array("q")
+        self.copy_nbytes = array("q")
+        self.op_kind = array("b")
+        self.op_ptr = array("q", [0])
+        self.gate_code = array("q")
+        self.gate_ptr = array("q", [0])
+        self.rank_segments = array("q", [0])
         self._next_seq: dict[int, int] = {}  # dst -> next seq of this rank
-        self._current_ops: list = []
 
     def start_rank(self) -> None:
-        self.segment = 0
         self._next_seq = {}
 
-    def record_send(self, rank: int, dst: int, nbytes: int, tag: int) -> _SendToken:
+    def end_rank(self) -> None:
+        self.rank_segments.append(len(self.op_ptr) - 1)
+
+    def record_send(self, dst: int, nbytes: int, tag: int) -> _SendToken:
         if nbytes < 0:
             raise ValueError("message size must be >= 0")
         if not 0 <= dst < self.nprocs:
             raise ValueError(f"destination rank {dst} out of range")
         seq = self._next_seq.get(dst, 0)
         self._next_seq[dst] = seq + 1
-        token = _SendToken(len(self.send_src))
-        self.send_src.append(rank)
-        self.send_dst.append(dst)
-        self.send_tag.append(tag)
-        self.send_nbytes.append(nbytes)
-        self.send_seq.append(seq)
-        self.send_segment.append(self.segment)
-        self._current_ops.append(token)
+        token = _SendToken(len(self.dst))
+        self.dst.append(dst)
+        self.tag.append(tag)
+        self.nbytes.append(nbytes)
+        self.seq.append(seq)
+        self.op_kind.append(OP_SEND)
         return token
 
-    def record_recv(self, rank: int, src: int, tag: int) -> _RecvToken:
+    def record_recv(self, src: int, tag: int) -> _RecvToken:
         if src == ANY_SOURCE or tag == ANY_TAG:
             raise LoweringError(
                 "rank program posts a wildcard receive (ANY_SOURCE/ANY_TAG): "
@@ -290,29 +360,28 @@ class _Recorder:
             )
         if not 0 <= src < self.nprocs:
             raise ValueError(f"source rank {src} out of range")
-        token = _RecvToken()
+        token = _RecvToken(len(self.recv_src))
         self.recv_src.append(src)
-        self.recv_dst.append(rank)
         self.recv_tag.append(tag)
-        self.recv_segment.append(self.segment)
-        self.recv_tokens.append(token)
-        self._current_ops.append(token)
+        self.op_kind.append(OP_RECV)
         return token
 
     def record_copy(self, nbytes: int) -> None:
-        self._current_ops.append(("copy", nbytes))
+        self.copy_nbytes.append(nbytes)
+        self.op_kind.append(OP_COPY)
 
-    def take_ops(self) -> list:
-        ops = self._current_ops
-        self._current_ops = []
-        self.segment += 1
-        return ops
+    def end_segment(self, yielded: Any = None, *, last: bool = False) -> None:
+        """Close the current span; *yielded* (unless *last*) is its gate."""
+        self.op_ptr.append(len(self.op_kind))
+        if not last:
+            self.gate_code.extend([token.code for token in _as_tokens(yielded)])
+        self.gate_ptr.append(len(self.gate_code))
 
 
-def _as_tokens(yielded: Any) -> list:
+def _as_tokens(yielded: Any) -> Iterable:
     """The requests a ``yield`` blocks on: one token or an iterable."""
     if isinstance(yielded, (_SendToken, _RecvToken)):
-        return [yielded]
+        return (yielded,)
     if isinstance(yielded, Iterable):
         tokens = list(yielded)
         if not all(isinstance(t, (_SendToken, _RecvToken)) for t in tokens):
@@ -360,7 +429,6 @@ def lower_program(
     if nprocs < 1:
         raise ValueError("need at least one rank")
     recorder = _Recorder(nprocs)
-    raw_segments: list[list[tuple]] = []  # [rank] -> [(ops, gate_tokens|None)]
     for rank in range(nprocs):
         ctx = RankContext(recorder, rank)
         recorder.start_rank()
@@ -370,24 +438,38 @@ def lower_program(
                 "rank program must be a generator function "
                 f"(got {type(gen).__name__})"
             )
-        spans: list[tuple] = []
         while True:
             try:
                 yielded = next(gen)
             except StopIteration:
-                spans.append((recorder.take_ops(), None))
+                recorder.end_segment(last=True)
                 break
-            spans.append((recorder.take_ops(), _as_tokens(yielded)))
-        raw_segments.append(spans)
+            recorder.end_segment(yielded)
+        recorder.end_rank()
 
-    def column(values: list[int]) -> np.ndarray:
-        return np.array(values, dtype=np.int64)
+    def column(values: array) -> np.ndarray:
+        # Shares the recorder's buffer: no copy.
+        return np.frombuffer(values, dtype=np.dtype(values.typecode))
 
-    src = column(recorder.send_src)
-    dst = column(recorder.send_dst)
-    tag = column(recorder.send_tag)
+    # Where each op sits: its rank and its rank-local segment index.
+    rank_segments = column(recorder.rank_segments)
+    op_ptr = column(recorder.op_ptr)
+    op_kind = column(recorder.op_kind)
+    segments_per_rank = np.diff(rank_segments)
+    segment_rank = np.repeat(np.arange(nprocs), segments_per_rank)
+    segment_index = np.arange(len(segment_rank)) - np.repeat(
+        rank_segments[:-1], segments_per_rank
+    )
+    op_segment = np.repeat(np.arange(len(segment_rank)), np.diff(op_ptr))
+    is_send, is_recv = op_kind == OP_SEND, op_kind == OP_RECV
+    send_at, recv_at = op_segment[is_send], op_segment[is_recv]
+    del op_segment
+
+    src = segment_rank[send_at]
+    dst = column(recorder.dst)
+    tag = column(recorder.tag)
     recv_src = column(recorder.recv_src)
-    recv_dst = column(recorder.recv_dst)
+    recv_dst = segment_rank[recv_at]
     recv_tag = column(recorder.recv_tag)
 
     # Static matching: within each (src, dst, tag) class both sides are
@@ -397,46 +479,57 @@ def lower_program(
     # Stable class sorts line both sides up position by position.
     send_order = _class_order(src, dst, tag)
     recv_order = _class_order(recv_src, recv_dst, recv_tag)
-    send_keys = np.stack([src, dst, tag], axis=1)[send_order]
-    recv_keys = np.stack([recv_src, recv_dst, recv_tag], axis=1)[recv_order]
-    if send_keys.shape != recv_keys.shape or not np.array_equal(send_keys, recv_keys):
-        raise _unmatched_error(send_keys, recv_keys)
+    if len(send_order) != len(recv_order) or not all(
+        np.array_equal(sent[send_order], posted[recv_order])
+        for sent, posted in ((src, recv_src), (dst, recv_dst), (tag, recv_tag))
+    ):
+        raise _unmatched_error(
+            np.stack([src, dst, tag], axis=1)[send_order],
+            np.stack([recv_src, recv_dst, recv_tag], axis=1)[recv_order],
+        )
     mid_of_recv = np.empty(len(recv_order), dtype=np.int64)
     mid_of_recv[recv_order] = send_order
     recv_segment = np.empty(len(send_order), dtype=np.int64)
-    recv_segment[send_order] = column(recorder.recv_segment)[recv_order]
-    for token, mid in zip(recorder.recv_tokens, mid_of_recv.tolist()):
-        token.entry = ("recv", mid)
+    recv_segment[mid_of_recv] = segment_index[recv_at]
+    del send_order, recv_order, recv_src, recv_dst, recv_tag
 
-    segments: list[tuple[Segment, ...]] = []
-    for rank, spans in enumerate(raw_segments):
-        rank_segments = []
-        for index, (ops, gate_tokens) in enumerate(spans):
-            rank_segments.append(
-                Segment(
-                    rank=rank,
-                    index=index,
-                    ops=tuple(
-                        op if op.__class__ is tuple else op.entry for op in ops
-                    ),
-                    gate=(
-                        None
-                        if gate_tokens is None
-                        else tuple(token.entry for token in gate_tokens)
-                    ),
-                )
-            )
-        segments.append(tuple(rank_segments))
+    op_arg = np.empty(len(op_kind), dtype=np.int64)
+    op_arg[is_send] = np.arange(len(src))
+    op_arg[is_recv] = mid_of_recv
+    op_arg[op_kind == OP_COPY] = column(recorder.copy_nbytes)
+    gate_code = column(recorder.gate_code)
+    gate_kind = (gate_code & 1).astype(np.int8)
+    gate_mid = gate_code >> 1
+    waits_on_recv = gate_kind == OP_RECV
+    gate_mid[waits_on_recv] = mid_of_recv[gate_mid[waits_on_recv]]
+
+    gate_ptr = column(recorder.gate_ptr)
+    waiter = np.repeat(segment_rank, np.diff(gate_ptr))
+    poster = np.where(gate_kind == OP_SEND, src[gate_mid], dst[gate_mid])
+    if not np.array_equal(waiter, poster):
+        first = int(np.flatnonzero(waiter != poster)[0])
+        raise LoweringError(
+            f"rank {int(waiter[first])} waits on a request rank "
+            f"{int(poster[first])} posted: a request belongs to the rank "
+            "that posted it"
+        )
 
     columns = {
         "src": src,
         "dst": dst,
         "tag": tag,
-        "nbytes": column(recorder.send_nbytes),
-        "seq": column(recorder.send_seq),
-        "send_segment": column(recorder.send_segment),
+        "nbytes": column(recorder.nbytes),
+        "seq": column(recorder.seq),
+        "send_segment": segment_index[send_at],
         "recv_segment": recv_segment,
+        "rank_segments": rank_segments,
+        "op_ptr": op_ptr,
+        "op_kind": op_kind,
+        "op_arg": op_arg,
+        "gate_ptr": gate_ptr,
+        "gate_kind": gate_kind,
+        "gate_mid": gate_mid,
     }
     for values in columns.values():
         values.setflags(write=False)
-    return LoweredProgram(nprocs=nprocs, segments=tuple(segments), **columns)
+    return LoweredProgram(nprocs=nprocs, **columns)

@@ -17,17 +17,34 @@ kernel and leaves only the movement of wire bytes to a *network model*:
   per-(src, dst) send order; each meets the receive lowering paired it
   with;
 * **receiver demultiplexing** — the serialized per-message service that
-  produces the paper's δ (see :mod:`repro.simmpi.transport`);
+  produces the paper's δ (see :mod:`repro.simmpi.transport`), one
+  :class:`~repro.simnet.resources.SerialResource` per host;
 * **jitter and start skew** — the ``"mpi/jitter"`` and ``"mpi/skew"``
   streams, so every run is reproducible from ``(cluster, nprocs, seed)``.
 
-A network model implements ``attach(replay)`` (read the message columns,
-keep :meth:`ProtocolReplay.flow_done`), ``inject(mid)`` (message *mid*'s
-payload enters the wire; the model calls ``flow_done(mid, inbound)``
-once its last byte has left) and ``counters()`` (its :class:`RunResult`
-count fields, by name).  The fluid engine's model is
-:class:`~repro.simmpi.runtime.Runtime`, the vector engine's
-:class:`~repro.simnet.vector.VectorSimulator`.
+The replay keeps no Python object per message.  It walks the lowered
+op columns; its per-message state is typed columns (NumPy arrays read
+through memoryviews, and bytearray flags); a gate is one outstanding
+count per segment, decremented by the first completion of each request
+the gate waits on; and per-message events are members of the kernel's
+bulk entries (:meth:`~repro.simnet.engine.Engine.schedule_batch`): one
+per ``_advance`` call for the segment's sends, and per completion batch
+one for the wire arrivals the receiver demultiplexes and one for the
+rest.  Each member draws its seq where a single event would have, so
+event order and counts are those of one event per message.  A
+rendezvous message's CTS arrival is an ordinary event, alive only
+while the CTS is in flight.
+
+A network model implements ``attach(replay)`` (read the message
+columns), ``inject(mid)`` (message *mid*'s payload enters the wire) and
+``counters()`` (its :class:`RunResult` count fields, by name).  It
+reports finished payloads in batches through
+:meth:`ProtocolReplay.flows_done`: ``flows_done(mids, inbounds)``, where
+``inbounds[i]`` flows were open at ``mids[i]``'s destination when its
+last byte left (itself included).  The fluid engine's model is
+:class:`~repro.simmpi.runtime.Runtime` (one-member batches), the vector
+engine's :class:`~repro.simnet.vector.VectorSimulator` (one batch per
+epoch).
 
 With an enabled trace the replay records ``mpi.phase`` (one per posted
 segment), ``mpi.isend``, ``mpi.irecv``, ``mpi.local_copy`` and
@@ -37,15 +54,20 @@ segment), ``mpi.isend``, ``mpi.irecv``, ``mpi.local_copy`` and
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Iterable
+
+import numpy as np
 
 from ..exceptions import DeadlockError, SimulationError
 from ..simnet.engine import Engine
 from ..simnet.resources import SerialResource
 from ..simnet.rng import RngFactory
 from ..simnet.trace import NullTrace, Trace
+from .lowering import OP_RECV, OP_SEND
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simnet.topology import Topology
@@ -53,6 +75,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .transport import TransportParams
 
 __all__ = ["ProtocolReplay", "RunResult"]
+
+# How a message's send side proceeds (the ``_msg_path`` column).
+_LOCAL = 0  # self-addressed: a memcpy, never on the wire
+_EAGER = 1  # data and envelope travel together
+_RENDEZVOUS = 2  # RTS, then CTS, then the payload
 
 
 @dataclass
@@ -100,13 +127,13 @@ class _HostScheduler:
     the cyclic collector.
     """
 
-    __slots__ = ("_msg_dst", "_limit", "_queue", "_busy_pairs", "_in_flight")
+    __slots__ = ("_msg_dst", "_limit", "_queue", "_busy", "_in_flight")
 
-    def __init__(self, msg_dst: list[int], concurrency: int | None) -> None:
+    def __init__(self, msg_dst, concurrency: int | None, nprocs: int) -> None:
         self._msg_dst = msg_dst
         self._limit = concurrency if concurrency is not None else math.inf
         self._queue: deque[int] = deque()
-        self._busy_pairs: set[int] = set()
+        self._busy = bytearray(nprocs)  # per destination: channel in use
         self._in_flight = 0
 
     def submit(self, mid: int, inject: Callable[[int], None]) -> None:
@@ -115,7 +142,7 @@ class _HostScheduler:
 
     def release(self, mid: int, inject: Callable[[int], None]) -> None:
         self._in_flight -= 1
-        self._busy_pairs.discard(self._msg_dst[mid])
+        self._busy[self._msg_dst[mid]] = 0
         self._pump(inject)
 
     def _pump(self, inject: Callable[[int], None]) -> None:
@@ -127,16 +154,17 @@ class _HostScheduler:
         if not queue or self._in_flight >= self._limit:
             return
         msg_dst = self._msg_dst
+        busy = self._busy
         skipped: deque[int] | None = None
         while queue and self._in_flight < self._limit:
             mid = queue.popleft()
             dst = msg_dst[mid]
-            if dst in self._busy_pairs:
+            if busy[dst]:
                 if skipped is None:
                     skipped = deque()
                 skipped.append(mid)
                 continue
-            self._busy_pairs.add(dst)
+            busy[dst] = 1
             self._in_flight += 1
             inject(mid)
         if skipped is not None:
@@ -145,14 +173,24 @@ class _HostScheduler:
             self._queue = skipped
 
 
-class _RankState:
-    __slots__ = ("next_segment", "finished", "finish_time", "waiting")
+class _Members:
+    """Time, seq and message-id columns of one bulk entry being built."""
+
+    __slots__ = ("times", "seqs", "mids")
 
     def __init__(self) -> None:
-        self.next_segment = 0
-        self.finished = False
-        self.finish_time = math.nan
-        self.waiting = 0
+        self.times = array("d")
+        self.seqs = array("q")
+        self.mids = array("q")
+
+    def add(self, time: float, seq: int, mid: int) -> None:
+        self.times.append(time)
+        self.seqs.append(seq)
+        self.mids.append(mid)
+
+    def post(self, engine: Engine, callback: Callable[[int], None]) -> None:
+        if self.mids:
+            engine.schedule_batch(self.times, self.seqs, callback, self.mids)
 
 
 class ProtocolReplay:
@@ -192,44 +230,92 @@ class ProtocolReplay:
         self._started = False
         self._inject: Callable[[int], None] | None = None
 
-        self._ranks = [_RankState() for _ in range(self.nprocs)]
-        self._mux = [
-            SerialResource(self.engine, name=f"host{h}.rxcpu")
-            for h in range(self.nprocs)
-        ]
-        self._watchers: dict[tuple[str, int], list[int]] = {}
-        self._recv_next: dict[tuple[int, int], int] = {}
-        self._reorder: dict[tuple[int, int], dict[int, int]] = {}
-
     def _setup(self, lowered: "LoweredProgram") -> None:
         """Per-message protocol columns, array-wide over the schedule."""
-        self._segments = lowered.segments
-        self._tag = lowered.tag  # read by the trace records only
+        n = self.nprocs
         n_messages = lowered.n_messages
         local = lowered.local
         eager, submit, wire = self.transport.message_costs(lowered.nbytes)
         wire[local] = 0.0
-        # Columns network models read (wire bytes are 0 for local ones);
-        # list forms, as indexing a list beats indexing an array.
+        # Columns network models read (wire bytes are 0 for local ones).
+        # Scalar reads go through memoryviews, which index to Python
+        # numbers without copying the column.
         self.src = lowered.src
         self.dst = lowered.dst
         self.local = local
         self.wire = wire
-        self.msg_src: list[int] = lowered.src.tolist()
-        self.msg_dst: list[int] = lowered.dst.tolist()
-        self.msg_nbytes: list[int] = lowered.nbytes.tolist()
-        self._msg_seq: list[int] = lowered.seq.tolist()
-        self._msg_local: list[bool] = local.tolist()
-        self._msg_eager: list[bool] = eager.tolist()
-        self._msg_submit: list[float] = submit.tolist()
+        self.msg_src = memoryview(lowered.src)
+        self.msg_dst = memoryview(lowered.dst)
+        self.msg_nbytes = memoryview(lowered.nbytes)
+        self._lowered = lowered  # tag, seq and eager feed trace records only
+        self._eager = eager
+        self._msg_path = np.where(
+            local, _LOCAL, np.where(eager, _EAGER, _RENDEZVOUS)
+        ).astype(np.int8).tobytes()
+        self._msg_submit = memoryview(submit)
+
+        # Ops, walked by _advance.  Rank r's segments are the global
+        # numbers rank_segments[r] .. rank_segments[r+1]-1.
+        self._op_ptr = memoryview(lowered.op_ptr)
+        self._op_kind = memoryview(lowered.op_kind)
+        self._op_arg = memoryview(lowered.op_arg)
+        bounds = lowered.rank_segments.tolist()
+        self._first_segment = bounds[:-1]
+        self._next_segment = bounds[:-1]
+        self._last_segment = [end - 1 for end in bounds[1:]]
+        self._waiting_on = [-1] * n  # the gate a blocked rank waits on
+        self._finish_time = [math.nan] * n
+
+        # Gates: only a request's first gate can wait on it (every later
+        # one sees it complete), so each gate counts the distinct
+        # requests it is the first to wait on, and each request knows
+        # that gate (-1 for none).
+        gate_kind, gate_mid = lowered.gate_kind, lowered.gate_mid
+        gate_segment = np.repeat(
+            np.arange(lowered.n_segments), np.diff(lowered.gate_ptr)
+        )
+        _, first = np.unique(gate_mid * 2 + gate_kind, return_index=True)
+
+        def first_gate(kind: int) -> memoryview:
+            chosen = first[gate_kind[first] == kind]
+            column = np.full(n_messages, -1, dtype=np.int64)
+            column[gate_mid[chosen]] = gate_segment[chosen]
+            return memoryview(column)
+
+        self._send_gate = first_gate(OP_SEND)
+        self._recv_gate = first_gate(OP_RECV)
+        self._outstanding = np.bincount(
+            gate_segment[first], minlength=lowered.n_segments
+        ).tolist()
+
+        # Envelope order: each message's predecessor and successor in
+        # its (src, dst) pair (message ids follow per-pair send order).
+        pair = lowered.src * n + lowered.dst
+        order = np.argsort(pair, kind="stable")
+        same = pair[order[1:]] == pair[order[:-1]]
+        earlier, later = order[:-1][same], order[1:][same]
+        pair_prev = np.full(n_messages, -1, dtype=np.int64)
+        pair_next = np.full(n_messages, -1, dtype=np.int64)
+        pair_prev[later] = earlier
+        pair_next[earlier] = later
+        self._pair_prev = memoryview(pair_prev)
+        self._pair_next = memoryview(pair_next)
+        self._recv_posted = bytearray(n_messages)
+        self._env_parked = bytearray(n_messages)
+        self._env_processed = bytearray(n_messages)
+
         self._schedulers = [
-            _HostScheduler(self.msg_dst, self.transport.sender_concurrency)
-            for _ in range(self.nprocs)
+            _HostScheduler(self.msg_dst, self.transport.sender_concurrency, n)
+            for _ in range(n)
         ]
-        self._send_done = [False] * n_messages
-        self._recv_done = [False] * n_messages
-        self._recv_posted = [False] * n_messages
-        self._env_processed = [False] * n_messages
+        # Per-rank callbacks and per-host receive CPUs (they hold
+        # _deliver), dropped after the run so the replay is freed by
+        # reference counting.
+        self._resume = [partial(self._advance, rank) for rank in range(n)]
+        self._receive_cpus = [
+            SerialResource(self.engine, self.transport.mux_overhead, self._deliver)
+            for _ in range(n)
+        ]
 
     # ------------------------------------------------------------------
     # Run loop
@@ -255,27 +341,32 @@ class ProtocolReplay:
         self._setup(lowered)
         self._inject = network.inject
         network.attach(self)
-        for rank in range(self.nprocs):
-            # Real clusters never enter a collective perfectly aligned:
-            # OS noise and barrier exit skew stagger the ranks by a small
-            # random amount (this seeds the Myrinet convoy effect).
-            skew = (
-                float(self._skew_rng.uniform(0.0, self._start_skew_scale))
-                if self._start_skew_scale > 0
-                else 0.0
-            )
-            self.engine.schedule(skew, lambda r=rank: self._advance(r))
+        # Real clusters never enter a collective perfectly aligned: OS
+        # noise and barrier exit skew stagger the ranks by a small random
+        # amount (this seeds the Myrinet convoy effect).
+        scale = self._start_skew_scale
+        skews = [
+            float(self._skew_rng.uniform(0.0, scale)) if scale > 0 else 0.0
+            for _ in range(self.nprocs)
+        ]
+        seqs = [self.engine.reserve() for _ in range(self.nprocs)]
+        self.engine.schedule_batch(skews, seqs, self._advance, range(self.nprocs))
         self.engine.run(max_events=max_events)
-        # The model keeps flow_done; dropping the link back to it leaves
-        # no reference cycle, so a finished run is freed by refcounting.
+        # The model keeps flows_done; dropping the links back to the
+        # replay leaves no reference cycle, so a finished run is freed
+        # by reference counting.
         self._inject = None
-        unfinished = [r for r, s in enumerate(self._ranks) if not s.finished]
+        self._resume = self._receive_cpus = None
+        unfinished = [
+            rank for rank in range(self.nprocs)
+            if self._next_segment[rank] <= self._last_segment[rank]
+        ]
         if unfinished:
             raise DeadlockError(
                 f"ranks {unfinished} blocked with no pending events "
                 "(cyclic wait?)"
             )
-        finish = [s.finish_time for s in self._ranks]
+        finish = self._finish_time
         return RunResult(
             duration=max(finish),
             rank_finish_times=finish,
@@ -285,183 +376,191 @@ class ProtocolReplay:
         )
 
     def _advance(self, rank: int) -> None:
-        """Post segments until one blocks (the lowered ``Waitall`` loop)."""
-        state = self._ranks[rank]
-        segments = self._segments[rank]
+        """Post segments until one blocks (the lowered ``Waitall`` loop).
+
+        The sends' events become one bulk entry, each member drawing its
+        seq in op order.
+        """
+        engine = self.engine
+        now = engine.now
+        reserve = engine.reserve
+        tracing = self._tracing
+        op_ptr, op_kind, op_arg = self._op_ptr, self._op_kind, self._op_arg
+        sends = _Members()
+        segment = self._next_segment[rank]
+        last = self._last_segment[rank]
         while True:
-            segment = segments[state.next_segment]
-            if self._tracing:
+            start, stop = op_ptr[segment], op_ptr[segment + 1]
+            if tracing:
                 self.trace.emit(
-                    self.engine.now, "mpi.phase", rank=rank,
-                    segment=state.next_segment, ops=len(segment.ops),
+                    now, "mpi.phase", rank=rank,
+                    segment=segment - self._first_segment[rank],
+                    ops=stop - start,
                 )
-            state.next_segment += 1
-            for kind, arg in segment.ops:
-                if kind == "send":
-                    self._post_send(arg)
-                elif kind == "recv":
+            for index in range(start, stop):
+                kind = op_kind[index]
+                arg = op_arg[index]
+                if kind == OP_SEND:
+                    if tracing:
+                        self._trace_isend(arg)
+                    sends.add(self._send_time(arg, now), reserve(), arg)
+                elif kind == OP_RECV:
                     self._post_recv(arg)
-                elif self._tracing:
+                elif tracing:
                     # A local copy takes no simulated time.
-                    self.trace.emit(
-                        self.engine.now, "mpi.local_copy", rank=rank, nbytes=arg
-                    )
-            if segment.gate is None:
-                state.finished = True
-                state.finish_time = self.engine.now
-                return
-            pending = [tok for tok in segment.gate if not self._token_done(tok)]
-            if pending:
-                state.waiting = len(pending)
-                for token in pending:
-                    self._watchers.setdefault(token, []).append(rank)
-                return
+                    self.trace.emit(now, "mpi.local_copy", rank=rank, nbytes=arg)
+            segment += 1
+            if segment > last:
+                self._finish_time[rank] = now
+                break
+            if self._outstanding[segment - 1]:
+                self._waiting_on[rank] = segment - 1
+                break
             # Gate already satisfied: keep advancing within this event.
+        self._next_segment[rank] = segment
+        sends.post(engine, self._sent)
 
-    def _token_done(self, token: tuple[str, int]) -> bool:
-        kind, mid = token
-        return self._send_done[mid] if kind == "send" else self._recv_done[mid]
-
-    def _notify(self, token: tuple[str, int]) -> None:
-        watchers = self._watchers.pop(token, None)
-        if not watchers:
+    def _request_done(self, gate: int, rank: int) -> None:
+        """A request of *rank* whose first gate is *gate* completed."""
+        if gate < 0:
             return
-        for rank in watchers:
-            state = self._ranks[rank]
-            state.waiting -= 1
-            if state.waiting == 0 and not state.finished:
-                self.engine.schedule(
-                    self.engine.now, lambda r=rank: self._advance(r)
-                )
+        left = self._outstanding[gate] - 1
+        self._outstanding[gate] = left
+        if left == 0 and self._waiting_on[rank] == gate:
+            self._waiting_on[rank] = -1
+            self.engine.schedule(self.engine.now, self._resume[rank])
 
     # ------------------------------------------------------------------
     # Point-to-point protocol
     # ------------------------------------------------------------------
 
-    def _jitter(self) -> float:
-        scale = self.transport.jitter_scale
-        if scale <= 0:
-            return 0.0
-        return float(self._jitter_rng.exponential(scale))
+    def _trace_isend(self, mid: int) -> None:
+        lowered = self._lowered
+        self.trace.emit(
+            self.engine.now, "mpi.isend", src=self.msg_src[mid],
+            dst=self.msg_dst[mid], tag=int(lowered.tag[mid]),
+            nbytes=self.msg_nbytes[mid], seq=int(lowered.seq[mid]),
+            eager=bool(self._eager[mid]),
+        )
 
-    def _post_send(self, mid: int) -> None:
-        if self._tracing:
-            self.trace.emit(
-                self.engine.now, "mpi.isend", src=self.msg_src[mid],
-                dst=self.msg_dst[mid], tag=int(self._tag[mid]),
-                nbytes=self.msg_nbytes[mid], seq=self._msg_seq[mid],
-                eager=self._msg_eager[mid],
-            )
-        if self._msg_local[mid]:
+    def _send_time(self, mid: int, now: float) -> float:
+        """When the event of *mid*'s send, posted at *now*, fires."""
+        transport = self.transport
+        how = self._msg_path[mid]
+        if how == _LOCAL:
             # Local message: memcpy cost, bypasses wire and protocols.
-            delay = self.transport.local_copy_time(self.msg_nbytes[mid])
-            self.engine.schedule_after(delay, lambda: self._local_deliver(mid))
-            return
-        submit_delay = self._jitter() + self._msg_submit[mid]
-        if self._msg_eager[mid]:
-            src = self.msg_src[mid]
-            self.engine.schedule_after(
-                submit_delay, lambda: self._schedulers[src].submit(mid, self._inject)
-            )
+            return now + transport.local_copy_time(self.msg_nbytes[mid])
+        delay = self._msg_submit[mid]
+        if transport.jitter_scale > 0:
+            delay = float(self._jitter_rng.exponential(transport.jitter_scale)) + delay
+        if how == _RENDEZVOUS:
+            # RTS control message (latency-only).
+            delay = delay + transport.ctrl_overhead + transport.base_latency
+        return now + delay
+
+    def _sent(self, mid: int) -> None:
+        """The event a send posted: its local delivery, eager submit or
+        RTS arrival, by the message's path."""
+        how = self._msg_path[mid]
+        if how == _EAGER:
+            self._submit(mid)
+        elif how == _RENDEZVOUS:
+            self._envelope_in_order(mid)
         else:
-            # Rendezvous: RTS control message (latency-only).
-            rts_delay = (
-                submit_delay
-                + self.transport.ctrl_overhead
-                + self.transport.base_latency
-            )
-            self.engine.schedule_after(
-                rts_delay, lambda: self._envelope_in_order(mid)
-            )
+            # The copy is done: the send completes and the envelope is in.
+            self._request_done(self._send_gate[mid], self.msg_src[mid])
+            self._envelope_in_order(mid)
 
     def _post_recv(self, mid: int) -> None:
         if self._tracing:
             self.trace.emit(
                 self.engine.now, "mpi.irecv", rank=self.msg_dst[mid],
-                src=self.msg_src[mid], tag=int(self._tag[mid]),
+                src=self.msg_src[mid], tag=int(self._lowered.tag[mid]),
             )
-        self._recv_posted[mid] = True
+        self._recv_posted[mid] = 1
         # The statically paired envelope may already have arrived and be
         # waiting "unexpected": claim it now.
         if self._env_processed[mid]:
             self._match(mid)
 
-    def _local_deliver(self, mid: int) -> None:
-        self._complete_send(mid)
-        self._envelope_in_order(mid)
-
     def _envelope_in_order(self, mid: int) -> None:
         """Process envelope arrivals strictly in per-pair send order."""
-        key = (self.msg_src[mid], self.msg_dst[mid])
-        expected = self._recv_next.get(key, 0)
-        seq = self._msg_seq[mid]
-        if seq != expected:
-            # Early arrival: park it until its predecessors are processed
-            # (the buffer never holds the expected sequence number).
-            self._reorder.setdefault(key, {})[seq] = mid
+        prev = self._pair_prev[mid]
+        if prev >= 0 and not self._env_processed[prev]:
+            # Early arrival: park it until its predecessor is processed.
+            self._env_parked[mid] = 1
             return
         self._process_envelope(mid)
-        expected += 1
-        buffer = self._reorder.get(key)
-        while buffer and expected in buffer:
-            self._process_envelope(buffer.pop(expected))
-            expected += 1
-        self._recv_next[key] = expected
+        successor = self._pair_next[mid]
+        while successor >= 0 and self._env_parked[successor]:
+            self._process_envelope(successor)
+            successor = self._pair_next[successor]
 
     def _process_envelope(self, mid: int) -> None:
         # Whichever of the envelope and its receive comes second matches.
-        self._env_processed[mid] = True
+        self._env_processed[mid] = 1
         if self._recv_posted[mid]:
             self._match(mid)
 
     def _match(self, mid: int) -> None:
-        if self._msg_eager[mid] or self._msg_local[mid]:
+        if self._msg_path[mid] != _RENDEZVOUS:
             self._complete_recv(mid)
         else:
             # Rendezvous: CTS travels back, then the payload is submitted.
-            src = self.msg_src[mid]
+            engine = self.engine
             delay = self.transport.ctrl_overhead + self.transport.base_latency
-            self.engine.schedule_after(
-                delay, lambda: self._schedulers[src].submit(mid, self._inject)
-            )
+            engine.schedule(engine.now + delay, partial(self._submit, mid))
 
-    def _complete_send(self, mid: int) -> None:
-        self._send_done[mid] = True
-        self._notify(("send", mid))
+    def _submit(self, mid: int) -> None:
+        self._schedulers[self.msg_src[mid]].submit(mid, self._inject)
 
     def _complete_recv(self, mid: int) -> None:
-        self._recv_done[mid] = True
         if self._tracing:
             self.trace.emit(
                 self.engine.now, "mpi.recv_complete", rank=self.msg_dst[mid],
-                src=self.msg_src[mid], tag=int(self._tag[mid]),
+                src=self.msg_src[mid], tag=int(self._lowered.tag[mid]),
                 nbytes=self.msg_nbytes[mid],
             )
-        self._notify(("recv", mid))
+        self._request_done(self._recv_gate[mid], self.msg_dst[mid])
 
     # -- wire path ------------------------------------------------------
 
-    def flow_done(self, mid: int, inbound: int) -> None:
-        """*mid*'s last byte left; *inbound* flows were open at its
-        destination then (itself included)."""
-        self._schedulers[self.msg_src[mid]].release(mid, self._inject)
-        self._complete_send(mid)
-        self.engine.schedule_after(
-            self.transport.base_latency,
-            lambda: self._wire_arrival(mid, inbound),
-        )
+    def flows_done(self, mids: Iterable[int], inbounds: Iterable[int]) -> None:
+        """Payloads *mids* left the wire, in completion order.
 
-    def _wire_arrival(self, mid: int, inbound: int) -> None:
-        """Last byte reached the destination host: demux then deliver."""
-        if self.transport.mux_applies(self.msg_nbytes[mid], inbound):
-            self._mux[self.msg_dst[mid]].request(
-                self.transport.mux_overhead, lambda: self._deliver(mid)
-            )
-        else:
-            self._deliver(mid)
+        ``inbounds[i]`` flows were open at ``mids[i]``'s destination when
+        its last byte left (itself included).  Each sender is released
+        and each send completes; the wire arrivals, ``base_latency``
+        later, become bulk entries: those the receiver demultiplexes and
+        those it takes directly.
+        """
+        engine = self.engine
+        reserve = engine.reserve
+        inject = self._inject
+        schedulers, msg_src, msg_nbytes = self._schedulers, self.msg_src, self.msg_nbytes
+        send_gate = self._send_gate
+        mux_applies = self.transport.mux_applies
+        arrival = engine.now + self.transport.base_latency
+        arrivals: list[_Members | None] = [None, None]  # direct, demultiplexed
+        for mid, inbound in zip(mids, inbounds):
+            src = msg_src[mid]
+            schedulers[src].release(mid, inject)
+            self._request_done(send_gate[mid], src)
+            demuxed = mux_applies(msg_nbytes[mid], inbound)
+            members = arrivals[demuxed]
+            if members is None:
+                members = arrivals[demuxed] = _Members()
+            members.add(arrival, reserve(), mid)
+        for members, callback in zip(arrivals, (self._deliver, self._demux)):
+            if members is not None:
+                members.post(engine, callback)
+
+    def _demux(self, mid: int) -> None:
+        """Last byte reached the destination host: queue for its CPU."""
+        self._receive_cpus[self.msg_dst[mid]].request(mid)
 
     def _deliver(self, mid: int) -> None:
-        if self._msg_eager[mid]:
+        if self._msg_path[mid] == _EAGER:
             self._envelope_in_order(mid)
         else:
             # Rendezvous payload: the receive was claimed at CTS time.

@@ -13,6 +13,7 @@ small-n results are frozen in ``tests/test_oracle_goldens.py``.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Generator
 
 from ..simnet.fluid import FluidNetwork
@@ -112,11 +113,13 @@ class Runtime:
             replay.msg_src[mid],
             replay.msg_dst[mid],
             self._msg_wire[mid],
-            on_complete=lambda flow: replay.flow_done(
-                mid, flow.inbound_at_completion
-            ),
+            on_complete=partial(self._flow_complete, mid),
             label=f"msg{mid}",
         )
+
+    def _flow_complete(self, mid: int, flow) -> None:
+        """Message *mid*'s flow finished: a one-member batch for the replay."""
+        self._replay.flows_done((mid,), (flow.inbound_at_completion,))
 
     def counters(self) -> dict[str, int]:
         """The run's :class:`RunResult` count fields, by name."""

@@ -6,6 +6,8 @@ A minimal but production-hardened event engine: a binary heap of
 * deterministic FIFO tie-breaking at equal timestamps (the ``sequence``
   counter), which keeps whole simulations bit-reproducible,
 * cancellable event handles,
+* bulk entries: many events that call one callback with one argument
+  each, held as typed arrays behind a single heap entry,
 * defensive monotonicity checks (scheduling into the past is a bug in the
   caller and raises immediately rather than corrupting causality).
 
@@ -15,6 +17,17 @@ The sequence number is unique per engine, so two entries always differ
 before the callback slot and callbacks are never compared.  A cancelled
 or fired entry has its callback slot set to ``None`` and is dropped
 lazily when it reaches the top of the heap.
+
+A bulk entry (:meth:`Engine.schedule_batch`) is one heap entry keyed by
+its next member.  Every member fires at the default priority and keeps
+its own ``(time, seq)``: the caller draws each member's seq with
+:meth:`Engine.reserve` at the point where a single
+:meth:`~Engine.schedule` call would have drawn it.
+Firing a member re-pushes the entry under the following member's key,
+so members interleave with single events exactly as single events
+would, and each member counts as one event for ``events_processed``,
+``max_events``, ``run(until=)``, :meth:`~Engine.step` and
+:meth:`~Engine.peek_time`.
 
 The MPI protocol replay (:mod:`repro.simmpi.protocol`) and both network
 models, fluid (:mod:`repro.simnet.fluid`) and vector
@@ -26,7 +39,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Callable
+from array import array
+from functools import partial
+from typing import Any, Callable, Sequence
 
 from ..exceptions import SimulationError
 
@@ -60,6 +75,50 @@ class EventHandle:
         self._entry[3] = None
 
 
+class _Batch:
+    """The heap entry's callback for one bulk entry's members.
+
+    Calling it fires the member whose key the entry carries, after
+    re-pushing the entry under the next member's key.
+    """
+
+    __slots__ = ("_heap", "_entry", "_times", "_seqs", "_callback", "_args", "_next")
+
+    def __init__(self, heap, times, seqs, callback, args) -> None:
+        self._heap = heap
+        self._times = times
+        self._seqs = seqs
+        self._callback = callback
+        self._args = args
+        self._next = 0
+        self._entry = [times[0], 0, seqs[0], self]
+
+    @property
+    def remaining(self) -> int:
+        """Members not yet fired."""
+        return len(self._times) - self._next
+
+    def __call__(self) -> None:
+        index = self._next
+        arg = self._args[index]
+        index += 1
+        self._next = index
+        if index < len(self._times):
+            entry = self._entry
+            entry[0] = self._times[index]
+            entry[2] = self._seqs[index]
+            entry[3] = self
+            heapq.heappush(self._heap, entry)
+        self._callback(arg)
+
+
+def _like(values: Sequence, items: Sequence) -> Sequence:
+    """*items* in a container like *values*: a typed array stays typed."""
+    if isinstance(values, array):
+        return array(values.typecode, items)
+    return list(items)
+
+
 class Engine:
     """Event-driven simulation clock.
 
@@ -91,8 +150,19 @@ class Engine:
 
     @property
     def pending(self) -> int:
-        """Number of events still queued (including cancelled tombstones)."""
-        return len(self._heap)
+        """Number of events still queued.
+
+        Counts every unfired member of a bulk entry, and every single
+        event including cancelled ones not yet dropped from the heap.
+        """
+        return sum(
+            entry[3].remaining if entry[3].__class__ is _Batch else 1
+            for entry in self._heap
+        )
+
+    def reserve(self) -> int:
+        """Draw the next sequence number, for a member of a bulk entry."""
+        return next(self._seq)
 
     def schedule(
         self,
@@ -127,6 +197,58 @@ class Engine:
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
         return self.schedule(self._now + delay, callback, priority=priority)
+
+    def schedule_batch(
+        self,
+        times: Sequence[float],
+        seqs: Sequence[int],
+        callback: Callable[[Any], None],
+        args: Sequence,
+    ) -> None:
+        """Schedule ``callback(args[i])`` at ``times[i]`` for every member *i*.
+
+        ``seqs[i]`` is the member's sequence number, drawn with
+        :meth:`reserve`; member *i* then fires exactly when a
+        :meth:`schedule` call at the default priority that drew
+        ``seqs[i]`` would have.  The
+        sequences are kept, not copied, unless the members need sorting
+        into ``(time, seq)`` order: pass lists or :class:`array.array`
+        columns of Python numbers, and do not mutate them afterwards.
+        The time checks are :meth:`schedule`'s; a bulk entry cannot be
+        cancelled.
+        """
+        count = len(times)
+        if len(seqs) != count or len(args) != count:
+            raise ValueError("a bulk entry needs one time, seq and arg per member")
+        if not count:
+            return
+        now = self._now
+        ordered = True
+        last_time, last_seq = now, -1
+        for time, seq in zip(times, seqs):
+            if not math.isfinite(time):
+                raise SimulationError(f"non-finite event time {time!r}")
+            if time < now:
+                raise SimulationError(
+                    f"cannot schedule into the past: t={time!r} < now={now!r}"
+                )
+            if time < last_time or (time == last_time and seq < last_seq):
+                ordered = False
+            last_time, last_seq = time, seq
+        if count == 1:
+            # A lone member is an ordinary entry.
+            entry = [times[0], 0, seqs[0], partial(callback, args[0])]
+            heapq.heappush(self._heap, entry)
+            return
+        if not ordered:
+            # Seqs are unique, so the sort never compares two args.
+            columns = zip(*sorted(zip(times, seqs, args)))
+            times, seqs, args = (
+                _like(values, column)
+                for values, column in zip((times, seqs, args), columns)
+            )
+        batch = _Batch(self._heap, times, seqs, callback, args)
+        heapq.heappush(self._heap, batch._entry)
 
     def peek_time(self) -> float | None:
         """Time of the next live event, or ``None`` if the queue is empty."""
@@ -183,4 +305,4 @@ class Engine:
             heapq.heappop(heap)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Engine(now={self._now:.6g}, pending={len(self._heap)})"
+        return f"Engine(now={self._now:.6g}, pending={self.pending})"

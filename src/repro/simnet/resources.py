@@ -5,12 +5,14 @@ when demultiplexing many concurrent inbound streams: requests queue and
 are served one at a time.  This is the mechanism behind the paper's δ
 parameter (see DESIGN.md §5) — with n-1 simultaneous arrivals the queue
 serialises, contributing an affine per-round overhead, while a single
-ping-pong message (queue of one) pays only its own service time.
+ping-pong message (queue of one) pays only its own service time.  The
+protocol replay (:mod:`repro.simmpi.protocol`) gives each receiving
+host one :class:`SerialResource` that serves message ids.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from typing import Callable
 
 from .engine import Engine
@@ -19,61 +21,58 @@ __all__ = ["SerialResource"]
 
 
 class SerialResource:
-    """A FIFO server with deterministic service order.
+    """A FIFO server of integer ids, each served for *duration* seconds.
+
+    ``callback(ident)`` runs when request *ident* finishes service, and
+    before the next request starts, so a request the callback makes
+    queues behind those already waiting.  Waiting ids are held in a
+    typed array: a queued request costs no Python object.
 
     Examples
     --------
     >>> eng = Engine()
-    >>> cpu = SerialResource(eng, name="host0.cpu")
     >>> done = []
-    >>> cpu.request(0.5, lambda: done.append(eng.now))
-    >>> cpu.request(0.25, lambda: done.append(eng.now))
+    >>> cpu = SerialResource(eng, 0.5, lambda ident: done.append((ident, eng.now)))
+    >>> cpu.request(7)
+    >>> cpu.request(3)
     >>> eng.run()
     >>> done
-    [0.5, 0.75]
+    [(7, 0.5), (3, 1.0)]
     """
 
-    def __init__(self, engine: Engine, *, name: str = "resource") -> None:
-        self._engine = engine
-        self._queue: deque[tuple[float, Callable[[], None]]] = deque()
-        self._busy = False
-        self.name = name
-        self.total_busy_time = 0.0
-        self.served = 0
+    __slots__ = ("_engine", "_duration", "_callback", "_queue", "_head")
 
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting (not counting the one in service)."""
-        return len(self._queue)
+    def __init__(
+        self, engine: Engine, duration: float, callback: Callable[[int], None]
+    ) -> None:
+        if duration < 0:
+            raise ValueError(f"negative service duration {duration!r}")
+        self._engine = engine
+        self._duration = duration
+        self._callback = callback
+        self._queue = array("q")  # ids from _head on; the head is in service
+        self._head = 0
 
     @property
     def busy(self) -> bool:
-        """Whether a request is currently in service."""
-        return self._busy
+        """Whether a request is in service."""
+        return self._head < len(self._queue)
 
-    def request(self, duration: float, callback: Callable[[], None]) -> None:
-        """Enqueue a service request of *duration* seconds.
+    def request(self, ident: int) -> None:
+        """Queue *ident*; it starts service once those ahead have finished."""
+        queue = self._queue
+        queue.append(ident)
+        if len(queue) - self._head == 1:
+            self._engine.schedule(self._engine.now + self._duration, self._finish)
 
-        *callback* fires when service completes.  Zero-duration requests
-        still respect FIFO ordering.
-        """
-        if duration < 0:
-            raise ValueError(f"negative service duration {duration!r}")
-        self._queue.append((duration, callback))
-        if not self._busy:
-            self._serve_next()
-
-    def _serve_next(self) -> None:
-        if not self._queue:
-            self._busy = False
-            return
-        self._busy = True
-        duration, callback = self._queue.popleft()
-        self.total_busy_time += duration
-        self.served += 1
-
-        def _finish() -> None:
-            callback()
-            self._serve_next()
-
-        self._engine.schedule_after(duration, _finish)
+    def _finish(self) -> None:
+        queue = self._queue
+        head = self._head
+        self._callback(queue[head])
+        head += 1
+        if head == len(queue):
+            del queue[:]
+            head = 0
+        else:
+            self._engine.schedule(self._engine.now + self._duration, self._finish)
+        self._head = head

@@ -55,7 +55,7 @@ concurrency/bandwidth.  All default to off with zero overhead.
 
 from __future__ import annotations
 
-import itertools
+from array import array
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -108,8 +108,8 @@ class VectorSimulator:
     so cluster profiles drive both engines identically.  The simulator
     is the protocol replay's network model (see
     :mod:`repro.simmpi.protocol`): the replay calls :meth:`attach` and
-    :meth:`inject`, and completed flows go back through its
-    ``flow_done``.
+    :meth:`inject`, and each epoch's completed flows go back as one
+    batch through its ``flows_done``.
     """
 
     def __init__(
@@ -166,7 +166,7 @@ class VectorSimulator:
         self._act_remaining = np.empty(0, dtype=np.float64)
         self._act_rates = np.empty(0, dtype=np.float64)
         self._act_hazards = np.empty(0, dtype=np.float64)
-        self._pending: list[int] = []
+        self._pending = array("q")
 
         # Warm-start cache: when a resolve sees the exact same active
         # set as the previous solve (rates-only epoch — e.g. a coalesced
@@ -213,7 +213,7 @@ class VectorSimulator:
 
     def attach(self, replay: "ProtocolReplay") -> None:
         """Per-message network state, array-wide over the replay's columns."""
-        self._flow_done = replay.flow_done
+        self._flows_done = replay.flows_done
         src, dst, local, wire = replay.src, replay.dst, replay.local, replay.wire
         n_messages = len(src)
         # Pair ids number the distinct remote (src, dst) pairs in order
@@ -228,35 +228,35 @@ class VectorSimulator:
         pair_id[by_appearance] = np.arange(len(pair_keys))
         pair = np.zeros(n_messages, dtype=np.int64)
         pair[remote] = pair_id[inverse.reshape(-1)]
-        routes = [
-            self.topology.route(key // self.nprocs, key % self.nprocs)
-            for key in pair_keys[by_appearance].tolist()
-        ]
-        # Injection reads per-message attributes one at a time, where
-        # list indexing beats array indexing; the epoch loop reads arrays.
+        # Routes stream into typed arrays, so no route tuple outlives
+        # its lookup.
+        route = self.topology.route
+        lengths = array("q")
+        links = array("q")
+        for key in memoryview(pair_keys[by_appearance]):
+            path = route(key // self.nprocs, key % self.nprocs)
+            lengths.append(len(path))
+            links.extend(path)
+        # Per-message attributes the replay's columns already hold; the
+        # epoch loop reads the NumPy arrays.
         self._msg_src = replay.msg_src
         self._msg_dst = replay.msg_dst
         self._msg_nbytes = replay.msg_nbytes
         self._msg_wire = wire
         self._msg_pair = pair
         self._msg_dst_arr = dst
-        lengths = np.fromiter(
-            (len(r) for r in routes), dtype=np.int64, count=len(routes)
-        )
-        self._pair_indptr = np.zeros(len(routes) + 1, dtype=np.int64)
+        lengths = np.array(lengths, dtype=np.int64)
+        self._pair_indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
         np.cumsum(lengths, out=self._pair_indptr[1:])
         self._pair_len = lengths
-        self._pair_links = np.fromiter(
-            itertools.chain.from_iterable(routes), dtype=np.int64,
-            count=int(self._pair_indptr[-1]),
-        )
+        self._pair_links = np.array(links, dtype=np.int64)
         if len(lengths) and int(lengths.min()) == int(lengths.max()):
             # Uniform route length (true on single-switch and other
             # symmetric fabrics): the per-pair routes form a dense
             # matrix, so the per-epoch CSR assembly reduces to one fancy
             # index instead of a ragged gather.
             self._pair_links2d = self._pair_links.reshape(
-                len(routes), int(lengths[0])
+                len(lengths), int(lengths[0])
             )
         if self._loss_model is not None:
             # One vectorized Exp(1) draw, indexed by message id, seeds
@@ -376,8 +376,8 @@ class VectorSimulator:
 
         if self._structure_dirty:
             if self._pending:
-                admitted = np.asarray(self._pending, dtype=np.int64)
-                self._pending.clear()
+                admitted = np.array(self._pending, dtype=np.int64)
+                del self._pending[:]
                 remaining_src = (
                     self._flow_remaining if lossy else self._msg_wire
                 )
@@ -464,9 +464,8 @@ class VectorSimulator:
         # Completion handling runs last (slot order): released senders
         # pump follow-up flows, which coalesce into one resolve at this
         # timestamp — the same cascade discipline as the fluid engine.
-        flow_done = self._flow_done
-        for mid, inbound in zip(finished.tolist(), finished_inbound.tolist()):
-            flow_done(mid, inbound)
+        if len(finished):
+            self._flows_done(memoryview(finished), memoryview(finished_inbound))
 
     def _active_paths(self) -> FlowPaths:
         """Assemble the active set's CSR with a vectorized ragged gather."""

@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event kernel."""
 
+import itertools
 import math
+from array import array
 
 import pytest
 from hypothesis import given
@@ -137,23 +139,38 @@ class TestRunControl:
 
 # One step of a kernel script: schedule an event (delay from now,
 # priority, priorities of same-time children it schedules when it
-# fires), cancel an earlier top-level event, or run(until=now + dt).
-_SCHEDULE = st.tuples(
-    st.just("schedule"),
-    st.sampled_from([0.0, 0.5, 1.0, 2.5]),
-    st.integers(-1, 1),
-    st.lists(st.integers(-1, 1), max_size=2),
+# fires), schedule a bulk entry (per member its delay, its children, and
+# whether a single event is scheduled just before the member's seq is
+# reserved; members fire at priority 0), cancel an earlier top-level
+# single event, or run(until=now + dt).
+_DELAYS = st.sampled_from([0.0, 0.5, 1.0, 2.5])
+_CHILDREN = st.lists(st.integers(-1, 1), max_size=2)
+_SCHEDULE = st.tuples(st.just("schedule"), _DELAYS, st.integers(-1, 1), _CHILDREN)
+_BULK = st.tuples(
+    st.just("bulk"),
+    st.lists(
+        st.tuples(
+            _DELAYS, _CHILDREN,
+            st.one_of(st.none(), st.tuples(_DELAYS, st.integers(-1, 1))),
+        ),
+        min_size=1, max_size=5,
+    ),
 )
 _CANCEL = st.tuples(st.just("cancel"), st.integers(0, 40))
 _RUN = st.tuples(st.just("run"), st.sampled_from([0.0, 0.5, 1.0, 3.0]))
-_SCRIPT = st.lists(st.one_of(_SCHEDULE, _CANCEL, _RUN), max_size=40)
+_SCRIPT = st.lists(st.one_of(_SCHEDULE, _BULK, _CANCEL, _RUN), max_size=40)
 
 
-def _run_kernel(script):
-    """Drive the real engine; returns the (label, time) firing log."""
-    engine = Engine()
+def _drive_kernel(engine, script):
+    """Apply *script* to the real engine, without the final drain.
+
+    Returns the (label, time) firing log and ``(fired so far, now,
+    pending)`` after each run step.
+    """
     fired = []
     handles = []
+    checkpoints = []
+    counter = itertools.count()
 
     def event(label, children):
         def callback():
@@ -170,32 +187,67 @@ def _run_kernel(script):
             _, delay, priority, children = step
             handles.append(
                 engine.schedule(
-                    engine.now + delay, event(str(len(handles)), children),
+                    engine.now + delay, event(f"s{next(counter)}", children),
                     priority=priority,
                 )
             )
+        elif step[0] == "bulk":
+            _, members = step
+            times, seqs, labels = [], [], []
+            children_of = {}
+            for delay, children, single in members:
+                if single is not None:
+                    handles.append(
+                        engine.schedule(
+                            engine.now + single[0],
+                            event(f"s{next(counter)}", ()),
+                            priority=single[1],
+                        )
+                    )
+                label = f"b{next(counter)}"
+                times.append(engine.now + delay)
+                seqs.append(engine.reserve())
+                labels.append(label)
+                children_of[label] = children
+
+            def fire(label, children_of=children_of):
+                event(label, children_of[label])()
+
+            engine.schedule_batch(times, seqs, fire, labels)
         elif step[0] == "cancel":
             if handles:
                 handles[step[1] % len(handles)].cancel()
         else:
             engine.run(until=engine.now + step[1])
+            checkpoints.append((len(fired), engine.now, engine.pending))
+    return fired, checkpoints
+
+
+def _run_kernel(script):
+    """Drive the real engine; returns its firing log, event count and
+    run-step checkpoints."""
+    engine = Engine()
+    fired, checkpoints = _drive_kernel(engine, script)
     engine.run()
-    return fired, engine.events_processed
+    return fired, engine.events_processed, checkpoints
 
 
 def _run_reference(script):
-    """The same script against a sorted-list model of the kernel."""
+    """The same script against a sorted-list model of the kernel, in
+    which every bulk member is an entry of its own."""
     now = 0.0
-    seq = 0
+    seq = itertools.count()
     pending = []  # dicts: key (time, priority, seq), label, children, live
     fired = []
-    top_level = []
+    singles = []
+    checkpoints = []
+    counter = itertools.count()
 
     def push(time, priority, label, children):
-        nonlocal seq
-        entry = {"key": (time, priority, seq), "label": label,
-                 "children": children, "live": True}
-        seq += 1
+        entry = {
+            "key": (time, priority, next(seq)),
+            "label": label, "children": children, "live": True,
+        }
         pending.append(entry)
         return entry
 
@@ -218,25 +270,77 @@ def _run_reference(script):
     for step in script:
         if step[0] == "schedule":
             _, delay, priority, children = step
-            top_level.append(
-                push(now + delay, priority, str(len(top_level)), children)
+            singles.append(
+                push(now + delay, priority, f"s{next(counter)}", children)
             )
+        elif step[0] == "bulk":
+            _, members = step
+            for delay, children, single in members:
+                if single is not None:
+                    singles.append(
+                        push(now + single[0], single[1], f"s{next(counter)}", ())
+                    )
+                push(now + delay, 0, f"b{next(counter)}", children)
         elif step[0] == "cancel":
-            if top_level:
-                top_level[step[1] % len(top_level)]["live"] = False
+            if singles:
+                singles[step[1] % len(singles)]["live"] = False
         else:
             run(now + step[1])
+            unfired = sum(e["live"] for e in pending)
+            checkpoints.append((len(fired), now, unfired))
     run(math.inf)
-    return fired
+    return fired, checkpoints
+
+
+def _has_cancel(script):
+    return any(step[0] == "cancel" for step in script)
 
 
 class TestKernelProperties:
     @given(_SCRIPT)
     def test_fires_in_time_priority_fifo_order(self, script):
-        fired, processed = _run_kernel(script)
-        assert fired == _run_reference(script)
-        # Cancelled events never count as processed.
+        fired, processed, checkpoints = _run_kernel(script)
+        expected, expected_checkpoints = _run_reference(script)
+        assert fired == expected
+        # Cancelled events never count as processed; members count one
+        # each.
         assert processed == len(fired)
+        # run(until=) stops at the same place, between members too.  A
+        # cancelled event stays pending until the heap drops it, so
+        # pending is compared on scripts without cancellations.
+        assert [c[:2] for c in checkpoints] == [c[:2] for c in expected_checkpoints]
+        if not _has_cancel(script):
+            assert checkpoints == expected_checkpoints
+
+    @given(_SCRIPT)
+    def test_step_and_peek_walk_members_one_event_at_a_time(self, script):
+        engine = Engine()
+        fired, _ = _drive_kernel(engine, script)
+        seen = len(fired)
+        expected, _ = _run_reference(script)
+        while (time := engine.peek_time()) is not None:
+            assert engine.step() is True
+            assert len(fired) == seen + 1 and fired[-1] == (expected[seen][0], time)
+            seen += 1
+        assert engine.step() is False
+        assert fired == expected
+        assert engine.events_processed == len(fired)
+
+    @given(_SCRIPT, st.integers(1, 12))
+    def test_max_events_counts_members(self, script, budget):
+        engine = Engine()
+        fired, _ = _drive_kernel(engine, script)
+        before = len(fired)
+        left = len(_run_reference(script)[0]) - before
+        # The guard trips once the budget-th event has run.
+        if left >= budget:
+            with pytest.raises(SimulationError, match="max_events"):
+                engine.run(max_events=budget)
+            assert len(fired) == before + budget
+        else:
+            engine.run(max_events=budget)
+            assert len(fired) == before + left
+        assert engine.events_processed == len(fired)
 
     @given(_SCRIPT)
     def test_handles_report_fired_and_cancelled_events(self, script):
@@ -254,3 +358,74 @@ class TestKernelProperties:
         assert engine.events_processed == live
         assert all(h.cancelled for h in handles)
         assert engine.pending == 0
+
+
+class TestBulkEntries:
+    def test_members_fire_with_their_args_in_time_seq_order(self, engine):
+        fired = []
+        seqs = [engine.reserve() for _ in range(4)]
+        engine.schedule_batch(
+            [2.0, 1.0, 2.0, 1.0], seqs, fired.append, ["a", "b", "c", "d"]
+        )
+        engine.run()
+        assert fired == ["b", "d", "a", "c"]
+        assert engine.events_processed == 4
+
+    def test_typed_array_members_stay_typed(self, engine):
+        fired = []
+        times = array("d", [1.0, 0.5])
+        seqs = array("q", [engine.reserve(), engine.reserve()])
+        engine.schedule_batch(times, seqs, fired.append, array("q", [7, 9]))
+        engine.run()
+        assert fired == [9, 7] and all(type(arg) is int for arg in fired)
+
+    def test_reserved_seq_orders_members_among_single_events(self, engine):
+        fired = []
+        first = engine.reserve()
+        engine.schedule(1.0, lambda: fired.append("single"))
+        last = engine.reserve()
+        engine.schedule_batch([1.0, 1.0], [first, last], fired.append, ["m0", "m1"])
+        engine.run()
+        assert fired == ["m0", "single", "m1"]
+
+    def test_pending_counts_unfired_members(self, engine):
+        engine.schedule_batch(
+            [1.0, 2.0, 3.0], [engine.reserve() for _ in range(3)],
+            lambda arg: None, [0, 1, 2],
+        )
+        victim = engine.schedule(2.5, lambda: None)
+        assert engine.pending == 4
+        engine.run(until=2.0)
+        assert engine.pending == 2
+        victim.cancel()
+        # A cancelled single event counts until the heap drops it.
+        assert engine.pending == 2
+        engine.run()
+        assert engine.pending == 0 and engine.events_processed == 3
+
+    def test_empty_batch_schedules_nothing(self, engine):
+        engine.schedule_batch([], [], lambda arg: None, [])
+        assert engine.pending == 0 and engine.peek_time() is None
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_member_time_raises(self, engine, bad):
+        with pytest.raises(SimulationError, match="non-finite"):
+            engine.schedule_batch(
+                [1.0, bad], [engine.reserve(), engine.reserve()],
+                lambda arg: None, [0, 1],
+            )
+        assert engine.pending == 0
+
+    def test_member_in_the_past_raises(self, engine):
+        engine.schedule(1.0, lambda: None)
+        engine.run()
+        with pytest.raises(SimulationError, match="past"):
+            engine.schedule_batch(
+                [2.0, 0.5], [engine.reserve(), engine.reserve()],
+                lambda arg: None, [0, 1],
+            )
+        assert engine.pending == 0
+
+    def test_columns_of_unequal_length_raise(self, engine):
+        with pytest.raises(ValueError, match="one time, seq and arg"):
+            engine.schedule_batch([1.0], [engine.reserve()], lambda arg: None, [])

@@ -55,6 +55,23 @@ def check_schedule(lowered: LoweredProgram) -> None:
         assert not values.flags.writeable
     assert len(lowered.segments) == lowered.nprocs
 
+    # The op and gate columns are CSR over the rank-major segments.
+    n_segments = lowered.n_segments
+    assert lowered.rank_segments.tolist() == np.cumsum(
+        [0] + [len(segments) for segments in lowered.segments]
+    ).tolist()
+    for ptr, kind, arg in (
+        ("op_ptr", "op_kind", "op_arg"), ("gate_ptr", "gate_kind", "gate_mid")
+    ):
+        bounds = getattr(lowered, ptr)
+        assert bounds.shape == (n_segments + 1,) and bounds[0] == 0
+        assert np.all(np.diff(bounds) >= 0)
+        assert getattr(lowered, kind).dtype == np.int8
+        for name in (ptr, kind, arg):
+            values = getattr(lowered, name)
+            assert not values.flags.writeable
+            assert len(values) == (n_segments + 1 if name == ptr else bounds[-1])
+
     sends: dict[int, tuple[int, int]] = {}
     recvs: dict[int, tuple[int, int]] = {}
     for rank, index, kind, arg in _walk(lowered):
@@ -371,6 +388,21 @@ class TestErrors:
                 yield ctx.irecv(0, tag=2)
 
         with pytest.raises(LoweringError, match=r"unmatched traffic 0->1 tag=1"):
+            lower_program(program, 2)
+
+    def test_wait_on_another_ranks_request(self):
+        shared = []
+
+        def program(ctx):
+            if ctx.rank == 0:
+                shared.append(ctx.isend(1, 10, tag=0))
+                yield shared[0]
+            else:
+                yield [ctx.irecv(0, tag=0), shared[0]]
+
+        with pytest.raises(
+            LoweringError, match="rank 1 waits on a request rank 0 posted"
+        ):
             lower_program(program, 2)
 
     def test_non_generator_program(self):

@@ -88,36 +88,41 @@ class TestRng:
 class TestSerialResource:
     def test_fifo_service(self):
         engine = Engine()
-        cpu = SerialResource(engine)
         done = []
-        cpu.request(0.5, lambda: done.append(engine.now))
-        cpu.request(0.25, lambda: done.append(engine.now))
+        cpu = SerialResource(engine, 0.5, lambda ident: done.append((ident, engine.now)))
+        cpu.request(4)
+        cpu.request(2)
         engine.run()
-        assert done == [0.5, 0.75]
+        assert done == [(4, 0.5), (2, 1.0)]
 
     def test_zero_duration_keeps_order(self):
         engine = Engine()
-        cpu = SerialResource(engine)
         order = []
-        cpu.request(0.0, lambda: order.append("a"))
-        cpu.request(0.0, lambda: order.append("b"))
+        cpu = SerialResource(engine, 0.0, order.append)
+        cpu.request(1)
+        cpu.request(0)
         engine.run()
-        assert order == ["a", "b"]
+        assert order == [1, 0]
 
     def test_negative_duration_rejected(self):
-        engine = Engine()
-        cpu = SerialResource(engine)
         with pytest.raises(ValueError):
-            cpu.request(-1.0, lambda: None)
+            SerialResource(Engine(), -1.0, lambda ident: None)
 
-    def test_busy_accounting(self):
+    def test_callback_runs_before_the_next_service_starts(self):
         engine = Engine()
-        cpu = SerialResource(engine)
-        cpu.request(1.0, lambda: None)
-        cpu.request(2.0, lambda: None)
+        done = []
+
+        def finished(ident):
+            done.append((ident, engine.now, cpu.busy))
+            if ident == 0:
+                # Queues behind request 1, which was waiting already.
+                cpu.request(2)
+
+        cpu = SerialResource(engine, 1.0, finished)
+        cpu.request(0)
+        cpu.request(1)
         engine.run()
-        assert cpu.total_busy_time == pytest.approx(3.0)
-        assert cpu.served == 2
+        assert done == [(0, 1.0, True), (1, 2.0, True), (2, 3.0, True)]
         assert not cpu.busy
 
 
