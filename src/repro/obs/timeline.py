@@ -119,9 +119,9 @@ class LinkTimeline:
         else:
             rates = np.asarray(rates, dtype=np.float64)
             counts = np.bincount(paths.link_ids, minlength=self.n_links)
-            per_hop = np.repeat(rates, np.diff(paths.indptr))
             bandwidth = np.bincount(
-                paths.link_ids, weights=per_hop, minlength=self.n_links
+                paths.link_ids, weights=rates[paths.entry_flow],
+                minlength=self.n_links,
             )
         self._last_counts = counts
         self._last_bandwidth = bandwidth

@@ -332,7 +332,19 @@ class ScenarioSpec:
     # -- profile construction ------------------------------------------
 
     def build_profile(self) -> ClusterProfile:
-        """Materialise the scenario as a :class:`ClusterProfile`."""
+        """Materialise the scenario as a :class:`ClusterProfile`.
+
+        Raises :class:`ScenarioError` when a parameter table holds a value
+        its parameter object rejects (e.g. ``rto_min = -1.0``).
+        """
+        try:
+            return self._build_profile()
+        except ScenarioError:
+            raise
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from None
+
+    def _build_profile(self) -> ClusterProfile:
         if self.base is not None:
             profile = get_cluster(self.base)
         else:

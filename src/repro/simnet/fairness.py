@@ -17,12 +17,18 @@ vector operations per bottleneck level rather than Python-loop time per
 flow (see the optimisation guidance in the project coding guides:
 vectorise the hot loop, avoid per-element Python work).  The solves are
 small (tens of flows on tens of links in the paper's sweeps) and run
-thousands of times per simulated point, so the exact fill counts calls:
-about 20 small-array NumPy calls per bottleneck level, with the fair
-shares written into one preallocated buffer and the path entries of the
-newly frozen flows found with one boolean mask over the per-entry flow
-ids.  The level that freezes the last flows skips the residual
-bookkeeping, which nothing reads afterwards.
+thousands of times per simulated point, so both fills count calls.  The
+CSR's row lengths and per-entry flow ids are derived once per
+:class:`FlowPaths` and shared with the loss hazards and the link
+timeline.  The exact fill costs about 20 small-array NumPy calls per
+bottleneck level, with the fair shares written into one preallocated
+buffer and the path entries of the newly frozen flows found with one
+boolean mask over the per-entry flow ids.  The batched fill costs about
+as many, and its fair shares are one unmasked divide per level under a
+single ``np.errstate`` per solve: a link no unfrozen flow crosses reads
+``x/0`` (``inf``, or ``nan``, which ``np.fmin`` skips) and so never
+becomes the bottleneck.  The level that freezes the last flows skips the
+residual bookkeeping, which nothing reads afterwards.
 
 TCP's AIMD converges to rates close to max-min fair share on a LAN, and
 flow-level simulators (SimGrid's LV08, LogGOPSim variants) use the same
@@ -35,6 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +77,20 @@ class FlowPaths:
     def n_flows(self) -> int:
         """Number of flows encoded."""
         return len(self.indptr) - 1
+
+    @cached_property
+    def row_lengths(self) -> np.ndarray:
+        """``(F,)`` number of links each flow crosses."""
+        return self.indptr[1:] - self.indptr[:-1]
+
+    @cached_property
+    def entry_flow(self) -> np.ndarray:
+        """``(nnz,)`` flow id of each entry of ``link_ids``.
+
+        Derived once and shared by the solve, the loss hazards and the
+        link timeline; readers must not write to it.
+        """
+        return np.repeat(np.arange(self.n_flows, dtype=np.int64), self.row_lengths)
 
 
 @dataclass(frozen=True)
@@ -141,7 +162,9 @@ def max_min_allocation(
     n_links = len(capacities)
     n_flows = paths.n_flows
     rates = np.zeros(n_flows, dtype=np.float64)
-    link_flow_count = np.bincount(paths.link_ids, minlength=n_links).astype(np.int64)
+    link_flow_count = np.bincount(paths.link_ids, minlength=n_links).astype(
+        np.int64, copy=False
+    )
     if n_flows == 0:
         return AllocationResult(
             rates=rates,
@@ -149,21 +172,20 @@ def max_min_allocation(
             link_load=np.zeros(n_links),
             saturated=np.zeros(n_links, dtype=bool),
         )
-    if paths.link_ids.size and int(paths.link_ids.max()) >= n_links:
+    # bincount grows past minlength exactly when some id is out of range.
+    if len(link_flow_count) > n_links:
         raise ValueError("flow references link beyond capacity vector")
-    row_lengths = np.diff(paths.indptr)
-    if np.any(row_lengths == 0):
+    if not paths.row_lengths.all():
         raise ValueError("flow with empty path cannot be allocated")
 
     if tie_eps > 0.0:
         rates, link_load = _batched_fill(
-            capacities, paths, link_flow_count, row_lengths, rates, tie_eps,
+            capacities, paths, link_flow_count, rates, tie_eps,
             need_loads=need_loads,
         )
     else:
         rates, link_load = _exact_fill(
-            capacities, paths, link_flow_count, row_lengths, rates,
-            need_loads=need_loads,
+            capacities, paths, link_flow_count, rates, need_loads=need_loads,
         )
     if link_load is None:
         return AllocationResult(
@@ -191,7 +213,6 @@ def _exact_fill(
     capacities: np.ndarray,
     paths: FlowPaths,
     link_flow_count: np.ndarray,
-    row_lengths: np.ndarray,
     rates: np.ndarray,
     *,
     need_loads: bool,
@@ -208,7 +229,7 @@ def _exact_fill(
     n_links = len(capacities)
     n_flows = paths.n_flows
     link_ids = paths.link_ids
-    ent_flow = np.repeat(np.arange(n_flows, dtype=np.int64), row_lengths)
+    ent_flow = paths.entry_flow
     flow_of_entry = ent_flow[np.argsort(link_ids, kind="stable")]
     rev_indptr = np.zeros(n_links + 1, dtype=np.int64)
     np.cumsum(link_flow_count, out=rev_indptr[1:])
@@ -257,7 +278,6 @@ def _batched_fill(
     capacities: np.ndarray,
     paths: FlowPaths,
     link_flow_count: np.ndarray,
-    row_lengths: np.ndarray,
     rates: np.ndarray,
     tie_eps: float,
     *,
@@ -286,48 +306,52 @@ def _batched_fill(
     # Compacted as flows freeze: ent_flow only ever holds unfrozen flows
     # (all of a flow's entries die in the batch that freezes it).
     ent_link = paths.link_ids
-    ent_flow = np.repeat(np.arange(n_flows, dtype=np.int64), row_lengths)
-    residual = capacities.copy()
+    ent_flow = paths.entry_flow
+    # Residuals stay >= 0, so a link no unfrozen flow crosses has fair
+    # share x/0: inf, or nan, which fmin skips.  It is never the minimum
+    # and never tied.
+    residual = np.maximum(capacities, 0.0)
     unfrozen_count = link_flow_count.astype(np.float64)
     newly_mask = np.zeros(n_flows, dtype=bool)
     remaining = n_flows
     fair = np.empty(n_links, dtype=np.float64)
     link_load = np.zeros(n_links, dtype=np.float64) if need_loads else None
-    for _ in range(n_links + n_flows + 1):
-        if remaining == 0:
-            break
-        fair.fill(np.inf)
-        np.divide(residual, unfrozen_count, out=fair, where=unfrozen_count > 0)
-        share = float(fair.min())
-        if not np.isfinite(share):  # pragma: no cover - defensive
-            break
-        share = max(share, 0.0)
-        tied = fair <= share * (1.0 + tie_eps)
-        hit_flows = ent_flow[tied[ent_link]]
-        if hit_flows.size == 0:  # pragma: no cover - numeric guard
-            unfrozen_count[tied] = 0
-            continue
-        newly_mask[hit_flows] = True
-        n_new = int(np.count_nonzero(newly_mask))
-        rates[hit_flows] = share
-        remaining -= n_new
-        if remaining == 0 and link_load is None:
-            # Everything froze this round (the common symmetric-fabric
-            # case) — the bookkeeping below only feeds the next
-            # iteration.
-            break
-        dead = newly_mask[ent_flow]
-        newly_mask[hit_flows] = False
-        removed = np.bincount(ent_link[dead], minlength=n_links)
-        if link_load is not None:
-            link_load += share * removed
-        if remaining == 0:
-            break
-        keep = ~dead
-        ent_link = ent_link[keep]
-        ent_flow = ent_flow[keep]
-        residual -= share * removed
-        unfrozen_count -= removed
-        np.maximum(residual, 0.0, out=residual)
-        unfrozen_count[tied] = 0  # fully frozen by construction
+    tie_factor = 1.0 + tie_eps
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(n_links + n_flows + 1):
+            np.divide(residual, unfrozen_count, out=fair)
+            share = float(np.fmin.reduce(fair))
+            if not math.isfinite(share):  # pragma: no cover - defensive
+                break
+            share = max(share, 0.0)
+            tied = fair <= share * tie_factor
+            hit_flows = ent_flow[tied[ent_link]]
+            if hit_flows.size == 0:  # pragma: no cover - numeric guard
+                unfrozen_count[tied] = 0
+                continue
+            newly_mask[hit_flows] = True
+            n_new = int(np.count_nonzero(newly_mask))
+            rates[hit_flows] = share
+            remaining -= n_new
+            if remaining == 0 and link_load is None:
+                # Everything froze this round (the common symmetric-fabric
+                # case) — the bookkeeping below only feeds the next
+                # iteration.
+                break
+            dead = newly_mask[ent_flow]
+            newly_mask[hit_flows] = False
+            removed = np.bincount(ent_link[dead], minlength=n_links)
+            frozen_load = share * removed
+            if link_load is not None:
+                link_load += frozen_load
+            if remaining == 0:
+                break
+            keep = ~dead
+            ent_link = ent_link[keep]
+            ent_flow = ent_flow[keep]
+            # Every live entry on a tied link is dead, so the tied links'
+            # counts fall to exactly 0 here.
+            residual -= frozen_load
+            unfrozen_count -= removed
+            np.maximum(residual, 0.0, out=residual)
     return rates, link_load

@@ -414,8 +414,7 @@ class FluidNetwork:
                     count=len(self._slot_flows),
                 )
                 self._hazards = self._loss_model.flow_hazards(
-                    self._paths.link_ids,
-                    self._paths.indptr,
+                    self._paths,
                     alloc.rates,
                     alloc.link_flow_count,
                     alloc.saturated,

@@ -20,15 +20,26 @@ We model that mechanism at flow level:
   GdX/icluster2), which produces the ~6x heavy-tail outliers of Fig. 3;
 * the backoff counter resets after the flow manages to move
   ``backoff_reset_bytes`` without a loss.
+
+:meth:`LossModel.flow_hazards` reads a solve's
+:class:`~repro.simnet.fairness.FlowPaths` and takes each flow's worst
+overload with one segmented max over the CSR's shared per-entry flow
+ids.  While no saturated link carries more flows than its ``sat_flows``
+threshold, every hazard is exactly ``+0.0``, so it returns zeros before
+touching the paths: the overlay costs nothing until a link overloads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .entities import LinkKind
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .fairness import FlowPaths
 
 __all__ = ["LossParams", "LossModel"]
 
@@ -45,6 +56,7 @@ class LossParams:
     sat_flows:
         Per link kind: how many concurrent flows a device of that kind
         can buffer before drops begin (overload = flows/sat_flows - 1).
+        Each threshold must be at least 1.
     rto_min / rto_max:
         First retransmission timeout and its exponential-backoff cap.
     backoff_reset_bytes:
@@ -93,6 +105,11 @@ class LossParams:
             raise ValueError("chain_decay must be in [0, 1]")
         if self.chain_max < 0:
             raise ValueError("chain_max must be >= 0")
+        for kind, flows in (self.sat_flows or {}).items():
+            # Thresholds are truncated to whole flows; below one flow a
+            # saturated link's overload count/0 is infinite.
+            if not flows >= 1:
+                raise ValueError(f"sat_flows[{kind.name}] must be >= 1, got {flows!r}")
 
     @property
     def enabled(self) -> bool:
@@ -150,35 +167,35 @@ class LossModel:
         A link only drops when it is both bandwidth-saturated and carrying
         more flows than its device can buffer.
         """
-        with np.errstate(divide="ignore", invalid="ignore"):
-            over = link_flow_count / self._sat_flows - 1.0
+        over = link_flow_count / self._sat_flows - 1.0
         over = np.where(saturated, np.maximum(over, 0.0), 0.0)
         return over
 
     def flow_hazards(
         self,
-        paths_link_ids: np.ndarray,
-        paths_indptr: np.ndarray,
+        paths: "FlowPaths",
         rates: np.ndarray,
         link_flow_count: np.ndarray,
         saturated: np.ndarray,
         backoffs: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Poisson hazard (events/second) per active flow.
+        """Poisson hazard (events/second) per active flow of *paths*.
 
         hazard_f = coeff_per_byte * rate_f * max_path_overload
                    * (1 + backoff_hazard_factor * backoff_f)
+
+        With no overloaded link every factor ``max_path_overload`` is 0,
+        so the hazards are returned as zeros without reading *paths*.
         """
         n_flows = len(rates)
         if not self.params.enabled or n_flows == 0:
             return np.zeros(n_flows)
         over = self.overloads(link_flow_count, saturated)
-        per_entry = over[paths_link_ids]
+        if not over.any():
+            return np.zeros(n_flows)
         # Max overload along each flow's path (vectorised segmented max).
         worst = np.zeros(n_flows)
-        row_lengths = np.diff(paths_indptr)
-        flow_of_entry = np.repeat(np.arange(n_flows), row_lengths)
-        np.maximum.at(worst, flow_of_entry, per_entry)
+        np.maximum.at(worst, paths.entry_flow, over[paths.link_ids])
         hazards = self.params.coeff_per_byte * rates * worst
         if backoffs is not None and self.params.backoff_hazard_factor > 0:
             hazards = hazards * (

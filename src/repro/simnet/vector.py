@@ -34,7 +34,13 @@ engine.  Determinism comes from the named
 budgets from one vectorized ``"net/loss/budget"`` draw indexed by
 message id, post-loss chain and budget draws from a lazily created
 ``"net/loss/flow/<mid>"`` stream per flow — so loss sequences are stable
-across processes and epoch orderings.
+across processes and epoch orderings.  The overlay is gated on one flag,
+"some active hazard is positive", set at each solve: while no saturated
+link carries more flows than its ``sat_flows`` threshold every hazard is
+exactly 0, and the epoch skips the budget burn, the spent-budget scan
+and the loss horizon, each an exact no-op then.  ``bytes_since_loss``
+accumulates only from the run's first loss on, because it is read only
+at a stall, to reset a backoff that is 0 until a flow has lost.
 
 Equivalence contract: with losses disabled the two engines agree to
 floating-point roundoff (the fluid engine remains the correctness
@@ -166,6 +172,10 @@ class VectorSimulator:
         self._act_remaining = np.empty(0, dtype=np.float64)
         self._act_rates = np.empty(0, dtype=np.float64)
         self._act_hazards = np.empty(0, dtype=np.float64)
+        # Whether some active hazard is positive.  While it is false the
+        # budget burn, the spent-budget scan and the loss horizon are
+        # exact no-ops, and the epoch skips them.
+        self._burning = False
         self._pending = array("q")
 
         # Warm-start cache: when a resolve sees the exact same active
@@ -316,11 +326,14 @@ class VectorSimulator:
         if dt > 0 and n_active:
             moved = self._act_rates * dt
             self._act_remaining -= moved
-            if lossy:
+            if self._burning:
                 # Time-rescaling: each flow's Exp(1) budget burns at its
                 # instantaneous hazard; crossing zero is a packet loss.
-                self._bytes_since_loss[self._act_mids] += moved
                 self._loss_budget[self._act_mids] -= self._act_hazards * dt
+            if self.stalls:
+                # Read only at a stall, to reset a backoff; until the
+                # run's first loss every backoff is already 0.
+                self._bytes_since_loss[self._act_mids] += moved
             self.epochs += 1
         self._last_advance = now
 
@@ -355,7 +368,7 @@ class VectorSimulator:
                             label="",
                         )
 
-        if lossy and len(self._act_mids):
+        if self._burning and len(self._act_mids):
             # Spent budgets on surviving flows are this epoch's losses
             # (completions take precedence).  The hazard guard keeps a
             # pathologically tiny initial draw from firing before the
@@ -399,7 +412,8 @@ class VectorSimulator:
                 # Warm start: identical flow set => identical solve (the
                 # batched fill is deterministic) and identical hazards
                 # (backoffs only change on a stall, which changes the
-                # set).  Reuse the CSR, rates and hazards outright.
+                # set).  Reuse the CSR, rates and hazards outright; the
+                # burning flag is still the one that solve set.
                 paths = self._solve_paths
                 self._act_rates = self._solve_rates
                 self._act_hazards = self._solve_hazards
@@ -429,13 +443,13 @@ class VectorSimulator:
                             np.float64
                         )
                     self._act_hazards = self._loss_model.flow_hazards(
-                        paths.link_ids,
-                        paths.indptr,
+                        paths,
                         alloc.rates,
                         alloc.link_flow_count,
                         alloc.saturated,
                         backoffs,
                     )
+                    self._burning = bool(self._act_hazards.any())
                 else:
                     self._act_hazards = np.empty(0, dtype=np.float64)
                 self.solves += 1
@@ -448,6 +462,7 @@ class VectorSimulator:
         else:
             self._act_rates = np.empty(0, dtype=np.float64)
             self._act_hazards = np.empty(0, dtype=np.float64)
+            self._burning = False
             self._solve_mids = None
             self._solve_paths = None
 
@@ -510,17 +525,15 @@ class VectorSimulator:
             with np.errstate(divide="ignore"):
                 ttc = np.where(positive, self._act_remaining / rates, np.inf)
             dt = float(max(ttc.min(), 0.0))
-        if self._loss_model is not None and len(self._act_hazards):
+        if self._burning:
             # Exponential waiting times fold into the epoch horizon: the
             # next loss (first budget to burn out at current hazards) is
             # an epoch boundary exactly like the next completion.
             hazards = self._act_hazards
-            burning = hazards > 0.0
-            if burning.any():
-                budgets = self._loss_budget[self._act_mids]
-                with np.errstate(divide="ignore"):
-                    ttl = np.where(burning, budgets / hazards, np.inf)
-                dt = min(dt, float(max(ttl.min(), 0.0)))
+            budgets = self._loss_budget[self._act_mids]
+            with np.errstate(divide="ignore"):
+                ttl = np.where(hazards > 0.0, budgets / hazards, np.inf)
+            dt = min(dt, float(max(ttl.min(), 0.0)))
         self._completion_event = self.engine.schedule_after(
             dt, self._on_completion_due, priority=_RESOLVE_PRIORITY - 1
         )

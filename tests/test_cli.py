@@ -248,6 +248,16 @@ class TestScenarioCli:
         assert main(["run", "--scenario", str(path)]) == 2
         assert "invalid scenario JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command", [["sweep", "--no-cache"], ["run"]], ids=["sweep", "run"]
+    )
+    def test_scenario_invalid_loss_value_clean_exit(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.toml"
+        path.write_text(SCENARIO_TOML + "\n[scenario.loss]\nrto_min = -1.0\n")
+        assert main([*command, "--scenario", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == ["sweep failed: need 0 < rto_min <= rto_max"]
+
     def test_run_scenario_scalar_nprocs_clean_exit(self, tmp_path, capsys):
         path = tmp_path / "bad.toml"
         path.write_text(

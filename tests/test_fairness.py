@@ -303,3 +303,108 @@ class TestExactFillBitIdentity:
         assert lean.link_load is None and lean.saturated is None
         assert np.array_equal(lean.rates, full.rates)
         assert np.array_equal(lean.link_flow_count, full.link_flow_count)
+
+
+def reference_batched_fill(capacities, paths, tie_eps, need_loads):
+    """Reference batched progressive fill: all near-tied bottlenecks per level.
+
+    Each level refills the fair shares with ``inf``, divides only where a
+    link still has unfrozen flows, checks the share with ``np.isfinite``
+    and computes ``share * removed`` twice.
+    ``max_min_allocation(tie_eps=...)`` must return the same ``(rates,
+    link_flow_count, link_load, saturated)`` bit for bit.
+    """
+    capacities = np.asarray(capacities, dtype=np.float64)
+    n_links = len(capacities)
+    n_flows = paths.n_flows
+    rates = np.zeros(n_flows, dtype=np.float64)
+    link_flow_count = np.bincount(paths.link_ids, minlength=n_links).astype(np.int64)
+    row_lengths = np.diff(paths.indptr)
+
+    ent_link = paths.link_ids
+    ent_flow = np.repeat(np.arange(n_flows, dtype=np.int64), row_lengths)
+    residual = capacities.copy()
+    unfrozen_count = link_flow_count.astype(np.float64)
+    newly_mask = np.zeros(n_flows, dtype=bool)
+    remaining = n_flows
+    fair = np.empty(n_links, dtype=np.float64)
+    link_load = np.zeros(n_links, dtype=np.float64) if need_loads else None
+    for _ in range(n_links + n_flows + 1):
+        if remaining == 0:
+            break
+        fair.fill(np.inf)
+        np.divide(residual, unfrozen_count, out=fair, where=unfrozen_count > 0)
+        share = float(fair.min())
+        if not np.isfinite(share):  # pragma: no cover - defensive
+            break
+        share = max(share, 0.0)
+        tied = fair <= share * (1.0 + tie_eps)
+        hit_flows = ent_flow[tied[ent_link]]
+        if hit_flows.size == 0:  # pragma: no cover - numeric guard
+            unfrozen_count[tied] = 0
+            continue
+        newly_mask[hit_flows] = True
+        n_new = int(np.count_nonzero(newly_mask))
+        rates[hit_flows] = share
+        remaining -= n_new
+        if remaining == 0 and link_load is None:
+            break
+        dead = newly_mask[ent_flow]
+        newly_mask[hit_flows] = False
+        removed = np.bincount(ent_link[dead], minlength=n_links)
+        if link_load is not None:
+            link_load += share * removed
+        if remaining == 0:
+            break
+        keep = ~dead
+        ent_link = ent_link[keep]
+        ent_flow = ent_flow[keep]
+        residual -= share * removed
+        unfrozen_count -= removed
+        np.maximum(residual, 0.0, out=residual)
+        unfrozen_count[tied] = 0
+
+    if link_load is None:
+        return rates, link_flow_count, None, None
+    saturated = (link_flow_count > 0) & (
+        link_load >= capacities * (1.0 - 1e-9 - tie_eps) - 1e-12
+    )
+    return rates, link_flow_count, link_load, saturated
+
+
+@st.composite
+def networks_with_idle_links(draw):
+    """A tie-heavy or random network, sometimes with links no flow
+    crosses appended: a zero-capacity one, whose fair share is 0/0, and
+    others at the tie capacities."""
+    capacities, paths = draw(st.one_of(tie_heavy_networks(), random_networks()))
+    if draw(st.booleans()):
+        idle = draw(st.lists(st.sampled_from(TIE_CAPACITIES), max_size=3))
+        capacities = list(capacities) + [0.0] + idle
+    return capacities, paths
+
+
+def _bits(array):
+    return None if array is None else (array.dtype.str, array.shape, array.tobytes())
+
+
+class TestBatchedFillBitIdentity:
+    """The batched fill (``tie_eps > 0``, the vector engine's solve)
+    equals :func:`reference_batched_fill` in every bit."""
+
+    @settings(max_examples=300)
+    @given(
+        networks_with_idle_links(),
+        st.sampled_from([1e-9, 0.05]),
+        st.booleans(),
+    )
+    def test_matches_reference(self, network, tie_eps, need_loads):
+        capacities, paths = network
+        flow_paths = FlowPaths.from_lists(paths)
+        result = max_min_allocation(
+            np.asarray(capacities, dtype=float), flow_paths,
+            tie_eps=tie_eps, need_loads=need_loads,
+        )
+        expected = reference_batched_fill(capacities, flow_paths, tie_eps, need_loads)
+        got = (result.rates, result.link_flow_count, result.link_load, result.saturated)
+        assert [_bits(a) for a in got] == [_bits(a) for a in expected]

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simnet.entities import LinkKind
 from repro.simnet.fairness import FlowPaths
@@ -86,6 +88,17 @@ class TestParams:
         with pytest.raises(ValueError):
             LossParams(chain_probability=1.0)
 
+    @pytest.mark.parametrize("flows", [0, -1, 0.5, float("nan")])
+    def test_sat_flows_below_one_rejected(self, flows):
+        # Below one flow, a saturated link's overload count/0 is
+        # infinite and every epoch loses a packet.
+        with pytest.raises(ValueError, match=r"sat_flows\[HOST_TX\] must be >= 1"):
+            LossParams(coeff_per_byte=1e-9, sat_flows={HOST_TX: flows, HOST_RX: 2})
+
+    def test_sat_flows_of_one_accepted(self):
+        params = LossParams(sat_flows={HOST_TX: 1, HOST_RX: 1.0})
+        assert params.sat_flows_for(HOST_TX) == params.sat_flows_for(HOST_RX) == 1
+
 
 class TestOverloads:
     def test_requires_saturation_and_excess_flows(self):
@@ -112,7 +125,7 @@ class TestFlowHazards:
         model = _model()
         paths = FlowPaths.from_lists([])
         hazards = model.flow_hazards(
-            paths.link_ids, paths.indptr, np.empty(0),
+            paths, np.empty(0),
             np.zeros(3), np.zeros(3, bool),
         )
         assert hazards.shape == (0,)
@@ -121,7 +134,7 @@ class TestFlowHazards:
         model = _model(coeff_per_byte=0.0)
         paths = FlowPaths.from_lists([(0, 1), (1, 2)])
         hazards = model.flow_hazards(
-            paths.link_ids, paths.indptr, np.array([5.0, 5.0]),
+            paths, np.array([5.0, 5.0]),
             np.array([6, 6, 6]), np.ones(3, bool),
         )
         assert not hazards.any()
@@ -132,7 +145,7 @@ class TestFlowHazards:
         paths = FlowPaths.from_lists([(0, 1), (2,)])
         counts = np.array([4, 12, 3])  # overloads: 1.0, 2.0, 0.5
         hazards = model.flow_hazards(
-            paths.link_ids, paths.indptr, np.array([10.0, 20.0]),
+            paths, np.array([10.0, 20.0]),
             counts, np.ones(3, bool),
         )
         # Flow 0 takes the worst overload along its path (backplane 2.0).
@@ -143,7 +156,7 @@ class TestFlowHazards:
         model = _model()
         paths = FlowPaths.from_lists([(0,), (0,)])
         hazards = model.flow_hazards(
-            paths.link_ids, paths.indptr, np.array([1.0, 3.0]),
+            paths, np.array([1.0, 3.0]),
             np.array([6, 0, 0]), np.array([True, False, False]),
         )
         assert hazards[1] == pytest.approx(3.0 * hazards[0])
@@ -152,11 +165,11 @@ class TestFlowHazards:
         model = _model(backoff_hazard_factor=0.5)
         paths = FlowPaths.from_lists([(0,), (0,)])
         base = model.flow_hazards(
-            paths.link_ids, paths.indptr, np.array([1.0, 1.0]),
+            paths, np.array([1.0, 1.0]),
             np.array([6, 0, 0]), np.array([True, False, False]),
         )
         scaled = model.flow_hazards(
-            paths.link_ids, paths.indptr, np.array([1.0, 1.0]),
+            paths, np.array([1.0, 1.0]),
             np.array([6, 0, 0]), np.array([True, False, False]),
             backoffs=np.array([0.0, 4.0]),
         )
@@ -167,12 +180,94 @@ class TestFlowHazards:
         model = _model()  # backoff_hazard_factor = 0
         paths = FlowPaths.from_lists([(0,)])
         with_backoff = model.flow_hazards(
-            paths.link_ids, paths.indptr, np.array([1.0]),
+            paths, np.array([1.0]),
             np.array([6, 0, 0]), np.array([True, False, False]),
             backoffs=np.array([7.0]),
         )
         without = model.flow_hazards(
-            paths.link_ids, paths.indptr, np.array([1.0]),
+            paths, np.array([1.0]),
             np.array([6, 0, 0]), np.array([True, False, False]),
         )
         assert with_backoff == pytest.approx(without)
+
+
+def reference_flow_hazards(model, paths, rates, link_flow_count, saturated, backoffs=None):
+    """The hazards as first written: every call takes the segmented max
+    with ``np.maximum.at`` over ``np.repeat`` of the row lengths, and
+    the overload divide runs under ``np.errstate``.
+    ``LossModel.flow_hazards`` must return the same bits."""
+    n_flows = len(rates)
+    if not model.params.enabled or n_flows == 0:
+        return np.zeros(n_flows)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        over = link_flow_count / model._sat_flows - 1.0
+    over = np.where(saturated, np.maximum(over, 0.0), 0.0)
+    per_entry = over[paths.link_ids]
+    worst = np.zeros(n_flows)
+    flow_of_entry = np.repeat(np.arange(n_flows), np.diff(paths.indptr))
+    np.maximum.at(worst, flow_of_entry, per_entry)
+    hazards = model.params.coeff_per_byte * rates * worst
+    if backoffs is not None and model.params.backoff_hazard_factor > 0:
+        hazards = hazards * (1.0 + model.params.backoff_hazard_factor * backoffs)
+    return hazards
+
+
+def _bits(array):
+    return array.dtype.str, array.shape, array.tobytes()
+
+
+@st.composite
+def hazard_inputs(draw):
+    """A solve's outputs on the three-link model: paths, rates, per-link
+    flow counts and saturation, with backoffs drawn per flow; and the
+    model's per-kind ``sat_flows`` thresholds."""
+    thresholds = draw(st.lists(st.integers(1, 4), min_size=3, max_size=3))
+    n_flows = draw(st.integers(min_value=1, max_value=12))
+    paths = draw(st.lists(
+        st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True).map(tuple),
+        min_size=n_flows, max_size=n_flows,
+    ))
+    rates = draw(st.lists(
+        st.floats(min_value=0.0, max_value=1e9), min_size=n_flows, max_size=n_flows,
+    ))
+    counts = draw(st.lists(st.integers(0, 8), min_size=3, max_size=3))
+    saturated = draw(st.lists(st.booleans(), min_size=3, max_size=3))
+    backoffs = draw(st.lists(st.integers(0, 6), min_size=n_flows, max_size=n_flows))
+    return (
+        dict(zip((HOST_TX, BACKPLANE, HOST_RX), thresholds)),
+        FlowPaths.from_lists(paths), np.array(rates), np.array(counts),
+        np.array(saturated), np.array(backoffs, dtype=np.float64),
+    )
+
+
+class TestFlowHazardsBitIdentity:
+    """``flow_hazards`` equals :func:`reference_flow_hazards` bit for bit,
+    on its zero shortcut as well as on the segmented max."""
+
+    @settings(max_examples=200)
+    @given(hazard_inputs(), st.sampled_from([0.0, 0.5]), st.booleans())
+    def test_matches_reference(self, inputs, factor, with_backoffs):
+        sat_flows, paths, rates, counts, saturated, backoffs = inputs
+        model = _model(sat_flows=sat_flows, backoff_hazard_factor=factor)
+        backoffs = backoffs if with_backoffs else None
+        hazards = model.flow_hazards(paths, rates, counts, saturated, backoffs)
+        expected = reference_flow_hazards(
+            model, paths, rates, counts, saturated, backoffs
+        )
+        assert _bits(hazards) == _bits(expected)
+
+    def test_no_overload_gives_exact_zeros(self):
+        # Saturated links within their buffering, and an overloaded
+        # count on an unsaturated link: no flow is exposed.
+        model = _model(backoff_hazard_factor=0.5)
+        paths = FlowPaths.from_lists([(0, 1), (1, 2), (2,)])
+        rates = np.array([3.0, 5.0, 7.0])
+        counts = np.array([2, 9, 2])
+        saturated = np.array([True, False, True])
+        hazards = model.flow_hazards(
+            paths, rates, counts, saturated, backoffs=np.array([0.0, 2.0, 5.0])
+        )
+        assert _bits(hazards) == _bits(np.zeros(3))
+        assert _bits(hazards) == _bits(reference_flow_hazards(
+            model, paths, rates, counts, saturated, np.array([0.0, 2.0, 5.0])
+        ))

@@ -181,6 +181,16 @@ class TestBuildProfile:
                 spec_dict(loss={"sat_flows": {"WORMHOLE": 4}})
             ).build_profile()
 
+    @pytest.mark.parametrize("loss, message", [
+        # A zero threshold made a vector sweep lose a packet every epoch
+        # and never finish.
+        ({"sat_flows": {"HOST_TX": 0}}, r"sat_flows\[HOST_TX\] must be >= 1"),
+        ({"rto_min": -1.0}, r"need 0 < rto_min <= rto_max"),
+    ], ids=["sat_flows", "rto_min"])
+    def test_invalid_loss_value_is_a_scenario_error(self, loss, message):
+        with pytest.raises(ScenarioError, match=message):
+            ScenarioSpec.from_dict(spec_dict(loss=loss)).build_profile()
+
 
 class TestCachePayload:
     def test_payload_excludes_presentation_fields(self):
