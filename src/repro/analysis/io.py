@@ -42,7 +42,6 @@ SWEEP_SCHEMA: dict[str, Callable[[str], object]] = {
     "sim_events": int,
     "sim_losses": int,
     "sim_stalls": int,
-    "sim_solve_reuses": int,
 }
 
 

@@ -55,19 +55,8 @@ def delta_eligible_rounds(med: MED, threshold: int) -> int:
     regular All-to-All this is ``n-1`` when ``m ≥ M`` and 0 otherwise,
     recovering the paper's formula exactly.
     """
-    graph = med.graph
-    best = 0
-    for node in graph.nodes:
-        out_count = sum(
-            1 for _, _, data in graph.out_edges(node, data=True)
-            if data["weight"] >= threshold
-        )
-        in_count = sum(
-            1 for _, _, data in graph.in_edges(node, data=True)
-            if data["weight"] >= threshold
-        )
-        best = max(best, out_count, in_count)
-    return best
+    eligible = med.arcs & (med.to_matrix() >= threshold)
+    return int(max(eligible.sum(axis=1).max(), eligible.sum(axis=0).max()))
 
 
 def alltoall_lower_bound(n_processes, msg_size, params: HockneyParams):

@@ -46,7 +46,7 @@ ROW_FIELDS = [
 #: points.
 STATS_ROW_FIELDS = [
     "engine", "sim_resolves", "sim_epochs", "sim_events",
-    "sim_losses", "sim_stalls", "sim_solve_reuses",
+    "sim_losses", "sim_stalls",
 ]
 
 

@@ -123,9 +123,8 @@ def measure_alltoall(
     is restored afterwards.  Every rep adds its
     :class:`~repro.simmpi.RunResult` counts to the ``sim.*`` counters
     of :data:`repro.obs.metrics.REGISTRY` (``sim.runs``,
-    ``sim.solves``, ``sim.solve_reuses``, ``sim.epochs``,
-    ``sim.events``, ``sim.losses``, ``sim.stalls``), labelled with the
-    engine's registry name.
+    ``sim.solves``, ``sim.epochs``, ``sim.events``, ``sim.losses``,
+    ``sim.stalls``), labelled with the engine's registry name.
 
     With ``observe=True`` the **first repetition** runs instrumented —
     a recording :class:`~repro.simnet.trace.Trace` and a per-link
@@ -210,7 +209,6 @@ def measure_alltoall(
             ("sim.runs", 1),
             ("sim.epochs", result.epochs),
             ("sim.solves", result.solves),
-            ("sim.solve_reuses", result.solve_reuses),
             ("sim.events", result.events_processed),
             ("sim.losses", result.total_losses),
             ("sim.stalls", result.stalls),

@@ -20,7 +20,7 @@ change routes, nothing else.
 
 from __future__ import annotations
 
-from .spec import PlacementSpec, as_placement
+from .spec import PlacementSpec, _validate_permutation, as_placement
 
 __all__ = ["PlacedTopology", "apply_placement"]
 
@@ -36,7 +36,7 @@ class PlacedTopology:
     __slots__ = ("base", "perm")
 
     def __init__(self, base, perm) -> None:
-        perm = tuple(int(p) for p in perm)
+        perm = _validate_permutation(perm)
         if len(perm) != base.n_hosts:
             raise ValueError(
                 f"placement permutes {len(perm)} ranks but the fabric "

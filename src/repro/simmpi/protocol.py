@@ -99,10 +99,7 @@ class RunResult:
       non-empty active set progressed;
     * ``stalls`` — times a flow left the active set to sit out an RTO
       penalty (one stall may cover chained losses, so
-      ``stalls <= total_losses``);
-    * ``solve_reuses`` — solves skipped because a warm-started
-      allocation was still valid (always 0 on the fluid engine, which
-      re-solves on every flow event).
+      ``stalls <= total_losses``).
     """
 
     duration: float
@@ -114,7 +111,6 @@ class RunResult:
     solves: int = 0
     epochs: int = 0
     stalls: int = 0
-    solve_reuses: int = 0
     trace: Trace = field(repr=False, default_factory=NullTrace)
 
 

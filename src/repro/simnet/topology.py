@@ -9,17 +9,16 @@ used in the paper's evaluation:
   switch (icluster2 Fast Ethernet: 5 FE edge switches, 20 nodes each,
   interconnected by a Gigabit core).
 
-Routes are computed once at build time.  For general graphs the switch
-fabric is a :mod:`networkx` graph and paths come from shortest-path; the
-two builders above also exercise that code path so custom topologies
-behave identically.
+Routes are computed once at build time: :meth:`Topology.finalize` runs a
+breadth-first search over the switch trunks and keeps, for every
+reachable switch pair, the link segment between the two NICs.  The two
+builders above also exercise that code path so custom topologies behave
+identically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
 
 from ..exceptions import RoutingError
 from ..registry import register_topology
@@ -41,7 +40,7 @@ class Topology:
     switches: list[Switch] = field(default_factory=list)
     links: list[Link] = field(default_factory=list)
     name: str = "topology"
-    _switch_paths: dict[tuple[int, int], tuple[int, ...]] = field(
+    _segments: dict[tuple[int, int], tuple[int, ...]] = field(
         default_factory=dict, repr=False
     )
     _finalized: bool = field(default=False, repr=False)
@@ -83,19 +82,40 @@ class Topology:
         self.switches[b].trunks[a] = ba
 
     def finalize(self) -> "Topology":
-        """Compute inter-switch routes; must be called before routing."""
-        graph = nx.Graph()
-        graph.add_nodes_from(range(len(self.switches)))
+        """Compute inter-switch routes; must be called before routing.
+
+        A breadth-first search from every switch over the trunks finds
+        the shortest switch paths.  Each switch visits its neighbours in
+        the order their first trunk appears, walking the switches by
+        index and each ``trunks`` mapping in cabling order, which fixes
+        how ties break on cyclic fabrics.  A path's segment is the
+        backplane of every switch on it (when finite) and the trunks
+        between consecutive switches.
+        """
+        neighbours: list[dict[int, None]] = [{} for _ in self.switches]
         for sw in self.switches:
-            for neighbour in sw.trunks:
-                graph.add_edge(sw.index, neighbour)
+            for other in sw.trunks:
+                neighbours[sw.index][other] = None
+                neighbours[other][sw.index] = None
+        backplane = [
+            (sw.backplane_link,) if sw.has_backplane else ()
+            for sw in self.switches
+        ]
+        segments: dict[tuple[int, int], tuple[int, ...]] = {}
         for src in range(len(self.switches)):
-            try:
-                paths = nx.single_source_shortest_path(graph, src)
-            except nx.NetworkXError as exc:  # pragma: no cover - defensive
-                raise RoutingError(str(exc)) from exc
-            for dst, node_path in paths.items():
-                self._switch_paths[(src, dst)] = tuple(node_path)
+            reached = {src: backplane[src]}
+            frontier = [src]
+            for here in frontier:  # grows while it is walked: FIFO order
+                trunks = self.switches[here].trunks
+                for there in neighbours[here]:
+                    if there not in reached and there in trunks:
+                        reached[there] = (
+                            *reached[here], trunks[there], *backplane[there]
+                        )
+                        frontier.append(there)
+            for dst, segment in reached.items():
+                segments[(src, dst)] = segment
+        self._segments = segments
         self._finalized = True
         return self
 
@@ -125,28 +145,18 @@ class Topology:
         """
         if not self._finalized:
             raise RoutingError("topology not finalized; call finalize() first")
+        n_hosts = len(self.hosts)
+        if not (0 <= src < n_hosts and 0 <= dst < n_hosts):
+            raise RoutingError(f"no such host pair ({src}, {dst})")
         if src == dst:
             return ()
-        try:
-            h_src, h_dst = self.hosts[src], self.hosts[dst]
-        except IndexError as exc:
-            raise RoutingError(f"no such host pair ({src}, {dst})") from exc
-        key = (h_src.switch, h_dst.switch)
-        switch_path = self._switch_paths.get(key)
-        if switch_path is None:
+        h_src, h_dst = self.hosts[src], self.hosts[dst]
+        segment = self._segments.get((h_src.switch, h_dst.switch))
+        if segment is None:
             raise RoutingError(
                 f"no switch path between {h_src.name} and {h_dst.name}"
             )
-        path: list[int] = [h_src.tx_link]
-        for position, sw_idx in enumerate(switch_path):
-            switch = self.switches[sw_idx]
-            if switch.has_backplane:
-                path.append(switch.backplane_link)
-            if position + 1 < len(switch_path):
-                nxt = switch_path[position + 1]
-                path.append(switch.trunks[nxt])
-        path.append(h_dst.rx_link)
-        return tuple(path)
+        return (h_src.tx_link, *segment, h_dst.rx_link)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -178,15 +178,6 @@ class VectorSimulator:
         self._burning = False
         self._pending = array("q")
 
-        # Warm-start cache: when a resolve sees the exact same active
-        # set as the previous solve (rates-only epoch — e.g. a coalesced
-        # resume cascade), the CSR, rates and hazards are reused and the
-        # max-min solve is skipped entirely.
-        self._solve_mids: "np.ndarray | None" = None
-        self._solve_paths: "FlowPaths | None" = None
-        self._solve_rates = np.empty(0, dtype=np.float64)
-        self._solve_hazards = np.empty(0, dtype=np.float64)
-
         # Loss-overlay state, allocated per message id in attach() when
         # the profile enables losses.
         self._loss_budget = np.empty(0, dtype=np.float64)
@@ -208,8 +199,6 @@ class VectorSimulator:
         self.epochs = 0
         self.total_losses = 0
         self.stalls = 0
-        self.solves = 0
-        self.solve_reuses = 0
 
     def run(
         self, lowered: "LoweredProgram", *, max_events: int | None = None
@@ -291,7 +280,6 @@ class VectorSimulator:
             "solves": self.resolves,
             "epochs": self.epochs,
             "stalls": self.stalls,
-            "solve_reuses": self.solve_reuses,
         }
 
     # ------------------------------------------------------------------
@@ -404,67 +392,43 @@ class VectorSimulator:
         n_active = len(self._act_mids)
         paths = None
         if n_active:
-            if (
-                self._solve_mids is not None
-                and len(self._solve_mids) == n_active
-                and np.array_equal(self._act_mids, self._solve_mids)
-            ):
-                # Warm start: identical flow set => identical solve (the
-                # batched fill is deterministic) and identical hazards
-                # (backoffs only change on a stall, which changes the
-                # set).  Reuse the CSR, rates and hazards outright; the
-                # burning flag is still the one that solve set.
-                paths = self._solve_paths
-                self._act_rates = self._solve_rates
-                self._act_hazards = self._solve_hazards
-                self.solve_reuses += 1
-            else:
-                paths = self._active_paths()
-                capacities = self._capacities
-                if self._hol is not None:
-                    counts = np.bincount(
-                        paths.link_ids, minlength=len(capacities)
-                    )
-                    capacities = self._hol.effective(
-                        capacities, self._hol_eta, counts
-                    )
-                # The loss model needs the saturation summary; the
-                # batched fill fuses its accumulation into the solve.
-                alloc = max_min_allocation(
-                    capacities, paths,
-                    tie_eps=_LOSSY_TIE_EPS if lossy else _ALLOC_TIE_EPS,
-                    need_loads=lossy,
+            paths = self._active_paths()
+            capacities = self._capacities
+            if self._hol is not None:
+                counts = np.bincount(
+                    paths.link_ids, minlength=len(capacities)
                 )
-                self._act_rates = alloc.rates
-                if lossy:
-                    backoffs = None
-                    if self._loss_params.backoff_hazard_factor > 0:
-                        backoffs = self._backoff[self._act_mids].astype(
-                            np.float64
-                        )
-                    self._act_hazards = self._loss_model.flow_hazards(
-                        paths,
-                        alloc.rates,
-                        alloc.link_flow_count,
-                        alloc.saturated,
-                        backoffs,
+                capacities = self._hol.effective(
+                    capacities, self._hol_eta, counts
+                )
+            # The loss model needs the saturation summary; the
+            # batched fill fuses its accumulation into the solve.
+            alloc = max_min_allocation(
+                capacities, paths,
+                tie_eps=_LOSSY_TIE_EPS if lossy else _ALLOC_TIE_EPS,
+                need_loads=lossy,
+            )
+            self._act_rates = alloc.rates
+            if lossy:
+                backoffs = None
+                if self._loss_params.backoff_hazard_factor > 0:
+                    backoffs = self._backoff[self._act_mids].astype(
+                        np.float64
                     )
-                    self._burning = bool(self._act_hazards.any())
-                else:
-                    self._act_hazards = np.empty(0, dtype=np.float64)
-                self.solves += 1
-                # _act_mids is replaced wholesale (never mutated in
-                # place) on structure changes, so aliasing it is safe.
-                self._solve_mids = self._act_mids
-                self._solve_paths = paths
-                self._solve_rates = self._act_rates
-                self._solve_hazards = self._act_hazards
+                self._act_hazards = self._loss_model.flow_hazards(
+                    paths,
+                    alloc.rates,
+                    alloc.link_flow_count,
+                    alloc.saturated,
+                    backoffs,
+                )
+                self._burning = bool(self._act_hazards.any())
+            else:
+                self._act_hazards = np.empty(0, dtype=np.float64)
         else:
             self._act_rates = np.empty(0, dtype=np.float64)
             self._act_hazards = np.empty(0, dtype=np.float64)
             self._burning = False
-            self._solve_mids = None
-            self._solve_paths = None
 
         if self._timeline is not None:
             self._timeline.record_active(now, paths, self._act_rates)

@@ -72,7 +72,7 @@ _INLINE = SerialExecutor()
 #: :data:`~repro.exec.sinks.STATS_ROW_FIELDS` (after ``engine``).
 _STATS_COUNTERS = (
     "sim.solves", "sim.epochs", "sim.events",
-    "sim.losses", "sim.stalls", "sim.solve_reuses",
+    "sim.losses", "sim.stalls",
 )
 
 

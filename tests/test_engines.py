@@ -278,40 +278,6 @@ class TestLossyVector:
         assert outputs[0] == outputs[1]
         assert outputs[0]["events"], "expected loss events at this config"
 
-    def test_solve_reuse_when_set_unchanged(self):
-        # White-box: a resolve that sees the exact same active set skips
-        # the max-min solve and reuses the cached rates/CSR.
-        import numpy as np
-
-        from repro.simmpi.lowering import lower_program
-        from repro.simnet.vector import VectorSimulator
-
-        cluster = _lossless("gigabit-ethernet")
-        from repro.registry import ALGORITHMS
-
-        program = ALGORITHMS.get("direct")
-        lowered = lower_program(program, 8, 4_096)
-        sim = VectorSimulator(
-            cluster.topology(8), cluster.transport, nprocs=8,
-            loss_params=cluster.loss, seed=0,
-        )
-        sim.run(lowered)
-        remote = np.flatnonzero(~lowered.local)[:4].tolist()
-        sim._act_mids = np.asarray(remote, dtype=np.int64)
-        sim._act_remaining = np.full(len(remote), 1e8)
-        sim._last_advance = sim.engine.now
-        sim._structure_dirty = False
-        sim._solve_mids = None
-        solves_before = sim.solves
-        sim._resolve()
-        assert sim.solves == solves_before + 1
-        rates = sim._act_rates
-        reuses_before = sim.solve_reuses
-        sim._resolve()  # dt == 0, same set: must not re-solve
-        assert sim.solves == solves_before + 1
-        assert sim.solve_reuses == reuses_before + 1
-        assert sim._act_rates is rates
-
     def test_lossless_runs_allocate_no_loss_state(self):
         from repro.simmpi.lowering import lower_program
         from repro.simnet.vector import VectorSimulator
@@ -508,7 +474,6 @@ class TestStatsColumns:
                 duration=1.0, rank_finish_times=[1.0] * n_processes,
                 events_processed=11, flows_completed=12, total_losses=1,
                 max_concurrent_flows=2, solves=3, epochs=5, stalls=1,
-                solve_reuses=2,
             )
 
         monkeypatch.setenv("REPRO_SIM_STATS", "1")
@@ -525,8 +490,8 @@ class TestStatsColumns:
         row = result.to_rows()[1][0]
         assert row["engine"] == "test-fixed-counts"
         cells = [row[field] for field in STATS_ROW_FIELDS[1:]]
-        # solves, epochs, events, losses, stalls, solve_reuses; two reps.
-        assert cells == [6, 10, 22, 2, 2, 4]
+        # solves, epochs, events, losses, stalls; two reps.
+        assert cells == [6, 10, 22, 2, 2]
         assert all(type(cell) is int for cell in cells)
         # A user-registered engine's runs carry its own registry name.
         assert delta["sim.runs"]["values"] == {"engine=test-fixed-counts": 2.0}
@@ -569,7 +534,7 @@ class TestStatsColumns:
         assert simulated["sim_events"] > 0
         assert failed["error"] and hit["cached"]
         for row in (failed, hit):
-            assert [row[f] for f in STATS_ROW_FIELDS[1:]] == [""] * 6
+            assert [row[f] for f in STATS_ROW_FIELDS[1:]] == [""] * 5
         assert first.results[1].sim_counts is None
         assert second.results[0].sim_counts is None
 
@@ -695,9 +660,6 @@ class TestBitIdentityGoldens:
         )
         assert result.solves > 0 and result.epochs > 0
         assert 0 < result.stalls <= result.total_losses
-        if engine == "fluid":
-            # The fluid engine re-solves on every flow event.
-            assert result.solve_reuses == 0
 
 
 class TestMemoryFootprint:

@@ -9,6 +9,7 @@ from repro.core.bounds import (
     alltoall_lower_bound,
     bandwidth_lower_bound,
     combined_lower_bound,
+    delta_eligible_rounds,
     min_startups,
     naive_model,
 )
@@ -51,6 +52,27 @@ class TestMedConstruction:
         irregular = MED(3)
         irregular.add_message(0, 1, 10)
         assert not irregular.is_regular_alltoall()
+
+    def test_to_matrix_is_a_copy(self):
+        med = MED.alltoall(3, 5)
+        med.to_matrix()[0, 1] = 99
+        assert med.weight(0, 1) == 5
+
+    @pytest.mark.parametrize("src, dst", [(0, 7), (-1, 2), (4, 0)])
+    def test_vertex_ids_outside_range_rejected(self, src, dst):
+        med = MED(4)
+        with pytest.raises(ValueError, match="no process"):
+            med.add_message(src, dst, 10)
+        with pytest.raises(ValueError, match="no process"):
+            med.weight(src, dst)
+        bad = dst if 0 <= src < 4 else src
+        for query in (
+            med.out_degree, med.in_degree, med.send_bytes, med.recv_bytes
+        ):
+            with pytest.raises(ValueError, match="no process"):
+                query(bad)
+        assert med.n_processes == 4
+        assert med.n_messages == 0
 
 
 class TestDegreesAndBytes:
@@ -148,3 +170,103 @@ class TestBoundProperties:
     @given(st.integers(min_value=2, max_value=24))
     def test_startups_match_degree_for_alltoall(self, n):
         assert min_startups(MED.alltoall(n, 1)) == n - 1
+
+
+# -- the MED against a plain-loop reference --------------------------------
+
+def _reference_from_matrix(W) -> dict:
+    """Arcs of a weight matrix: positive off-diagonal entries, truncated."""
+    n = len(W)
+    return {
+        (i, j): int(W[i][j])
+        for i in range(n) for j in range(n)
+        if i != j and W[i][j] > 0
+    }
+
+
+def _reference_from_messages(messages) -> dict:
+    """Arcs of an ``add_message`` sequence: repeated arcs accumulate."""
+    arcs: dict = {}
+    for src, dst, nbytes in messages:
+        arcs[(src, dst)] = arcs.get((src, dst), 0) + nbytes
+    return arcs
+
+
+@st.composite
+def _meds(draw):
+    """(n, MED, reference arc dict) from one of four constructions.
+
+    Zero-byte arcs come from three of them: ``alltoall`` with size 0,
+    zero-byte messages, and fractional matrix entries in (0, 1).
+    """
+    n = draw(st.integers(min_value=1, max_value=12))
+    kind = draw(
+        st.sampled_from(["alltoall", "integer", "fractional", "messages"])
+    )
+    if kind == "alltoall":
+        m = draw(st.integers(min_value=0, max_value=3))
+        arcs = {(i, j): m for i in range(n) for j in range(n) if i != j}
+        return n, MED.alltoall(n, m), arcs
+    if kind == "messages":
+        vertex = st.integers(min_value=0, max_value=n - 1)
+        message = st.tuples(vertex, vertex, st.integers(0, 9)).filter(
+            lambda m: m[0] != m[1]
+        )
+        messages = draw(st.lists(message, max_size=3 * n)) if n > 1 else []
+        med = MED(n)
+        for src, dst, nbytes in messages:
+            med.add_message(src, dst, nbytes)
+        return n, med, _reference_from_messages(messages)
+    if kind == "integer":
+        cells = st.integers(min_value=-2, max_value=40)
+    else:
+        cells = st.sampled_from([0.0, 0.25, 0.5, 0.999, 1.0, 1.5, 7.75])
+    flat = draw(st.lists(cells, min_size=n * n, max_size=n * n))
+    W = [flat[i * n:(i + 1) * n] for i in range(n)]
+    return n, MED.from_matrix(W), _reference_from_matrix(W)
+
+
+class TestMatchesReference:
+    @given(_meds())
+    def test_every_query_matches_the_arc_dict(self, case):
+        n, med, arcs = case
+        nodes = range(n)
+        out_deg = [sum(1 for (i, _) in arcs if i == v) for v in nodes]
+        in_deg = [sum(1 for (_, j) in arcs if j == v) for v in nodes]
+        sent = [sum(w for (i, _), w in arcs.items() if i == v) for v in nodes]
+        received = [sum(w for (_, j), w in arcs.items() if j == v) for v in nodes]
+
+        assert med.n_processes == n
+        assert med.n_messages == len(arcs)
+        for i in nodes:
+            for j in nodes:
+                assert med.weight(i, j) == arcs.get((i, j), 0)
+            assert med.out_degree(i) == out_deg[i]
+            assert med.in_degree(i) == in_deg[i]
+            assert med.send_bytes(i) == sent[i]
+            assert med.recv_bytes(i) == received[i]
+        assert med.max_out_degree == max(out_deg)
+        assert med.max_in_degree == max(in_deg)
+        assert med.max_send_bytes == max(sent)
+        assert med.max_recv_bytes == max(received)
+        assert med.is_regular_alltoall() == (
+            len(arcs) == n * (n - 1) and len(set(arcs.values())) <= 1
+        )
+        expected = np.zeros((n, n), dtype=np.int64)
+        for (i, j), w in arcs.items():
+            expected[i, j] = w
+        np.testing.assert_array_equal(med.to_matrix(), expected)
+
+        startups = max(max(out_deg), max(in_deg))
+        bandwidth = max(max(sent) * PARAMS.beta, max(received) * PARAMS.beta)
+        assert min_startups(med) == startups
+        assert bandwidth_lower_bound(med, PARAMS) == bandwidth
+        assert combined_lower_bound(med, PARAMS) == (
+            startups * PARAMS.alpha + bandwidth
+        )
+        for threshold in (-1, 0, 1, 2, 5, 9, 10, 41):
+            eligible = {arc for arc, w in arcs.items() if w >= threshold}
+            assert delta_eligible_rounds(med, threshold) == max(
+                max(sum(1 for (i, _) in eligible if i == v) for v in nodes),
+                max(sum(1 for (_, j) in eligible if j == v) for v in nodes),
+            )

@@ -54,7 +54,6 @@ def _fixed_run(cluster, n_processes, program, run_arg, seed):
         duration=1.0, rank_finish_times=[1.0] * n_processes,
         events_processed=11, flows_completed=12, total_losses=3,
         max_concurrent_flows=2, solves=5, epochs=7, stalls=2,
-        solve_reuses=4,
     )
 
 
@@ -220,7 +219,7 @@ class TestMeasurementThreading:
         # Three reps of _fixed_run, labelled with the engine's own name.
         expected = {
             "measure.samples": 1, "sim.runs": 3, "sim.epochs": 21,
-            "sim.solves": 15, "sim.solve_reuses": 12, "sim.events": 33,
+            "sim.solves": 15, "sim.events": 33,
             "sim.losses": 9, "sim.stalls": 6,
         }
         assert REGISTRY.snapshot() == {

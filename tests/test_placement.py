@@ -166,9 +166,13 @@ class TestPlacedTopology:
         assert placed.links is base.links
         np.testing.assert_array_equal(placed.capacities(), base.capacities())
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="8 hosts"):
-            PlacedTopology(edge_core(8, **EDGE_CORE_KW), (1, 0))
+    @pytest.mark.parametrize("n_hosts, perm, match", [
+        (8, (1, 0), "8 hosts"),
+        (4, (0, 0, 1, 2), "exactly once each"),
+    ], ids=["short", "repeated-host"])
+    def test_non_permutation_rejected(self, n_hosts, perm, match):
+        with pytest.raises(ValueError, match=match):
+            PlacedTopology(edge_core(n_hosts, **EDGE_CORE_KW), perm)
 
     def test_apply_identity_returns_profile_unchanged(self):
         cluster = _stress_cluster()

@@ -1,7 +1,14 @@
 """Unit tests for topologies, routing and entities."""
 
-import pytest
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import repro
 from repro.exceptions import RoutingError
 from repro.simnet.entities import Link, LinkKind
 from repro.simnet.topology import Topology, edge_core, single_switch
@@ -46,10 +53,15 @@ class TestSingleSwitch:
         topo = single_switch(3, nic_bandwidth=1e8)
         assert topo.route(1, 1) == ()
 
-    def test_invalid_host_raises(self):
+    # Negative ids must not wrap to the last hosts, and the same-host
+    # shortcut must not answer for a host that is absent.
+    @pytest.mark.parametrize(
+        "src, dst", [(0, 99), (-1, 0), (0, -3), (-1, -1), (3, 3)]
+    )
+    def test_invalid_host_raises(self, src, dst):
         topo = single_switch(3, nic_bandwidth=1e8)
-        with pytest.raises(RoutingError):
-            topo.route(0, 99)
+        with pytest.raises(RoutingError, match="no such host pair"):
+            topo.route(src, dst)
 
     def test_capacities_align_with_links(self):
         topo = single_switch(2, nic_bandwidth=5e7)
@@ -144,3 +156,117 @@ class TestManualConstruction:
         route = topo.route(0, 1)
         kinds = [topo.links[l].kind for l in route]
         assert kinds.count(LinkKind.TRUNK) == 2
+
+
+def _ring(cables) -> Topology:
+    """Six switches cabled in *cables* order, host *i* on switch *i*."""
+    topo = Topology()
+    for _ in range(6):
+        topo.add_switch()
+    for a, b in cables:
+        topo.connect_switches(a, b, bandwidth=1e9)
+    for sw in range(6):
+        topo.add_host(sw, nic_bandwidth=1e8)
+    return topo.finalize()
+
+
+def _host_route(topo, switch_path) -> tuple[int, ...]:
+    """The route between the hosts on the ends of *switch_path*."""
+    trunks = [
+        topo.switches[a].trunks[b] for a, b in zip(switch_path, switch_path[1:])
+    ]
+    src, dst = switch_path[0], switch_path[-1]
+    return (topo.hosts[src].tx_link, *trunks, topo.hosts[dst].rx_link)
+
+
+class TestSwitchPaths:
+    RING = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
+
+    def test_ring_ties_follow_cabling_order(self):
+        # Both ways round the ring are three hops from switch 0 to 3.
+        # Each switch visits its neighbours in the order their first
+        # trunk appears (switches by index, trunks by cabling order).
+        forward = _ring(self.RING)
+        reverse = _ring(self.RING[::-1])
+        assert forward.route(0, 3) == _host_route(forward, (0, 1, 2, 3))
+        assert reverse.route(0, 3) == _host_route(reverse, (0, 5, 4, 3))
+        for topo in (forward, reverse):
+            assert topo.route(3, 0) == _host_route(topo, (3, 2, 1, 0))
+
+    @given(data=st.data())
+    def test_routes_are_shortest_cabled_paths(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=8), label="switches")
+        switch = st.integers(min_value=0, max_value=n - 1)
+        cable = st.tuples(switch, switch).filter(lambda c: c[0] != c[1])
+        cables = data.draw(
+            st.lists(cable, unique_by=frozenset, max_size=2 * n)
+            if n > 1 else st.just([]),
+            label="cables",
+        )
+        backplanes = data.draw(
+            st.lists(st.booleans(), min_size=n, max_size=n), label="backplanes"
+        )
+        topo = Topology()
+        for finite in backplanes:
+            topo.add_switch(backplane_capacity=1e9 if finite else None)
+        for a, b in cables:
+            topo.connect_switches(a, b, bandwidth=1e9)
+        for sw in range(n):
+            topo.add_host(sw, nic_bandwidth=1e8)
+        topo.finalize()
+
+        # Floyd–Warshall hop counts over the cabled switch graph.
+        inf = float("inf")
+        hops = [[0 if i == j else inf for j in range(n)] for i in range(n)]
+        for a, b in cables:
+            hops[a][b] = hops[b][a] = 1
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    hops[i][j] = min(hops[i][j], hops[i][k] + hops[k][j])
+
+        trunk_ends = {
+            link: (sw.index, other)
+            for sw in topo.switches
+            for other, link in sw.trunks.items()
+        }
+        for src in range(n):
+            for dst in range(n):
+                if src == dst:
+                    continue
+                if hops[src][dst] == inf:
+                    with pytest.raises(RoutingError, match="no switch path"):
+                        topo.route(src, dst)
+                    continue
+                route = topo.route(src, dst)
+                assert route[0] == topo.hosts[src].tx_link
+                assert route[-1] == topo.hosts[dst].rx_link
+                # Walk the middle: each switch's backplane (when
+                # finite), then a cabled trunk out of it.
+                here, n_trunks = src, 0
+                links = list(route[1:-1])
+                while True:
+                    switch = topo.switches[here]
+                    if switch.has_backplane:
+                        assert links.pop(0) == switch.backplane_link
+                    if not links:
+                        break
+                    ends = trunk_ends[links.pop(0)]
+                    assert ends[0] == here
+                    here = ends[1]
+                    n_trunks += 1
+                assert here == dst
+                assert n_trunks == hops[src][dst]
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    src = str(Path(repro.__file__).resolve().parents[1])
+    script = "import sys, repro.cli; print('networkx' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+        check=True,
+    )
+    assert result.stdout.strip() == "False"
