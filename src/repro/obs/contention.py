@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..simnet.topology import Topology
+from ..simnet.topology import Topology, route_table_of
 from .timeline import LinkTimeline
 
 __all__ = ["LinkContention", "ContentionReport", "predicted_concurrency"]
@@ -27,7 +27,8 @@ def predicted_concurrency(topology: Topology, matrix) -> np.ndarray:
 
     Counts, for every directed link, the matrix arcs (``matrix[i, j] >
     0``, ``i != j``) whose route crosses it — the §5 resource-usage
-    count.  Placement-aware by construction: a
+    count, one ``np.bincount`` over the arcs' route-table entries.
+    Placement-aware by construction: a
     :class:`~repro.placement.placed.PlacedTopology` remaps the routes,
     so the prediction follows the placed traffic.
     """
@@ -35,14 +36,10 @@ def predicted_concurrency(topology: Topology, matrix) -> np.ndarray:
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise ValueError(f"matrix must be square, got {matrix.shape}")
-    counts = np.zeros(topology.n_links, dtype=np.int64)
     sources, destinations = np.nonzero(matrix)
-    for src, dst in zip(sources, destinations):
-        if src == dst:
-            continue
-        for link in topology.route(int(src), int(dst)):
-            counts[link] += 1
-    return counts
+    arcs = sources != destinations
+    _, links = route_table_of(topology, sources[arcs], destinations[arcs])
+    return np.bincount(links, minlength=topology.n_links)
 
 
 @dataclass(frozen=True)

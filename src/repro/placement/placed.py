@@ -1,13 +1,16 @@
 """Applying a placement: a route-remapping view over a topology.
 
-Both simulation engines construct routes exclusively through
-``topology.route(src, dst)`` with ranks as host indices (the fluid
-network at injection, the vector engine at setup), so remapping ranks
-onto hosts needs exactly one interception point:
-:class:`PlacedTopology` shares the base topology's hosts, switches and
-links — capacities, link kinds and fingerprint probes are untouched —
-and answers ``route(src, dst)`` with ``base.route(perm[src],
-perm[dst])``.
+Every consumer of routes reads them with ranks as host indices, through
+one of two entry points: ``topology.route(src, dst)`` for one pair (the
+fluid network, once per flow) or the CSR route table of many pairs
+(:func:`~repro.simnet.topology.route_table_of`: the vector engine at
+setup, the placement objective and the MED contention prediction).  So
+remapping ranks onto hosts needs exactly one interception per entry
+point: :class:`PlacedTopology` shares the base topology's hosts,
+switches and links — capacities, link kinds and fingerprint probes are
+untouched — answers ``route(src, dst)`` with ``base.route(perm[src],
+perm[dst])``, and permutes the pair columns of a route table before
+the base gathers it.
 
 :func:`apply_placement` lifts this to a
 :class:`~repro.clusters.profiles.ClusterProfile`: it returns a profile
@@ -20,6 +23,10 @@ change routes, nothing else.
 
 from __future__ import annotations
 
+import numpy as np
+
+from ..exceptions import RoutingError
+from ..simnet.topology import _host_pairs, route_table_of
 from .spec import PlacementSpec, _validate_permutation, as_placement
 
 __all__ = ["PlacedTopology", "apply_placement"]
@@ -33,7 +40,7 @@ class PlacedTopology:
     capacities) is the base object itself, shared, not copied.
     """
 
-    __slots__ = ("base", "perm")
+    __slots__ = ("base", "perm", "_hosts")
 
     def __init__(self, base, perm) -> None:
         perm = _validate_permutation(perm)
@@ -44,6 +51,7 @@ class PlacedTopology:
             )
         self.base = base
         self.perm = perm
+        self._hosts = np.array(perm, dtype=np.int64)
 
     # -- structural delegation (shared with the base) -------------------
 
@@ -74,11 +82,23 @@ class PlacedTopology:
     def capacities(self):
         return self.base.capacities()
 
-    # -- the one behavioural override -----------------------------------
+    # -- the behavioural overrides: both route entry points --------------
 
     def route(self, src: int, dst: int):
         """Route of rank *src* → rank *dst* through their placed hosts."""
+        n_ranks = len(self.perm)
+        if not (0 <= src < n_ranks and 0 <= dst < n_ranks):
+            raise RoutingError(f"no such host pair ({src}, {dst})")
         return self.base.route(self.perm[src], self.perm[dst])
+
+    def route_table(self, src, dst):
+        """Routes of the rank pairs ``(src[k], dst[k])`` as one CSR.
+
+        The base gathers the routes of the placed host pairs; see
+        :meth:`~repro.simnet.topology.Topology.route_table`.
+        """
+        src, dst = _host_pairs(src, dst, len(self._hosts))
+        return route_table_of(self.base, self._hosts[src], self._hosts[dst])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PlacedTopology({self.base!r}, perm={self.perm})"

@@ -22,9 +22,11 @@ The direct and rounds progressions also exist in generalised
 they take a full (n, n) byte matrix — per-destination send counts, with
 the diagonal as the local self-copy — and realise exactly the arcs of
 the corresponding :class:`~repro.core.med.MED` (zero-weight pairs post
-no message, as in MPI's alltoallv).  The uniform scalar algorithms are
-thin wrappers lowering ``msg_size`` to the full matrix, so the two
-paths are operation-for-operation identical on regular exchanges.
+no message, as in MPI's alltoallv).  Each rank reads only its own row
+(sends) and column (receives), so the uniform scalar algorithms are
+thin wrappers handing the shared body the row and column of
+``msg_size`` without building the (n, n) matrix: the two paths are
+operation-for-operation identical on regular exchanges.
 
 Scalar algorithms take ``(ctx, msg_size)``, alltoallv algorithms take
 ``(ctx, matrix)``; all are registered in the algorithm registry
@@ -57,39 +59,39 @@ __all__ = [
 TAG_ALLTOALL = 77
 
 
-def _as_matrix(ctx: RankContext, matrix) -> np.ndarray:
-    """Validate a per-pair byte matrix against the communicator size."""
+def _rank_row_column(ctx: RankContext, matrix) -> tuple[list, list]:
+    """The rank's row and column of a per-pair byte matrix, as lists.
+
+    Checks the shape against the communicator size, and the signs of
+    only the row and column this rank reads: every entry is some rank's
+    row, so lowering checks each once, O(n²) in all, not O(n³).
+    """
     W = np.asarray(matrix)
-    n = ctx.size
+    n, me = ctx.size, ctx.rank
     if W.ndim != 2 or W.shape != (n, n):
         raise ValueError(
             f"alltoallv needs an ({n}, {n}) byte matrix, got shape {W.shape}"
         )
-    if np.any(W < 0):
+    outbound, inbound = W[me], W[:, me]
+    if outbound.min() < 0 or inbound.min() < 0:
         raise ValueError("alltoallv matrix entries must be >= 0")
-    return W
+    return outbound.tolist(), inbound.tolist()
 
 
-def _uniform_matrix(n: int, msg_size: int) -> np.ndarray:
-    """Lower a scalar msg_size to the regular-All-to-All matrix."""
+def _uniform_row_column(n: int, msg_size: int) -> tuple[list, list]:
+    """A rank's row and column of the regular All-to-All's matrix."""
     if msg_size < 0:
         raise ValueError("message size must be >= 0")
-    return np.full((n, n), int(msg_size), dtype=np.int64)
+    row = [int(msg_size)] * n
+    return row, row
 
 
-@register_algorithm("alltoallv-direct", aliases=("vdirect",))
-def alltoallv_direct(ctx: RankContext, matrix) -> Generator[Any, None, None]:
-    """Irregular direct exchange: all of the matrix's arcs at once.
-
-    The generalisation of :func:`alltoall_direct` to per-pair byte
-    counts: receives are pre-posted, destinations rotate by rank so
-    round t pairs ``i -> i+t``, and nothing blocks until every posted
-    transfer completes.  Pairs with zero weight exchange no message at
-    all (they are not MED arcs); the diagonal is the local self-copy.
-    """
+def _direct_exchange(
+    ctx: RankContext, outbound: list, inbound: list
+) -> Generator[Any, None, None]:
+    """The direct exchange of one rank's row (*outbound*) and column
+    (*inbound*): the body of :func:`alltoallv_direct`."""
     n, me = ctx.size, ctx.rank
-    W = _as_matrix(ctx, matrix)
-    outbound, inbound = W[me].tolist(), W[:, me].tolist()
     requests = []
     for t in range(1, n):
         src = (me - t) % n
@@ -104,17 +106,12 @@ def alltoallv_direct(ctx: RankContext, matrix) -> Generator[Any, None, None]:
         yield requests
 
 
-@register_algorithm("alltoallv-rounds", aliases=("vrounds", "vpairwise"))
-def alltoallv_rounds(ctx: RankContext, matrix) -> Generator[Any, None, None]:
-    """Irregular Algorithm 1: blocking pairwise rounds over matrix arcs.
-
-    Round t exchanges with the rotated pair ``(me+t, me-t)``; a rank
-    whose round carries no arc in either direction skips the round
-    entirely (no barrier), matching pairwise alltoallv progressions.
-    """
+def _pairwise_rounds(
+    ctx: RankContext, outbound: list, inbound: list
+) -> Generator[Any, None, None]:
+    """The pairwise rounds of one rank's row and column: the body of
+    :func:`alltoallv_rounds`."""
     n, me = ctx.size, ctx.rank
-    W = _as_matrix(ctx, matrix)
-    outbound, inbound = W[me].tolist(), W[:, me].tolist()
     ctx.local_copy(outbound[me])
     for t in range(1, n):
         dst = (me + t) % n
@@ -128,6 +125,30 @@ def alltoallv_rounds(ctx: RankContext, matrix) -> Generator[Any, None, None]:
             yield batch
 
 
+@register_algorithm("alltoallv-direct", aliases=("vdirect",))
+def alltoallv_direct(ctx: RankContext, matrix) -> Generator[Any, None, None]:
+    """Irregular direct exchange: all of the matrix's arcs at once.
+
+    The generalisation of :func:`alltoall_direct` to per-pair byte
+    counts: receives are pre-posted, destinations rotate by rank so
+    round t pairs ``i -> i+t``, and nothing blocks until every posted
+    transfer completes.  Pairs with zero weight exchange no message at
+    all (they are not MED arcs); the diagonal is the local self-copy.
+    """
+    yield from _direct_exchange(ctx, *_rank_row_column(ctx, matrix))
+
+
+@register_algorithm("alltoallv-rounds", aliases=("vrounds", "vpairwise"))
+def alltoallv_rounds(ctx: RankContext, matrix) -> Generator[Any, None, None]:
+    """Irregular Algorithm 1: blocking pairwise rounds over matrix arcs.
+
+    Round t exchanges with the rotated pair ``(me+t, me-t)``; a rank
+    whose round carries no arc in either direction skips the round
+    entirely (no barrier), matching pairwise alltoallv progressions.
+    """
+    yield from _pairwise_rounds(ctx, *_rank_row_column(ctx, matrix))
+
+
 @register_algorithm("direct", aliases=("linear",))
 def alltoall_direct(
     ctx: RankContext, msg_size: int
@@ -138,10 +159,11 @@ def alltoall_direct(
     avoids unexpected-queue traffic), destinations rotate by rank so that
     round t pairs ``i -> i+t`` — but nothing blocks between rounds, so the
     network sees all n-1 outbound messages of every process at once.
-    Thin wrapper: lowers to :func:`alltoallv_direct` on the uniform
-    matrix, which posts the identical operation sequence.
+    Thin wrapper: runs the body of :func:`alltoallv_direct` on the
+    rank's row and column of the uniform matrix, which posts the
+    identical operation sequence without building the matrix.
     """
-    yield from alltoallv_direct(ctx, _uniform_matrix(ctx.size, msg_size))
+    yield from _direct_exchange(ctx, *_uniform_row_column(ctx.size, msg_size))
 
 
 @register_algorithm("rounds", aliases=("pairwise",))
@@ -150,9 +172,10 @@ def alltoall_rounds(
 ) -> Generator[Any, None, None]:
     """Paper Algorithm 1, literally: blocking sendrecv per round.
 
-    Thin wrapper over :func:`alltoallv_rounds` on the uniform matrix.
+    Thin wrapper over the body of :func:`alltoallv_rounds` on the
+    rank's row and column of the uniform matrix.
     """
-    yield from alltoallv_rounds(ctx, _uniform_matrix(ctx.size, msg_size))
+    yield from _pairwise_rounds(ctx, *_uniform_row_column(ctx.size, msg_size))
 
 
 @register_algorithm("bruck")

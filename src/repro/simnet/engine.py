@@ -23,11 +23,18 @@ its next member.  Every member fires at the default priority and keeps
 its own ``(time, seq)``: the caller draws each member's seq with
 :meth:`Engine.reserve` at the point where a single
 :meth:`~Engine.schedule` call would have drawn it.
-Firing a member re-pushes the entry under the following member's key,
-so members interleave with single events exactly as single events
-would, and each member counts as one event for ``events_processed``,
-``max_events``, ``run(until=)``, :meth:`~Engine.step` and
-:meth:`~Engine.peek_time`.
+To fire members, the kernel takes the entry off the heap and fires
+them back to back while the next member's ``(time, priority, seq)`` key
+still precedes the heap top (which a member's callback may just have
+pushed) and ``until`` and ``max_events`` allow; the entry then goes
+back under the first member left.  So members interleave with single
+events exactly as single events would, a run of members costs one heap
+pop and push, and each member counts as one event for
+``events_processed``, ``max_events``, ``run(until=)``,
+:meth:`~Engine.step` (which fires one member) and
+:meth:`~Engine.peek_time`.  While a member's callback runs its entry is
+off the heap, so :attr:`~Engine.pending` and :meth:`~Engine.peek_time`
+read from the callback do not see the entry's later members.
 
 The MPI protocol replay (:mod:`repro.simmpi.protocol`) and both network
 models, fluid (:mod:`repro.simnet.fluid`) and vector
@@ -76,16 +83,15 @@ class EventHandle:
 
 
 class _Batch:
-    """The heap entry's callback for one bulk entry's members.
+    """One bulk entry's members, held in its heap entry's callback slot.
 
-    Calling it fires the member whose key the entry carries, after
-    re-pushing the entry under the next member's key.
+    The entry carries the key of member ``_next``, the first not yet
+    fired; :meth:`Engine._run_members` fires members.
     """
 
-    __slots__ = ("_heap", "_entry", "_times", "_seqs", "_callback", "_args", "_next")
+    __slots__ = ("_entry", "_times", "_seqs", "_callback", "_args", "_next")
 
-    def __init__(self, heap, times, seqs, callback, args) -> None:
-        self._heap = heap
+    def __init__(self, times, seqs, callback, args) -> None:
         self._times = times
         self._seqs = seqs
         self._callback = callback
@@ -97,19 +103,6 @@ class _Batch:
     def remaining(self) -> int:
         """Members not yet fired."""
         return len(self._times) - self._next
-
-    def __call__(self) -> None:
-        index = self._next
-        arg = self._args[index]
-        index += 1
-        self._next = index
-        if index < len(self._times):
-            entry = self._entry
-            entry[0] = self._times[index]
-            entry[2] = self._seqs[index]
-            entry[3] = self
-            heapq.heappush(self._heap, entry)
-        self._callback(arg)
 
 
 def _like(values: Sequence, items: Sequence) -> Sequence:
@@ -247,7 +240,7 @@ class Engine:
                 _like(values, column)
                 for values, column in zip((times, seqs, args), columns)
             )
-        batch = _Batch(self._heap, times, seqs, callback, args)
+        batch = _Batch(times, seqs, callback, args)
         heapq.heappush(self._heap, batch._entry)
 
     def peek_time(self) -> float | None:
@@ -265,7 +258,10 @@ class Engine:
         entry[3] = None
         self._now = entry[0]
         self._events_processed += 1
-        callback()
+        if callback.__class__ is _Batch:
+            self._run_members(callback, math.inf, 1, 0)
+        else:
+            callback()
         return True
 
     def run(self, until: float = math.inf, *, max_events: int | None = None) -> None:
@@ -292,12 +288,58 @@ class Engine:
             entry[3] = None
             self._now = time
             self._events_processed += 1
-            callback()
-            executed += 1
+            if callback.__class__ is _Batch:
+                executed = self._run_members(callback, until, budget, executed)
+            else:
+                callback()
+                executed += 1
             if executed >= budget:
                 raise SimulationError(
                     f"exceeded max_events={max_events} (simulation runaway?)"
                 )
+
+    def _run_members(
+        self, batch: _Batch, until: float, budget: float, executed: int
+    ) -> int:
+        """Fire *batch*'s members back to back, from its next one on.
+
+        The first member is popped and counted already.  Each following
+        member fires while its key precedes the heap top and *until*
+        and *budget* allow (:meth:`step` passes a budget of one); the
+        entry then goes back on the heap under the first member left,
+        also when a callback raises.  Returns *executed* plus the
+        members fired.
+        """
+        heap = self._heap
+        times, seqs, args = batch._times, batch._seqs, batch._args
+        callback = batch._callback
+        end = len(times)
+        index = batch._next
+        try:
+            while True:
+                arg = args[index]
+                index += 1
+                callback(arg)
+                executed += 1
+                if index == end or executed >= budget:
+                    break
+                time = times[index]
+                if time > until:
+                    break
+                # The heap's own order: keys differ before the callback.
+                if heap and heap[0] < [time, 0, seqs[index]]:
+                    break
+                self._now = time
+                self._events_processed += 1
+        finally:
+            batch._next = index
+            if index < end:
+                entry = batch._entry
+                entry[0] = times[index]
+                entry[2] = seqs[index]
+                entry[3] = batch
+                heapq.heappush(heap, entry)
+        return executed
 
     def _drop_cancelled(self) -> None:
         heap = self._heap

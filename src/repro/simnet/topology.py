@@ -14,17 +14,75 @@ breadth-first search over the switch trunks and keeps, for every
 reachable switch pair, the link segment between the two NICs.  The two
 builders above also exercise that code path so custom topologies behave
 identically.
+
+A route has three parts: the source's TX link, the segment of its
+(source switch, destination switch) pair, and the destination's RX
+link.  :meth:`Topology.route` returns one route as a tuple;
+:meth:`Topology.route_table` returns the routes of many host pairs as
+one CSR, gathered array-wide from per-host link arrays and the padded
+segment table, with no per-pair Python work.  :func:`route_table_of`
+gives every topology object that table, falling back to one
+``route`` call per pair for a fabric that has nothing else.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from ..exceptions import RoutingError
 from ..registry import register_topology
 from .entities import Host, Link, LinkKind, Switch
 
-__all__ = ["Topology", "single_switch", "edge_core"]
+__all__ = ["Topology", "route_table_of", "single_switch", "edge_core"]
+
+
+def _host_pairs(src, dst, n_hosts: int) -> tuple[np.ndarray, np.ndarray]:
+    """*src* and *dst* as int64 columns of ids below *n_hosts*.
+
+    Raises :class:`~repro.exceptions.RoutingError` naming the first pair
+    with an id outside ``range(n_hosts)``, as :meth:`Topology.route`
+    does.
+    """
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    if src.ndim != 1 or src.shape != dst.shape:
+        raise ValueError(
+            f"host pairs need two 1-D columns of one length, got shapes "
+            f"{src.shape} and {dst.shape}"
+        )
+    if len(src) and (
+        min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n_hosts
+    ):
+        bad = (src < 0) | (src >= n_hosts) | (dst < 0) | (dst >= n_hosts)
+        k = int(np.argmax(bad))
+        raise RoutingError(f"no such host pair ({src[k]}, {dst[k]})")
+    return src, dst
+
+
+def route_table_of(topology, src, dst) -> tuple[np.ndarray, np.ndarray]:
+    """Routes of the host pairs ``(src[k], dst[k])`` on *topology*, as CSR.
+
+    Returns ``(indptr, links)``: row *k* is ``links[indptr[k]:indptr[k +
+    1]]`` and equals ``topology.route(src[k], dst[k])``.  Reads the
+    topology's own ``route_table`` when it has one; a plugin fabric
+    that only answers ``route`` is asked once per pair, which is the
+    only per-pair route loop there is.
+    """
+    table = getattr(topology, "route_table", None)
+    if table is not None:
+        return table(src, dst)
+    lengths = array("q")
+    links = array("q")
+    for s, d in zip(np.asarray(src).tolist(), np.asarray(dst).tolist()):
+        path = topology.route(s, d)
+        lengths.append(len(path))
+        links.extend(path)
+    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(np.frombuffer(lengths, dtype=np.int64), out=indptr[1:])
+    return indptr, np.array(links, dtype=np.int64)
 
 
 @dataclass
@@ -44,6 +102,9 @@ class Topology:
         default_factory=dict, repr=False
     )
     _finalized: bool = field(default=False, repr=False)
+    _gather: tuple[np.ndarray, ...] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     # -- construction -------------------------------------------------
 
@@ -116,6 +177,7 @@ class Topology:
             for dst, segment in reached.items():
                 segments[(src, dst)] = segment
         self._segments = segments
+        self._gather = None
         self._finalized = True
         return self
 
@@ -157,6 +219,74 @@ class Topology:
                 f"no switch path between {h_src.name} and {h_dst.name}"
             )
         return (h_src.tx_link, *segment, h_dst.rx_link)
+
+    def route_table(self, src, dst) -> tuple[np.ndarray, np.ndarray]:
+        """Routes of the host pairs ``(src[k], dst[k])`` as one CSR.
+
+        Returns ``(indptr, links)``: row *k* is ``links[indptr[k]:indptr[k
+        + 1]]`` and equals ``route(src[k], dst[k])``, with the same
+        :class:`~repro.exceptions.RoutingError` for an id out of range
+        or an unreachable switch pair.  One gather builds every row:
+        lengths from the segment table, then the TX links, each segment
+        column and the RX links, each written array-wide.  It takes pair
+        columns, not all n² pairs, because that table would hold about
+        400 MB at n=4096.
+        """
+        if not self._finalized:
+            raise RoutingError("topology not finalized; call finalize() first")
+        host_switch, host_tx, host_rx, segment_lens, segment_links = (
+            self._gather_sources()
+        )
+        src, dst = _host_pairs(src, dst, len(host_tx))
+        cell = host_switch[src] * len(self.switches) + host_switch[dst]
+        segment_len = segment_lens[cell]
+        remote = src != dst
+        missing = remote & (segment_len < 0)
+        if missing.any():
+            k = int(np.argmax(missing))
+            raise RoutingError(
+                f"no switch path between {self.hosts[src[k]].name} and "
+                f"{self.hosts[dst[k]].name}"
+            )
+        lengths = np.where(remote, segment_len + 2, 0)
+        indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        links = np.empty(int(indptr[-1]), dtype=np.int64)
+        rows = np.flatnonzero(remote)
+        links[indptr[rows]] = host_tx[src[rows]]
+        links[indptr[rows + 1] - 1] = host_rx[dst[rows]]
+        for column in range(segment_links.shape[1]):
+            rows = rows[segment_len[rows] > column]
+            links[indptr[rows] + 1 + column] = segment_links[cell[rows], column]
+        return indptr, links
+
+    def _gather_sources(self) -> tuple[np.ndarray, ...]:
+        """The arrays :meth:`route_table` gathers from.
+
+        Per host its switch, TX link and RX link; per switch pair (row
+        ``a * S + b`` for S switches) its segment length (-1 when
+        unreachable) and links, padded to one width.  Built on the first
+        call after :meth:`finalize`, so a fabric that is only
+        fingerprinted or routed pair by pair never pays for them.
+        """
+        if self._gather is None:
+            n_switches = len(self.switches)
+            width = max(map(len, self._segments.values()), default=0)
+            segment_lens = np.full(n_switches * n_switches, -1, dtype=np.int64)
+            segment_links = np.zeros(
+                (n_switches * n_switches, width), dtype=np.int64
+            )
+            for (a, b), segment in self._segments.items():
+                segment_lens[a * n_switches + b] = len(segment)
+                segment_links[a * n_switches + b, : len(segment)] = segment
+            host_columns = np.array(
+                [(h.switch, h.tx_link, h.rx_link) for h in self.hosts],
+                dtype=np.int64,
+            ).reshape(-1, 3)
+            self._gather = (
+                *host_columns.T.copy(), segment_lens, segment_links
+            )
+        return self._gather
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -11,7 +11,8 @@ instead, advancing **all active flows in synchronized epochs**:
 
 with completions handled as batches that feed the next phase of the
 schedule.  The flow → link CSR is never rebuilt from Python lists: the
-route of every (src, dst) pair is encoded once at attach time, and the
+routes of every (src, dst) pair come from one route-table gather
+(:func:`~repro.simnet.topology.route_table_of`) at attach time, and the
 active set's :class:`~repro.simnet.fairness.FlowPaths` is assembled per
 epoch with a vectorized ragged gather.  Pair ids come from one
 ``np.unique`` over (src, dst) keys, numbered in order of first
@@ -73,7 +74,7 @@ from .fluid import _BYTE_EPS, _RESOLVE_PRIORITY
 from .loss import LossModel, LossParams
 from .penalty import HolPenalty
 from .rng import RngFactory
-from .topology import Topology
+from .topology import Topology, route_table_of
 from .trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle)
@@ -216,7 +217,7 @@ class VectorSimulator:
         src, dst, local, wire = replay.src, replay.dst, replay.local, replay.wire
         n_messages = len(src)
         # Pair ids number the distinct remote (src, dst) pairs in order
-        # of first appearance; each pair's route is looked up once.
+        # of first appearance; one route-table gather routes them all.
         remote = np.flatnonzero(~local)
         pair_keys, first, inverse = np.unique(
             src[remote] * self.nprocs + dst[remote],
@@ -227,15 +228,13 @@ class VectorSimulator:
         pair_id[by_appearance] = np.arange(len(pair_keys))
         pair = np.zeros(n_messages, dtype=np.int64)
         pair[remote] = pair_id[inverse.reshape(-1)]
-        # Routes stream into typed arrays, so no route tuple outlives
-        # its lookup.
-        route = self.topology.route
-        lengths = array("q")
-        links = array("q")
-        for key in memoryview(pair_keys[by_appearance]):
-            path = route(key // self.nprocs, key % self.nprocs)
-            lengths.append(len(path))
-            links.extend(path)
+        pair_src, pair_dst = np.divmod(pair_keys[by_appearance], self.nprocs)
+        # Freed first: the gather's temporaries set a lossless run's
+        # memory peak.
+        del remote, pair_keys, first, inverse, by_appearance, pair_id
+        self._pair_indptr, self._pair_links = route_table_of(
+            self.topology, pair_src, pair_dst
+        )
         # Per-message attributes the replay's columns already hold; the
         # epoch loop reads the NumPy arrays.
         self._msg_src = replay.msg_src
@@ -244,11 +243,7 @@ class VectorSimulator:
         self._msg_wire = wire
         self._msg_pair = pair
         self._msg_dst_arr = dst
-        lengths = np.array(lengths, dtype=np.int64)
-        self._pair_indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=self._pair_indptr[1:])
-        self._pair_len = lengths
-        self._pair_links = np.array(links, dtype=np.int64)
+        lengths = self._pair_len = np.diff(self._pair_indptr)
         if len(lengths) and int(lengths.min()) == int(lengths.max()):
             # Uniform route length (true on single-switch and other
             # symmetric fabrics): the per-pair routes form a dense

@@ -23,10 +23,13 @@ implementations emit.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.med import MED
 from repro.registry import ALGORITHMS
-from repro.simmpi.collectives import MATRIX_ALGORITHMS
+from repro.simmpi.collectives import ALLTOALLV_VARIANTS, MATRIX_ALGORITHMS
+from repro.simmpi.lowering import lower_program
 
 #: Scalar (uniform msg_size) algorithms — the historical four.
 SCALAR_ALGORITHMS = sorted(set(ALGORITHMS.names()) - set(MATRIX_ALGORITHMS))
@@ -211,6 +214,35 @@ class TestAlltoallvConservation:
         assert irregular["sent"] == uniform["sent"]
         assert irregular["received"] == uniform["received"]
         assert irregular["local"] == uniform["local"]
+
+    @pytest.mark.parametrize("scalar", sorted(ALLTOALLV_VARIANTS))
+    @given(n=st.integers(1, 9), msg_size=st.sampled_from([0, 1, 4096]))
+    def test_scalar_lowers_to_the_uniform_matrix_schedule(
+        self, scalar, n, msg_size
+    ):
+        # The scalar program posts the op sequence its alltoallv
+        # variant posts for the uniform matrix, without building it.
+        uniform = np.full((n, n), msg_size, dtype=np.int64)
+        lowered = lower_program(ALGORITHMS.get(scalar), n, msg_size)
+        expected = lower_program(
+            ALGORITHMS.get(ALLTOALLV_VARIANTS[scalar]), n, uniform
+        )
+        for column in ("src", "dst", "tag", "nbytes", "op_kind", "op_arg",
+                       "op_ptr", "gate_ptr", "gate_mid", "rank_segments"):
+            np.testing.assert_array_equal(
+                getattr(lowered, column), getattr(expected, column)
+            )
+
+    @pytest.mark.parametrize("name", sorted(MATRIX_ALGORITHMS))
+    @given(data=st.data())
+    def test_any_negative_entry_is_rejected(self, name, data):
+        # Each rank checks only the row and column it reads; every
+        # entry is some rank's row, so lowering still rejects each one.
+        n = data.draw(st.integers(1, 7), label="ranks")
+        W = np.ones((n, n), dtype=np.int64)
+        W[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))] = -1
+        with pytest.raises(ValueError, match="entries must be >= 0"):
+            lower_program(ALGORITHMS.get(name), n, W)
 
     @pytest.mark.parametrize("name", sorted(MATRIX_ALGORITHMS))
     def test_wrong_shape_rejected(self, name):

@@ -138,20 +138,31 @@ class TestRunControl:
 
 
 # One step of a kernel script: schedule an event (delay from now,
-# priority, priorities of same-time children it schedules when it
-# fires), schedule a bulk entry (per member its delay, its children, and
-# whether a single event is scheduled just before the member's seq is
-# reserved; members fire at priority 0), cancel an earlier top-level
-# single event, or run(until=now + dt).
+# priority, children it schedules when it fires), schedule a bulk entry
+# (per member its delay, its children, and whether a single event is
+# scheduled just before the member's seq is reserved, at a delay of its
+# own or, for None, at the member's time; members fire at priority 0),
+# cancel an earlier top-level single event, or run(until=now + dt).  A
+# child is a same-time single event at priority -1, 0 or +1, or a new
+# bulk entry (its members' delays from now).
 _DELAYS = st.sampled_from([0.0, 0.5, 1.0, 2.5])
-_CHILDREN = st.lists(st.integers(-1, 1), max_size=2)
+_CHILDREN = st.lists(
+    st.one_of(
+        st.integers(-1, 1),
+        st.lists(st.sampled_from([0.0, 0.0, 0.5]), min_size=1, max_size=3),
+    ),
+    max_size=2,
+)
 _SCHEDULE = st.tuples(st.just("schedule"), _DELAYS, st.integers(-1, 1), _CHILDREN)
 _BULK = st.tuples(
     st.just("bulk"),
     st.lists(
         st.tuples(
             _DELAYS, _CHILDREN,
-            st.one_of(st.none(), st.tuples(_DELAYS, st.integers(-1, 1))),
+            st.one_of(
+                st.none(),
+                st.tuples(st.one_of(st.none(), _DELAYS), st.integers(-1, 1)),
+            ),
         ),
         min_size=1, max_size=5,
     ),
@@ -159,6 +170,11 @@ _BULK = st.tuples(
 _CANCEL = st.tuples(st.just("cancel"), st.integers(0, 40))
 _RUN = st.tuples(st.just("run"), st.sampled_from([0.0, 0.5, 1.0, 3.0]))
 _SCRIPT = st.lists(st.one_of(_SCHEDULE, _BULK, _CANCEL, _RUN), max_size=40)
+
+
+def _single_delay(single, member_delay):
+    """Delay of the single event scheduled before a bulk member."""
+    return member_delay if single[0] is None else single[0]
 
 
 def _drive_kernel(engine, script):
@@ -175,9 +191,17 @@ def _drive_kernel(engine, script):
     def event(label, children):
         def callback():
             fired.append((label, engine.now))
-            for j, priority in enumerate(children):
-                engine.schedule(
-                    engine.now, event(f"{label}.{j}", ()), priority=priority
+            for j, child in enumerate(children):
+                if isinstance(child, int):
+                    engine.schedule(
+                        engine.now, event(f"{label}.{j}", ()), priority=child
+                    )
+                    continue
+                engine.schedule_batch(
+                    [engine.now + delay for delay in child],
+                    [engine.reserve() for _ in child],
+                    lambda member: fired.append((member, engine.now)),
+                    [f"{label}.{j}.{k}" for k in range(len(child))],
                 )
 
         return callback
@@ -199,7 +223,7 @@ def _drive_kernel(engine, script):
                 if single is not None:
                     handles.append(
                         engine.schedule(
-                            engine.now + single[0],
+                            engine.now + _single_delay(single, delay),
                             event(f"s{next(counter)}", ()),
                             priority=single[1],
                         )
@@ -264,8 +288,12 @@ def _run_reference(script):
             entry["live"] = False
             now = entry["key"][0]
             fired.append((entry["label"], now))
-            for j, priority in enumerate(entry["children"]):
-                push(now, priority, f"{entry['label']}.{j}", ())
+            for j, child in enumerate(entry["children"]):
+                if isinstance(child, int):
+                    push(now, child, f"{entry['label']}.{j}", ())
+                    continue
+                for k, delay in enumerate(child):
+                    push(now + delay, 0, f"{entry['label']}.{j}.{k}", ())
 
     for step in script:
         if step[0] == "schedule":
@@ -278,7 +306,10 @@ def _run_reference(script):
             for delay, children, single in members:
                 if single is not None:
                     singles.append(
-                        push(now + single[0], single[1], f"s{next(counter)}", ())
+                        push(
+                            now + _single_delay(single, delay), single[1],
+                            f"s{next(counter)}", (),
+                        )
                     )
                 push(now + delay, 0, f"b{next(counter)}", children)
         elif step[0] == "cancel":
@@ -331,15 +362,19 @@ class TestKernelProperties:
         engine = Engine()
         fired, _ = _drive_kernel(engine, script)
         before = len(fired)
-        left = len(_run_reference(script)[0]) - before
-        # The guard trips once the budget-th event has run.
+        expected = _run_reference(script)[0]
+        left = len(expected) - before
+        # The guard trips once the budget-th event has run, and that
+        # event is the reference's.
         if left >= budget:
             with pytest.raises(SimulationError, match="max_events"):
                 engine.run(max_events=budget)
-            assert len(fired) == before + budget
+            assert fired == expected[:before + budget]
+            # The events after it are still queued, in order.
+            engine.run()
         else:
             engine.run(max_events=budget)
-            assert len(fired) == before + left
+        assert fired == expected
         assert engine.events_processed == len(fired)
 
     @given(_SCRIPT)
@@ -425,6 +460,48 @@ class TestBulkEntries:
                 lambda arg: None, [0, 1],
             )
         assert engine.pending == 0
+
+    def test_run_fires_members_between_same_time_children(self, engine):
+        # Member a's children: one event before b (priority -1), one
+        # after every member (priority +1), and a bulk entry whose seqs
+        # come after b's.
+        fired = []
+
+        def member(label):
+            fired.append(label)
+            if label == "a":
+                engine.schedule(1.0, lambda: fired.append("a-1"), priority=-1)
+                engine.schedule(1.0, lambda: fired.append("a+1"), priority=1)
+                engine.schedule_batch(
+                    [1.0, 1.0], [engine.reserve(), engine.reserve()],
+                    fired.append, ["a.0", "a.1"],
+                )
+
+        engine.schedule_batch(
+            [1.0, 1.0, 1.0], [engine.reserve() for _ in range(3)],
+            member, ["a", "b", "c"],
+        )
+        engine.run()
+        assert fired == ["a", "a-1", "b", "c", "a.0", "a.1", "a+1"]
+        assert engine.events_processed == 7
+
+    def test_a_raising_member_leaves_the_rest_queued(self, engine):
+        fired = []
+
+        def member(arg):
+            fired.append(arg)
+            if arg == 1:
+                raise RuntimeError("member failed")
+
+        engine.schedule_batch(
+            [1.0, 1.0, 2.0], [engine.reserve() for _ in range(3)],
+            member, [0, 1, 2],
+        )
+        with pytest.raises(RuntimeError, match="member failed"):
+            engine.run()
+        assert engine.pending == 1 and engine.events_processed == 2
+        engine.run()
+        assert fired == [0, 1, 2] and engine.now == 2.0
 
     def test_columns_of_unequal_length_raise(self, engine):
         with pytest.raises(ValueError, match="one time, seq and arg"):

@@ -11,8 +11,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import api
 from repro.analysis.io import read_sweep_rows, write_csv
@@ -21,19 +25,24 @@ from repro.clusters.profiles import get_cluster
 from repro.exceptions import MeasurementError, ScenarioError
 from repro.measure.alltoall import measure_alltoall
 from repro.models import samples_from_rows
+from repro.obs import predicted_concurrency
 from repro.placement import (
     PlacedTopology,
+    PlacementObjective,
     PlacementSpec,
     apply_placement,
     as_placement,
     contention_objective,
     optimize_placement,
     placed_matrix,
+    route_incidence,
     traffic_matrix,
 )
-from repro.registry import PLACEMENT_OPTIMIZERS, PLACEMENTS
+from repro.registry import ALGORITHMS, PLACEMENT_OPTIMIZERS, PLACEMENTS
 from repro.scenario import ScenarioSpec
-from repro.simnet.topology import edge_core, single_switch
+from repro.simmpi.lowering import lower_program
+from repro.simnet.topology import Topology, edge_core, single_switch
+from repro.simnet.vector import VectorSimulator
 from repro.sweeps.cache import point_key, profile_fingerprint
 from repro.sweeps.runner import SweepRunner
 from repro.sweeps.spec import SweepPoint, SweepSpec
@@ -228,6 +237,94 @@ class TestObjective:
         # Trunk-bound (4 x 512 kB over 120 MB/s) vs NIC-bound.
         assert identity == pytest.approx(4 * 524288 / 120e6, rel=1e-3)
         assert placed == pytest.approx(524288 / 117.6e6, rel=1e-3)
+
+
+def _dense_incidence(topology, n: int) -> np.ndarray:
+    """The (n², links) route-incidence matrix, one ``route`` per pair."""
+    R = np.zeros((n * n, topology.n_links), dtype=np.float64)
+    for src in range(n):
+        for dst in range(n):
+            if src != dst:
+                R[src * n + dst, list(topology.route(src, dst))] = 1.0
+    return R
+
+
+def _matrix(data, n: int, high: int) -> np.ndarray:
+    entries = data.draw(
+        st.lists(st.integers(0, high), min_size=n * n, max_size=n * n),
+        label="matrix",
+    )
+    return np.array(entries, dtype=np.int64).reshape(n, n)
+
+
+class TestRouteTableConsumers:
+    """The placement objective, the MED contention prediction and the
+    vector engine read routes from the route table, as the per-pair
+    ``route`` loops they replace would have."""
+
+    @given(data=st.data())
+    def test_link_loads_equal_the_dense_matvec(self, draw_fabric, data):
+        topo = draw_fabric(data, connected=True)
+        n = data.draw(st.integers(1, topo.n_hosts), label="ranks")
+        # Integer byte counts whose sums stay exact in float64.
+        W = _matrix(data, n, 2**40)
+        perm = data.draw(st.permutations(range(n)), label="perm")
+        R = _dense_incidence(topo, n)
+        np.testing.assert_array_equal(route_incidence(topo, n), R)
+        objective = PlacementObjective(topo, W)
+        for candidate in (None, perm):
+            H = objective.W if candidate is None else placed_matrix(
+                objective.W, candidate
+            )
+            expected = H.ravel() @ R
+            loads = objective.link_loads(candidate)
+            assert loads.dtype == expected.dtype
+            assert loads.tobytes() == expected.tobytes()
+            util = expected / objective.capacities
+            assert objective(candidate) == float(
+                util.max() + 1e-9 * util.sum()
+            )
+
+    @given(data=st.data())
+    def test_predicted_concurrency_counts_each_arc(self, draw_fabric, data):
+        topo = draw_fabric(data, connected=True)
+        n = topo.n_hosts
+        placed = PlacedTopology(
+            topo, data.draw(st.permutations(range(n)), label="perm")
+        )
+        matrix = _matrix(data, n, 3)
+        for view in (topo, placed):
+            expected = np.zeros(topo.n_links, dtype=np.int64)
+            for src, dst in zip(*np.nonzero(matrix)):
+                if src != dst:
+                    for link in view.route(int(src), int(dst)):
+                        expected[link] += 1
+            counts = predicted_concurrency(view, matrix)
+            assert counts.dtype == np.int64
+            np.testing.assert_array_equal(counts, expected)
+
+    @given(data=st.data())
+    def test_vector_attach_never_calls_route(self, draw_fabric, data):
+        topo = draw_fabric(data, connected=True)
+        n = topo.n_hosts
+        placed = PlacedTopology(
+            topo, data.draw(st.permutations(range(n)), label="perm")
+        )
+        transport = get_cluster("gigabit-ethernet").transport
+        lowered = lower_program(ALGORITHMS.get("direct"), n, 65536)
+
+        def run(view):
+            sim = VectorSimulator(view, transport, nprocs=n, seed=0)
+            return sim.run(lowered)
+
+        expected = [run(topo), run(placed)]
+
+        def refuse(self, src, dst):
+            raise AssertionError("per-pair route lookup")
+
+        with mock.patch.object(Topology, "route", refuse), \
+                mock.patch.object(PlacedTopology, "route", refuse):
+            assert [run(topo), run(placed)] == expected
 
 
 class TestOptimizers:

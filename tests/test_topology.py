@@ -4,14 +4,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import repro
 from repro.exceptions import RoutingError
+from repro.placement import PlacedTopology
 from repro.simnet.entities import Link, LinkKind
-from repro.simnet.topology import Topology, edge_core, single_switch
+from repro.simnet.topology import (
+    Topology,
+    edge_core,
+    route_table_of,
+    single_switch,
+)
 
 
 class TestEntities:
@@ -257,6 +264,106 @@ class TestSwitchPaths:
                     n_trunks += 1
                 assert here == dst
                 assert n_trunks == hops[src][dst]
+
+
+class _RouteOnly:
+    """A plugin fabric that answers nothing but ``route``."""
+
+    def __init__(self, topology) -> None:
+        self.route = topology.route
+
+
+def _rows(indptr, links) -> list[tuple[int, ...]]:
+    return [
+        tuple(links[indptr[k]:indptr[k + 1]].tolist())
+        for k in range(len(indptr) - 1)
+    ]
+
+
+def _routes_or_none(view, src, dst) -> list:
+    """``view.route`` of each pair, or None where it raises."""
+    routes = []
+    for s, d in zip(src.tolist(), dst.tolist()):
+        try:
+            routes.append(view.route(s, d))
+        except RoutingError as error:
+            assert "no switch path" in str(error)
+            routes.append(None)
+    return routes
+
+
+class TestRouteTable:
+    @given(data=st.data())
+    def test_rows_equal_route_on_every_view(self, draw_fabric, data):
+        topo = draw_fabric(data)
+        n = topo.n_hosts
+        placed = PlacedTopology(
+            topo, data.draw(st.permutations(range(n)), label="perm")
+        )
+        src, dst = np.divmod(np.arange(n * n), n)
+        for view in (topo, placed, _RouteOnly(topo), _RouteOnly(placed)):
+            routes = _routes_or_none(view, src, dst)
+            routed = np.array([r is not None for r in routes])
+            if not routed.all():
+                with pytest.raises(RoutingError, match="no switch path"):
+                    route_table_of(view, src, dst)
+            # Every routable pair, in a random order with repeats.
+            picks = data.draw(
+                st.lists(st.sampled_from(np.flatnonzero(routed).tolist())),
+                label="pairs",
+            )
+            picks = np.array(picks, dtype=np.int64)
+            indptr, links = route_table_of(view, src[picks], dst[picks])
+            assert indptr.dtype == links.dtype == np.int64
+            assert indptr[0] == 0 and len(indptr) == len(picks) + 1
+            assert _rows(indptr, links) == [routes[k] for k in picks]
+
+    @given(data=st.data())
+    def test_bad_ids_raise_on_both_paths(self, draw_fabric, data):
+        topo = draw_fabric(data, connected=True)
+        n = topo.n_hosts
+        placed = PlacedTopology(
+            topo, data.draw(st.permutations(range(n)), label="perm")
+        )
+        ids = st.integers(min_value=-3, max_value=n + 2)
+        bad = data.draw(
+            st.tuples(ids, ids).filter(
+                lambda p: not (0 <= p[0] < n and 0 <= p[1] < n)
+            ),
+            label="bad pair",
+        )
+        good = data.draw(
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
+            label="good pairs",
+        )
+        at = data.draw(st.integers(0, len(good)), label="position")
+        pairs = good[:at] + [bad] + good[at:]
+        src, dst = (np.array(column, dtype=np.int64) for column in zip(*pairs))
+        for view in (topo, placed):
+            with pytest.raises(RoutingError, match="no such host pair"):
+                view.route(*bad)
+            with pytest.raises(RoutingError, match="no such host pair"):
+                view.route_table(src, dst)
+            assert _rows(*view.route_table(src[:at], dst[:at])) == [
+                view.route(s, d) for s, d in good[:at]
+            ]
+
+    def test_unfinalized_table_raises(self):
+        topo = Topology()
+        sw = topo.add_switch()
+        topo.add_host(sw, nic_bandwidth=1e6)
+        with pytest.raises(RoutingError, match="finalize"):
+            topo.route_table([0], [0])
+
+    def test_columns_of_unequal_shape_raise(self):
+        topo = single_switch(3, nic_bandwidth=1e8)
+        with pytest.raises(ValueError, match="1-D columns"):
+            topo.route_table([0, 1], [1])
+
+    def test_empty_columns_give_an_empty_table(self):
+        topo = single_switch(3, nic_bandwidth=1e8)
+        indptr, links = topo.route_table([], [])
+        assert indptr.tolist() == [0] and links.size == 0
 
 
 def test_cli_import_leaves_networkx_unloaded():
