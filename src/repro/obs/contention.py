@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..simnet.topology import Topology, route_table_of
+from ..simnet.topology import Topology
 from .timeline import LinkTimeline
 
 __all__ = ["LinkContention", "ContentionReport", "predicted_concurrency"]
@@ -38,7 +38,7 @@ def predicted_concurrency(topology: Topology, matrix) -> np.ndarray:
         raise ValueError(f"matrix must be square, got {matrix.shape}")
     sources, destinations = np.nonzero(matrix)
     arcs = sources != destinations
-    _, links = route_table_of(topology, sources[arcs], destinations[arcs])
+    _, links = topology.route_table(sources[arcs], destinations[arcs])
     return np.bincount(links, minlength=topology.n_links)
 
 

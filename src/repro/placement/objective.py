@@ -15,11 +15,12 @@ drain, which is exactly the contention the fluid/vector engines
 converge to when that link saturates.
 
 Evaluation is vectorised: :class:`PlacementObjective` reads the
-fabric's route table (:func:`~repro.simnet.topology.route_table_of`)
-for every host pair once, after which each candidate costs one gather
-of the placed matrix and one weighted ``np.bincount`` over the table's
-entries (sub-millisecond at n=64), cheap enough for thousands of
-optimizer iterations.  No (n², n_links) incidence matrix is held: at
+fabric's route table
+(:meth:`~repro.simnet.topology.Topology.route_table`) for every host
+pair once, after which each candidate costs one gather of the placed
+matrix and one weighted ``np.bincount`` over the table's entries
+(sub-millisecond at n=64), cheap enough for thousands of optimizer
+iterations.  No (n², n_links) incidence matrix is held: at
 the Gigabit Ethernet profile's n=216 it would be 162 MB.
 """
 
@@ -28,7 +29,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.med import MED
-from ..simnet.topology import route_table_of
 from ..traffic import as_pattern
 from .spec import PlacementSpec, as_placement
 
@@ -48,7 +48,7 @@ def _all_pair_routes(topology, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Route table of every host pair of ``range(n)``, row ``src*n + dst``
     (diagonal rows are empty)."""
     src, dst = np.divmod(np.arange(n * n, dtype=np.int64), n)
-    return route_table_of(topology, src, dst)
+    return topology.route_table(src, dst)
 
 
 def route_incidence(topology, n: int | None = None) -> np.ndarray:

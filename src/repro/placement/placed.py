@@ -3,8 +3,9 @@
 Every consumer of routes reads them with ranks as host indices, through
 one of two entry points: ``topology.route(src, dst)`` for one pair (the
 fluid network, once per flow) or the CSR route table of many pairs
-(:func:`~repro.simnet.topology.route_table_of`: the vector engine at
-setup, the placement objective and the MED contention prediction).  So
+(:meth:`~repro.simnet.topology.Topology.route_table`: the vector
+engine at setup, the placement objective and the MED contention
+prediction).  So
 remapping ranks onto hosts needs exactly one interception per entry
 point: :class:`PlacedTopology` shares the base topology's hosts,
 switches and links — capacities, link kinds and fingerprint probes are
@@ -26,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import RoutingError
-from ..simnet.topology import _host_pairs, route_table_of
+from ..simnet.topology import _host_pairs
 from .spec import PlacementSpec, _validate_permutation, as_placement
 
 __all__ = ["PlacedTopology", "apply_placement"]
@@ -98,7 +99,7 @@ class PlacedTopology:
         :meth:`~repro.simnet.topology.Topology.route_table`.
         """
         src, dst = _host_pairs(src, dst, len(self._hosts))
-        return route_table_of(self.base, self._hosts[src], self._hosts[dst])
+        return self.base.route_table(self._hosts[src], self._hosts[dst])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PlacedTopology({self.base!r}, perm={self.perm})"

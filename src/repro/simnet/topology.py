@@ -20,14 +20,11 @@ A route has three parts: the source's TX link, the segment of its
 link.  :meth:`Topology.route` returns one route as a tuple;
 :meth:`Topology.route_table` returns the routes of many host pairs as
 one CSR, gathered array-wide from per-host link arrays and the padded
-segment table, with no per-pair Python work.  :func:`route_table_of`
-gives every topology object that table, falling back to one
-``route`` call per pair for a fabric that has nothing else.
+segment table, with no per-pair Python work.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +33,7 @@ from ..exceptions import RoutingError
 from ..registry import register_topology
 from .entities import Host, Link, LinkKind, Switch
 
-__all__ = ["Topology", "route_table_of", "single_switch", "edge_core"]
+__all__ = ["Topology", "single_switch", "edge_core"]
 
 
 def _host_pairs(src, dst, n_hosts: int) -> tuple[np.ndarray, np.ndarray]:
@@ -62,29 +59,6 @@ def _host_pairs(src, dst, n_hosts: int) -> tuple[np.ndarray, np.ndarray]:
     return src, dst
 
 
-def route_table_of(topology, src, dst) -> tuple[np.ndarray, np.ndarray]:
-    """Routes of the host pairs ``(src[k], dst[k])`` on *topology*, as CSR.
-
-    Returns ``(indptr, links)``: row *k* is ``links[indptr[k]:indptr[k +
-    1]]`` and equals ``topology.route(src[k], dst[k])``.  Reads the
-    topology's own ``route_table`` when it has one; a plugin fabric
-    that only answers ``route`` is asked once per pair, which is the
-    only per-pair route loop there is.
-    """
-    table = getattr(topology, "route_table", None)
-    if table is not None:
-        return table(src, dst)
-    lengths = array("q")
-    links = array("q")
-    for s, d in zip(np.asarray(src).tolist(), np.asarray(dst).tolist()):
-        path = topology.route(s, d)
-        lengths.append(len(path))
-        links.extend(path)
-    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(np.frombuffer(lengths, dtype=np.int64), out=indptr[1:])
-    return indptr, np.array(links, dtype=np.int64)
-
-
 @dataclass
 class Topology:
     """A routed cluster network.
@@ -102,9 +76,7 @@ class Topology:
         default_factory=dict, repr=False
     )
     _finalized: bool = field(default=False, repr=False)
-    _gather: tuple[np.ndarray, ...] | None = field(
-        default=None, repr=False, compare=False
-    )
+    _gather: tuple | None = field(default=None, repr=False, compare=False)
 
     # -- construction -------------------------------------------------
 
@@ -123,6 +95,7 @@ class Topology:
                 backplane_capacity, LinkKind.BACKPLANE, f"switch{idx}.backplane"
             )
         self.switches.append(Switch(idx, backplane_link=backplane))
+        self._gather = None
         return idx
 
     def add_host(self, switch: int, *, nic_bandwidth: float) -> int:
@@ -133,6 +106,7 @@ class Topology:
         tx = self.add_link(nic_bandwidth, LinkKind.HOST_TX, f"host{idx}.tx")
         rx = self.add_link(nic_bandwidth, LinkKind.HOST_RX, f"host{idx}.rx")
         self.hosts.append(Host(idx, switch, tx_link=tx, rx_link=rx))
+        self._gather = None
         return idx
 
     def connect_switches(self, a: int, b: int, *, bandwidth: float) -> None:
@@ -141,6 +115,7 @@ class Topology:
         ba = self.add_link(bandwidth, LinkKind.TRUNK, f"trunk{b}->{a}")
         self.switches[a].trunks[b] = ab
         self.switches[b].trunks[a] = ba
+        self._gather = None
 
     def finalize(self) -> "Topology":
         """Compute inter-switch routes; must be called before routing.
@@ -234,11 +209,11 @@ class Topology:
         """
         if not self._finalized:
             raise RoutingError("topology not finalized; call finalize() first")
-        host_switch, host_tx, host_rx, segment_lens, segment_links = (
+        n_switches, host_switch, host_tx, host_rx, segment_lens, segment_links = (
             self._gather_sources()
         )
         src, dst = _host_pairs(src, dst, len(host_tx))
-        cell = host_switch[src] * len(self.switches) + host_switch[dst]
+        cell = host_switch[src] * n_switches + host_switch[dst]
         segment_len = segment_lens[cell]
         remote = src != dst
         missing = remote & (segment_len < 0)
@@ -260,14 +235,16 @@ class Topology:
             links[indptr[rows] + 1 + column] = segment_links[cell[rows], column]
         return indptr, links
 
-    def _gather_sources(self) -> tuple[np.ndarray, ...]:
-        """The arrays :meth:`route_table` gathers from.
+    def _gather_sources(self) -> tuple:
+        """The switch count S and the arrays :meth:`route_table` gathers from.
 
         Per host its switch, TX link and RX link; per switch pair (row
-        ``a * S + b`` for S switches) its segment length (-1 when
-        unreachable) and links, padded to one width.  Built on the first
-        call after :meth:`finalize`, so a fabric that is only
-        fingerprinted or routed pair by pair never pays for them.
+        ``a * S + b``) its segment length (-1 when unreachable) and
+        links, padded to one width.  Built on the first call after
+        :meth:`finalize`, so a fabric that is only fingerprinted or
+        routed pair by pair never pays for them, and built again after
+        a host, switch or trunk is added, so the table reads the same
+        state :meth:`route` does.
         """
         if self._gather is None:
             n_switches = len(self.switches)
@@ -284,7 +261,7 @@ class Topology:
                 dtype=np.int64,
             ).reshape(-1, 3)
             self._gather = (
-                *host_columns.T.copy(), segment_lens, segment_links
+                n_switches, *host_columns.T.copy(), segment_lens, segment_links
             )
         return self._gather
 

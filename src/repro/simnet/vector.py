@@ -12,9 +12,9 @@ instead, advancing **all active flows in synchronized epochs**:
 with completions handled as batches that feed the next phase of the
 schedule.  The flow → link CSR is never rebuilt from Python lists: the
 routes of every (src, dst) pair come from one route-table gather
-(:func:`~repro.simnet.topology.route_table_of`) at attach time, and the
-active set's :class:`~repro.simnet.fairness.FlowPaths` is assembled per
-epoch with a vectorized ragged gather.  Pair ids come from one
+(:meth:`~repro.simnet.topology.Topology.route_table`) at attach time,
+and the active set's :class:`~repro.simnet.fairness.FlowPaths` is
+assembled per epoch with a vectorized ragged gather.  Pair ids come from one
 ``np.unique`` over (src, dst) keys, numbered in order of first
 appearance.  The MPI protocol on top is the replay both engines share
 (:mod:`repro.simmpi.protocol`).
@@ -74,7 +74,7 @@ from .fluid import _BYTE_EPS, _RESOLVE_PRIORITY
 from .loss import LossModel, LossParams
 from .penalty import HolPenalty
 from .rng import RngFactory
-from .topology import Topology, route_table_of
+from .topology import Topology
 from .trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle)
@@ -232,8 +232,8 @@ class VectorSimulator:
         # Freed first: the gather's temporaries set a lossless run's
         # memory peak.
         del remote, pair_keys, first, inverse, by_appearance, pair_id
-        self._pair_indptr, self._pair_links = route_table_of(
-            self.topology, pair_src, pair_dst
+        self._pair_indptr, self._pair_links = self.topology.route_table(
+            pair_src, pair_dst
         )
         # Per-message attributes the replay's columns already hold; the
         # epoch loop reads the NumPy arrays.

@@ -203,30 +203,19 @@ class TestAlltoallvConservation:
         ]
 
     @pytest.mark.parametrize("name", sorted(MATRIX_ALGORITHMS))
-    def test_uniform_matrix_matches_scalar_counterpart(self, name):
-        from repro.simmpi.collectives import ALLTOALLV_VARIANTS
-
+    @given(n=st.integers(1, 9), m=st.sampled_from([0, 1, 321, 4096]))
+    def test_uniform_matrix_matches_scalar_counterpart(self, name, n, m):
+        # The scalar program posts the op sequence its alltoallv variant
+        # posts for the uniform matrix, without building the matrix.
         scalar = {v: k for k, v in ALLTOALLV_VARIANTS.items()}[name]
-        n, m = 6, 321
         W = np.full((n, n), m, dtype=np.int64)
         irregular = run_algorithm(name, n, W)
         uniform = run_algorithm(scalar, n, m)
         assert irregular["sent"] == uniform["sent"]
         assert irregular["received"] == uniform["received"]
         assert irregular["local"] == uniform["local"]
-
-    @pytest.mark.parametrize("scalar", sorted(ALLTOALLV_VARIANTS))
-    @given(n=st.integers(1, 9), msg_size=st.sampled_from([0, 1, 4096]))
-    def test_scalar_lowers_to_the_uniform_matrix_schedule(
-        self, scalar, n, msg_size
-    ):
-        # The scalar program posts the op sequence its alltoallv
-        # variant posts for the uniform matrix, without building it.
-        uniform = np.full((n, n), msg_size, dtype=np.int64)
-        lowered = lower_program(ALGORITHMS.get(scalar), n, msg_size)
-        expected = lower_program(
-            ALGORITHMS.get(ALLTOALLV_VARIANTS[scalar]), n, uniform
-        )
+        lowered = lower_program(ALGORITHMS.get(scalar), n, m)
+        expected = lower_program(ALGORITHMS.get(name), n, W)
         for column in ("src", "dst", "tag", "nbytes", "op_kind", "op_arg",
                        "op_ptr", "gate_ptr", "gate_mid", "rank_segments"):
             np.testing.assert_array_equal(

@@ -13,12 +13,7 @@ import repro
 from repro.exceptions import RoutingError
 from repro.placement import PlacedTopology
 from repro.simnet.entities import Link, LinkKind
-from repro.simnet.topology import (
-    Topology,
-    edge_core,
-    route_table_of,
-    single_switch,
-)
+from repro.simnet.topology import Topology, edge_core, single_switch
 
 
 class TestEntities:
@@ -266,13 +261,6 @@ class TestSwitchPaths:
                 assert n_trunks == hops[src][dst]
 
 
-class _RouteOnly:
-    """A plugin fabric that answers nothing but ``route``."""
-
-    def __init__(self, topology) -> None:
-        self.route = topology.route
-
-
 def _rows(indptr, links) -> list[tuple[int, ...]]:
     return [
         tuple(links[indptr[k]:indptr[k + 1]].tolist())
@@ -301,19 +289,19 @@ class TestRouteTable:
             topo, data.draw(st.permutations(range(n)), label="perm")
         )
         src, dst = np.divmod(np.arange(n * n), n)
-        for view in (topo, placed, _RouteOnly(topo), _RouteOnly(placed)):
+        for view in (topo, placed):
             routes = _routes_or_none(view, src, dst)
             routed = np.array([r is not None for r in routes])
             if not routed.all():
                 with pytest.raises(RoutingError, match="no switch path"):
-                    route_table_of(view, src, dst)
+                    view.route_table(src, dst)
             # Every routable pair, in a random order with repeats.
             picks = data.draw(
                 st.lists(st.sampled_from(np.flatnonzero(routed).tolist())),
                 label="pairs",
             )
             picks = np.array(picks, dtype=np.int64)
-            indptr, links = route_table_of(view, src[picks], dst[picks])
+            indptr, links = view.route_table(src[picks], dst[picks])
             assert indptr.dtype == links.dtype == np.int64
             assert indptr[0] == 0 and len(indptr) == len(picks) + 1
             assert _rows(indptr, links) == [routes[k] for k in picks]
@@ -359,6 +347,29 @@ class TestRouteTable:
         topo = single_switch(3, nic_bandwidth=1e8)
         with pytest.raises(ValueError, match="1-D columns"):
             topo.route_table([0, 1], [1])
+
+    def test_table_reads_what_route_reads_after_the_fabric_grows(self):
+        topo = Topology()
+        a, b = topo.add_switch(), topo.add_switch(backplane_capacity=5e9)
+        topo.connect_switches(a, b, bandwidth=1e9)
+        for switch in (a, b, b):
+            topo.add_host(switch, nic_bandwidth=1e8)
+        topo.finalize()
+        topo.route_table([0], [1])  # builds the gather arrays
+        c = topo.add_switch()
+        topo.connect_switches(b, c, bandwidth=1e9)
+        topo.add_host(a, nic_bandwidth=1e8)
+        n = topo.n_hosts
+        src, dst = np.divmod(np.arange(n * n), n)
+        routes = _routes_or_none(topo, src, dst)
+        assert None not in routes
+        assert _rows(*topo.route_table(src, dst)) == routes
+        # A host on the switch added after finalize() has no route yet.
+        topo.add_host(c, nic_bandwidth=1e8)
+        with pytest.raises(RoutingError, match="no switch path"):
+            topo.route(0, n)
+        with pytest.raises(RoutingError, match="no switch path"):
+            topo.route_table([0], [n])
 
     def test_empty_columns_give_an_empty_table(self):
         topo = single_switch(3, nic_bandwidth=1e8)
