@@ -232,16 +232,6 @@ def _parse_spec_arg(text: str, kind: str = "pattern"):
     return {"name": name.strip(), "params": params}
 
 
-def _parse_pattern_arg(text: str):
-    """``--pattern`` value → a pattern dict for SweepSpec."""
-    return _parse_spec_arg(text, "pattern")
-
-
-def _parse_placement_arg(text: str):
-    """``--placement`` value → a placement dict for the spec layer."""
-    return _parse_spec_arg(text, "placement")
-
-
 def _cmd_list(args: argparse.Namespace) -> int:
     # Sections print alphabetically, not in dict-insertion order, so
     # the full listing is deterministic and diffs cleanly as new
@@ -261,39 +251,23 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_engine(name: "str | None") -> bool:
-    """Validate an ``--engine`` value *before* any simulation starts.
+def _check_names(registry, *values) -> int:
+    """Exit code 2 when a flag value names no entry of *registry*, else 0.
 
-    Downstream layers reject unknown engines too, but from mid-pipeline
-    (a :class:`ValueError` out of the sweep spec, a
-    :class:`MeasurementError` out of the measurement loop); checking here
-    keeps the failure a one-line stderr message with exit code 2, like
-    every other bad-name CLI error.
+    *values* are ``name`` or ``name:k=v,…`` flag values (``None`` is
+    skipped).  Downstream layers reject unknown names too, but from
+    mid-pipeline; checking before anything runs keeps the failure the
+    registry's own one-line message on stderr.
     """
-    if name is not None and name not in api.ENGINES:
-        known = ", ".join(api.list_engines())
-        print(f"unknown engine {name!r}; known: {known}", file=sys.stderr)
-        return False
-    return True
-
-
-def _check_placements(values) -> bool:
-    """Validate ``--placement`` strategy names before anything runs.
-
-    Same rationale as :func:`_check_engine`: parameter errors still
-    surface downstream, but an unknown *name* should be a one-line
-    stderr message with exit code 2, not a mid-pipeline failure.
-    """
-    for text in values or ():
-        name = text.partition(":")[0].strip()
-        if name not in api.PLACEMENTS:
-            known = ", ".join(api.list_placements())
-            print(
-                f"unknown placement {name!r}; known: {known}",
-                file=sys.stderr,
-            )
-            return False
-    return True
+    for value in values:
+        if value is None:
+            continue
+        try:
+            registry.canonical(value.partition(":")[0].strip())
+        except UnknownNameError as exc:
+            print(exc, file=sys.stderr)
+            return 2
+    return 0
 
 
 def _with_engine(scenario: "api.Scenario", engine: str) -> "api.Scenario":
@@ -314,7 +288,7 @@ def _with_placement(scenario: "api.Scenario", text: str) -> "api.Scenario":
 
     from .placement import as_placement
 
-    spec = as_placement(_parse_placement_arg(text))
+    spec = as_placement(_parse_spec_arg(text, "placement"))
     return api.Scenario(dataclasses.replace(scenario.spec, placement=spec))
 
 
@@ -410,9 +384,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if not _check_engine(args.engine):
-        return 2
-    if args.placement and not _check_placements([args.placement]):
+    if _check_names(api.ENGINES, args.engine) or _check_names(
+        api.PLACEMENTS, args.placement
+    ):
         return 2
     if args.scenario:
         return _run_scenario(args)
@@ -480,7 +454,7 @@ def _run_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
-    if not _check_engine(args.engine):
+    if _check_names(api.ENGINES, args.engine):
         return 2
     try:
         scenario, from_file = _resolve_cluster_arg(args.cluster)
@@ -557,26 +531,16 @@ def _cmd_optimize_placement(args: argparse.Namespace) -> int:
     except (OSError, UnknownNameError, ScenarioError) as exc:
         print(exc, file=sys.stderr)
         return 2
-    optimizer = _parse_spec_arg(args.optimizer, "optimizer")
-    if optimizer["name"] not in api.PLACEMENT_OPTIMIZERS:
-        known = ", ".join(api.list_placement_optimizers())
-        print(
-            f"unknown placement optimizer {optimizer['name']!r}; "
-            f"known: {known}",
-            file=sys.stderr,
-        )
+    if _check_names(api.PLACEMENT_OPTIMIZERS, args.optimizer) or _check_names(
+        api.PATTERNS, args.pattern
+    ):
         return 2
-    pattern = None
-    if args.pattern:
-        if args.pattern.partition(":")[0].strip() not in api.PATTERNS:
-            known = ", ".join(api.list_patterns())
-            print(
-                f"unknown pattern {args.pattern.partition(':')[0]!r}; "
-                f"known: {known}",
-                file=sys.stderr,
-            )
-            return 2
-        pattern = _parse_pattern_arg(args.pattern)
+    try:
+        optimizer = _parse_spec_arg(args.optimizer, "optimizer")
+        api.PLACEMENT_OPTIMIZERS.check_params(optimizer["name"], optimizer["params"])
+    except ValueError as exc:  # covers ScenarioError
+        print(f"invalid optimizer parameters: {exc}", file=sys.stderr)
+        return 2
     _ledger_note(
         cluster=scenario.name, optimizer=optimizer["name"],
         scenario_key=_scenario_key(scenario),
@@ -588,13 +552,8 @@ def _cmd_optimize_placement(args: argparse.Namespace) -> int:
             optimizer=optimizer["name"],
             seed=args.seed,
             params=optimizer["params"] or None,
-            pattern=pattern,
+            pattern=_parse_spec_arg(args.pattern) if args.pattern else None,
         )
-    except TypeError as exc:
-        # e.g. greedy:iterations=10 — a parameter the optimizer's
-        # signature does not accept.
-        print(f"invalid optimizer parameters: {exc}", file=sys.stderr)
-        return 2
     except (MeasurementError, ScenarioError, SimulationError, ValueError) as exc:
         print(f"cannot optimize placement: {exc}", file=sys.stderr)
         return 1
@@ -830,7 +789,7 @@ def _scenario_sweep_models(args, scenario, result) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    if not _check_engine(args.engine):
+    if _check_names(api.ENGINES, args.engine):
         return 2
     try:
         scenario, _ = _resolve_cluster_arg(args.cluster)
@@ -932,9 +891,9 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .sweeps import ResultCache, SweepRunner, SweepSpec, default_cache_dir
 
-    if not _check_engine(args.engine):
-        return 2
-    if not _check_placements(args.placement):
+    if _check_names(api.ENGINES, args.engine) or _check_names(
+        api.PLACEMENTS, *(args.placement or ())
+    ):
         return 2
     if args.heartbeat is not None and args.heartbeat <= 0:
         print(
@@ -1012,12 +971,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             ),
             algorithms=tuple(_csv_list(args.algorithms or "direct")),
             patterns=(
-                tuple(_parse_pattern_arg(p) for p in args.pattern)
+                tuple(_parse_spec_arg(p) for p in args.pattern)
                 if args.pattern
                 else (None,)
             ),
             placements=(
-                tuple(_parse_placement_arg(p) for p in args.placement)
+                tuple(_parse_spec_arg(p, "placement") for p in args.placement)
                 if args.placement
                 else (None,)
             ),

@@ -122,10 +122,8 @@ def default_engine() -> str:
     """
     raw = os.environ.get(ENGINE_ENV)
     if raw is not None and raw.strip():
-        if raw not in ENGINES:
-            known = ", ".join(ENGINES.names())
-            raise UnknownNameError(
-                f"{ENGINE_ENV}: unknown engine {raw!r}; known: {known}"
-            )
-        return ENGINES.canonical(raw)
+        try:
+            return ENGINES.canonical(raw)
+        except UnknownNameError as exc:
+            raise UnknownNameError(f"{ENGINE_ENV}: {exc}") from None
     return DEFAULT_ENGINE

@@ -150,7 +150,11 @@ def optimize_placement(
     :class:`~repro.traffic.spec.PatternSpec` or ``None`` for uniform)
     at (n, msg_size, seed) — routed over the fabric; see
     :mod:`repro.placement.objective`.  Deterministic given *seed*.
+    An unknown *optimizer* or *params* it does not take raise before
+    the fabric is built.
     """
+    name = PLACEMENT_OPTIMIZERS.canonical(optimizer)
+    PLACEMENT_OPTIMIZERS.check_params(name, params or {})
     n = int(n_processes)
     topo = cluster if isinstance(cluster, (Topology,)) else cluster.topology(n)
     W = traffic_matrix(n, int(msg_size), pattern, seed=seed)
@@ -162,7 +166,6 @@ def optimize_placement(
         evaluations += 1
         return score(perm)
 
-    name = PLACEMENT_OPTIMIZERS.canonical(optimizer)
     search = PLACEMENT_OPTIMIZERS.get(name)
     rng = RngFactory(int(seed)).stream(f"placement/{name}/{n}")
     perm = tuple(search(evaluate, n, rng=rng, **dict(params or {})))

@@ -17,38 +17,15 @@ cache keys and results stay byte-identical.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 
-from ..exceptions import ScenarioError, UnknownNameError
-from ..registry import PLACEMENTS
+from ..exceptions import ScenarioError
+from ..registry import PLACEMENTS, canonical_params, params_key
 
 __all__ = ["PlacementSpec", "as_placement"]
 
-_PARAM_TYPES = (int, float, str, bool)
-
 #: Strategy name reserved for explicit permutations; never in the registry.
 EXPLICIT = "explicit"
-
-
-def _canonical_value(key, value):
-    """One canonical spelling per parameter value (mirrors PatternSpec).
-
-    ``4`` and ``4.0`` must be the *same* parameter — same key(), same
-    cache payload — whether they arrived from TOML, the CLI or Python,
-    so integral floats collapse to ints.  Bools stay bools (checked
-    first: bool is an int subclass).
-    """
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, _PARAM_TYPES):
-        return value
-    raise ScenarioError(
-        f"placement param {key!r} must be a scalar "
-        f"(int/float/str/bool), got {type(value).__name__}"
-    )
 
 
 def _validate_permutation(perm) -> tuple[int, ...]:
@@ -92,58 +69,10 @@ class PlacementSpec:
             object.__setattr__(self, "name", EXPLICIT)
             object.__setattr__(self, "params", ())
             return
-        try:
-            object.__setattr__(self, "name", PLACEMENTS.canonical(self.name))
-        except UnknownNameError as exc:
-            raise ScenarioError(exc.args[0]) from None
-        raw = self.params
-        if isinstance(raw, dict):
-            raw = tuple(raw.items())
-        try:
-            pairs = tuple(
-                sorted((str(k), _canonical_value(k, v)) for k, v in raw)
-            )
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, ScenarioError):
-                raise
-            raise ScenarioError(
-                f"placement params must be a mapping, got {self.params!r}"
-            ) from None
-        object.__setattr__(self, "params", pairs)
-        self._check_strategy_accepts(pairs)
-
-    def _check_strategy_accepts(self, pairs: tuple) -> None:
-        """Fail at spec-construction time, not mid-sweep in a worker."""
-        signature = inspect.signature(PLACEMENTS.get(self.name))
-        accepts_kwargs = any(
-            p.kind is inspect.Parameter.VAR_KEYWORD
-            for p in signature.parameters.values()
-        )
-        if accepts_kwargs:
-            return
-        # Parameters reachable as keywords: keyword-only ones plus any
-        # positional-or-keyword beyond the leading n_processes — user
-        # strategies need not use a `*` separator.
-        positional = [
-            p.name for p in signature.parameters.values()
-            if p.kind in (
-                inspect.Parameter.POSITIONAL_ONLY,
-                inspect.Parameter.POSITIONAL_OR_KEYWORD,
-            )
-        ]
-        known = {
-            p.name for p in signature.parameters.values()
-            if p.kind in (
-                inspect.Parameter.KEYWORD_ONLY,
-                inspect.Parameter.POSITIONAL_OR_KEYWORD,
-            )
-        } - set(positional[:1])
-        unknown = sorted(key for key, _ in pairs if key not in known)
-        if unknown:
-            raise ScenarioError(
-                f"unknown param(s) {unknown} for placement {self.name!r}; "
-                f"known: {', '.join(sorted(known)) or '(none)'}"
-            )
+        object.__setattr__(self, "name", PLACEMENTS.canonical(self.name, ScenarioError))
+        object.__setattr__(self, "params", canonical_params(self.params, "placement"))
+        # Fail at spec-construction time, not mid-sweep in a worker.
+        PLACEMENTS.check_params(self.name, dict(self.params))
 
     # -- queries ---------------------------------------------------------
 
@@ -168,18 +97,13 @@ class PlacementSpec:
     def key(self) -> str:
         """Canonical compact form, e.g. ``round-robin(groups=4)``.
 
-        Used in row columns and log labels; parameter order (and the
-        one-spelling-per-value rule — ``4.0`` renders as ``4``) is the
-        canonical form ``__post_init__`` established.  Explicit
-        permutations render as ``explicit[2,0,1,...]``.
+        Used in row columns and log labels (see
+        :func:`~repro.registry.params_key`).  Explicit permutations
+        render as ``explicit[2,0,1,...]``.
         """
         if self.perm is not None:
             return f"{EXPLICIT}[{','.join(str(p) for p in self.perm)}]"
-        if not self.params:
-            return self.name
-        inner = ",".join(f"{k}={v!r}" if isinstance(v, str) else f"{k}={v}"
-                         for k, v in self.params)
-        return f"{self.name}({inner})"
+        return params_key(self.name, self.params)
 
     # -- permutation construction ----------------------------------------
 

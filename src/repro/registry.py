@@ -18,21 +18,25 @@ Lookups are *normalised*: case is folded and ``_``/space collapse to
 ``fast-ethernet`` entry.  Explicit aliases resolve too, but enumeration
 (:meth:`Registry.names`) lists canonical names only.
 
-The five process-wide registries live here (:data:`TOPOLOGIES`,
-:data:`CLUSTERS`, :data:`ALGORITHMS`, :data:`BACKENDS`,
-:data:`PATTERNS`).
+The process-wide registries live here (:data:`TOPOLOGIES`,
+:data:`CLUSTERS`, :data:`ALGORITHMS`, :data:`PATTERNS`, …), and so does
+the one check of plugin parameters (:func:`canonical_params`,
+:meth:`Registry.check_params`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import inspect
+from collections.abc import Iterable, Iterator
 from typing import Callable, Generic, TypeVar
 
-from .exceptions import DuplicateNameError, UnknownNameError
+from .exceptions import DuplicateNameError, ScenarioError, UnknownNameError
 
 __all__ = [
     "Registry",
     "normalize_name",
+    "canonical_params",
+    "params_key",
     "registry_epoch",
     "TOPOLOGIES",
     "CLUSTERS",
@@ -76,6 +80,51 @@ def normalize_name(name: str) -> str:
     return "-".join(str(name).strip().lower().replace("_", " ").replace("-", " ").split())
 
 
+def _canonical_value(kind: str, key, value):
+    if isinstance(value, bool):  # before int: bool is an int subclass
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, float, str)):
+        return value
+    raise ScenarioError(
+        f"{kind} param {key!r} must be a scalar "
+        f"(int/float/str/bool), got {type(value).__name__}"
+    )
+
+
+def canonical_params(params, kind: str) -> tuple:
+    """One spelling of a *kind* plugin's parameters: sorted ``(key, value)`` pairs.
+
+    ``8`` and ``8.0`` must be the *same* parameter — same key, same RNG
+    stream, same cache payload — whether they arrived from TOML, the CLI
+    or Python, so integral floats collapse to ints; bools stay bools.
+    Non-scalar values raise :class:`~repro.exceptions.ScenarioError`.
+    """
+    pairs = params.items() if isinstance(params, dict) else params
+    try:
+        return tuple(sorted((str(k), _canonical_value(kind, k, v)) for k, v in pairs))
+    except ScenarioError:
+        raise
+    except (TypeError, ValueError):
+        raise ScenarioError(
+            f"{kind} params must be a mapping, got {params!r}"
+        ) from None
+
+
+def params_key(name: str, params: tuple) -> str:
+    """Compact form of a name and its canonical params, ``name(k=v,…)``.
+
+    It names RNG streams and row columns, so it must not change.
+    """
+    if not params:
+        return name
+    inner = ",".join(
+        f"{k}={v!r}" if isinstance(v, str) else f"{k}={v}" for k, v in params
+    )
+    return f"{name}({inner})"
+
+
 class Registry(Generic[T]):
     """A named collection of plugins with alias-tolerant lookup.
 
@@ -84,10 +133,17 @@ class Registry(Generic[T]):
     kind:
         Singular noun used in error messages (``"cluster"`` →
         ``unknown cluster 'x'; known: ...``).
+    leading / supplied:
+        How the registered callables are called, for
+        :meth:`check_params`: the number of leading positional
+        arguments, and the keyword arguments (``rng``) the caller
+        passes itself rather than taking from a spec's parameters.
     """
 
-    def __init__(self, kind: str) -> None:
+    def __init__(self, kind: str, *, leading: int = 0, supplied: tuple[str, ...] = ()) -> None:
         self.kind = kind
+        self.leading = leading
+        self.supplied = supplied
         self._entries: dict[str, T] = {}  # canonical name -> object
         self._aliases: dict[str, str] = {}  # normalised alias -> canonical
 
@@ -140,15 +196,46 @@ class Registry(Generic[T]):
 
     # -- lookup ---------------------------------------------------------
 
-    def canonical(self, name: str) -> str:
-        """Resolve *name* (canonical, alias, or near-miss) to the canonical name."""
+    def canonical(self, name: str, error: type[Exception] = UnknownNameError) -> str:
+        """Resolve *name* (canonical, alias, or near-miss) to the canonical name.
+
+        An unknown name raises *error* (specs pass
+        :class:`~repro.exceptions.ScenarioError`) with the known set.
+        """
         resolved = self._aliases.get(normalize_name(name))
         if resolved is None:
             known = ", ".join(self.names())
-            raise UnknownNameError(
-                f"unknown {self.kind} {str(name)!r}; known: {known}"
-            )
+            raise error(f"unknown {self.kind} {str(name)!r}; known: {known}")
         return resolved
+
+    def check_params(self, name: str, keys: Iterable[str]) -> None:
+        """Check that the parameter names *keys* bind to entry *name*.
+
+        Past the leading positional and the caller-supplied parameters,
+        each key must name a parameter (any key does, given
+        ``**kwargs``) and each parameter without a default must be a
+        key; else :class:`~repro.exceptions.ScenarioError`.
+        """
+        name = self.canonical(name)
+        params = inspect.signature(self.get(name)).parameters.values()
+        positional = [
+            p.name for p in params if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+        ]
+        skip = {*positional[: self.leading], *self.supplied}
+        required = {
+            p.name: p.default is p.empty for p in params
+            if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY) and p.name not in skip
+        }
+        keys = set(keys)
+        unknown = sorted(keys - set(required))
+        if unknown and not any(p.kind is p.VAR_KEYWORD for p in params):
+            raise ScenarioError(
+                f"unknown param(s) {unknown} for {self.kind} {name!r}; "
+                f"known: {', '.join(sorted(required)) or '(none)'}"
+            )
+        missing = sorted(key for key, needed in required.items() if needed and key not in keys)
+        if missing:
+            raise ScenarioError(f"missing param(s) {missing} for {self.kind} {name!r}")
 
     def get(self, name: str) -> T:
         """Look an entry up; raises :class:`UnknownNameError` with the known set."""
@@ -186,7 +273,7 @@ class Registry(Generic[T]):
 # ----------------------------------------------------------------------
 
 #: ``f(n_hosts, **params) -> Topology`` fabric builders.
-TOPOLOGIES: Registry[Callable] = Registry("topology")
+TOPOLOGIES: Registry[Callable] = Registry("topology", leading=1)
 
 #: ``f() -> ClusterProfile`` calibrated cluster factories.
 CLUSTERS: Registry[Callable] = Registry("cluster")
@@ -199,7 +286,7 @@ BACKENDS: Registry[Callable] = Registry("backend")
 
 #: ``f(n_processes, msg_size, *, rng, **params) -> (n, n) byte matrix``
 #: traffic-pattern generators (see :mod:`repro.traffic`).
-PATTERNS: Registry[Callable] = Registry("pattern")
+PATTERNS: Registry[Callable] = Registry("pattern", leading=2, supplied=("rng",))
 
 #: ``f(workers: int) -> Executor`` execution-backend factories for the
 #: sweep engine (see :mod:`repro.exec`).
@@ -216,12 +303,14 @@ ENGINES: Registry[Callable] = Registry("engine")
 
 #: ``f(n_processes, **params) -> permutation`` rank-placement strategies
 #: (see :mod:`repro.placement`): rank *i* runs on host ``perm[i]``.
-PLACEMENTS: Registry[Callable] = Registry("placement")
+PLACEMENTS: Registry[Callable] = Registry("placement", leading=1)
 
 #: ``f(evaluate, n_processes, *, rng, **params) -> permutation``
 #: placement-search procedures minimising a predicted-contention
 #: objective (see :mod:`repro.placement.optimize`).
-PLACEMENT_OPTIMIZERS: Registry[Callable] = Registry("placement optimizer")
+PLACEMENT_OPTIMIZERS: Registry[Callable] = Registry(
+    "placement optimizer", leading=2, supplied=("rng",)
+)
 
 
 def register_topology(name: str, *, aliases: tuple[str, ...] = (), replace: bool = False):

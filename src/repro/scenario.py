@@ -38,7 +38,7 @@ from pathlib import Path
 from . import models as _models  # noqa: F401 - registers the built-in cost models
 from .clusters.profiles import ClusterProfile, get_cluster
 from .engines import DEFAULT_ENGINE
-from .exceptions import ScenarioError, UnknownNameError
+from .exceptions import ScenarioError
 from .placement.spec import PlacementSpec, as_placement
 from .registry import (
     ALGORITHMS,
@@ -87,7 +87,11 @@ def _link_kinds(mapping: dict) -> dict[LinkKind, float]:
 
 @dataclass(frozen=True)
 class TopologySpec:
-    """A registered topology factory plus its keyword parameters."""
+    """A registered topology factory plus its keyword parameters.
+
+    Both are kept as given (scenario cache payloads hold them), and
+    checked against the registry at construction.
+    """
 
     factory: str
     params: dict = field(default_factory=dict)
@@ -95,6 +99,7 @@ class TopologySpec:
     def __post_init__(self) -> None:
         if not self.factory:
             raise ScenarioError("topology.factory must be a registered name")
+        TOPOLOGIES.check_params(TOPOLOGIES.canonical(self.factory, ScenarioError), self.params)
 
     def build(self, n_hosts: int):
         """Instantiate the fabric for *n_hosts* hosts."""
@@ -269,38 +274,14 @@ class ScenarioSpec:
             raise ScenarioError(
                 "scenario needs a base cluster and/or a topology section"
             )
+        # Fail fast (and canonicalise) instead of at build time; the
+        # topology checked its own factory and parameters.
         if self.base is not None:
-            # Fail fast (and canonicalise) instead of at build time.
-            object.__setattr__(
-                self, "base", _cluster_canonical(self.base)
-            )
-        if self.topology is not None and self.topology.factory not in TOPOLOGIES:
-            # Fail at load time, not mid-sweep inside a lazy build.
-            raise ScenarioError(
-                f"unknown topology {self.topology.factory!r}; "
-                f"known: {', '.join(TOPOLOGIES.names())}"
-            )
-        if self.algorithm not in ALGORITHMS:
-            raise ScenarioError(
-                f"unknown algorithm {self.algorithm!r}; "
-                f"known: {', '.join(ALGORITHMS.names())}"
-            )
-        object.__setattr__(
-            self, "algorithm", ALGORITHMS.canonical(self.algorithm)
-        )
-        if self.model not in MODELS:
-            raise ScenarioError(
-                f"unknown model {self.model!r}; "
-                f"known: {', '.join(MODELS.names())}"
-            )
-        object.__setattr__(self, "model", MODELS.canonical(self.model))
+            object.__setattr__(self, "base", _CLUSTER_REGISTRY.canonical(self.base, ScenarioError))
+        object.__setattr__(self, "algorithm", ALGORITHMS.canonical(self.algorithm, ScenarioError))
+        object.__setattr__(self, "model", MODELS.canonical(self.model, ScenarioError))
         if self.engine is not None:
-            if self.engine not in ENGINES:
-                raise ScenarioError(
-                    f"unknown engine {self.engine!r}; "
-                    f"known: {', '.join(ENGINES.names())}"
-                )
-            engine = ENGINES.canonical(self.engine)
+            engine = ENGINES.canonical(self.engine, ScenarioError)
             # The default engine collapses to None: one identity, one
             # serialized form, one cache payload.
             object.__setattr__(
@@ -579,14 +560,6 @@ class ScenarioSpec:
             # pre-placement payloads (and their hashes) are untouched.
             payload["placement"] = self.placement.cache_payload()
         return payload
-
-
-def _cluster_canonical(name: str) -> str:
-    """Canonicalise a base-cluster name, as a ScenarioError on failure."""
-    try:
-        return _CLUSTER_REGISTRY.canonical(name)
-    except UnknownNameError as exc:
-        raise ScenarioError(exc.args[0]) from None
 
 
 def _emit_toml_table(lines: list[str], path: str, table: dict) -> None:

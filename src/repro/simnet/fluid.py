@@ -505,7 +505,7 @@ class FluidNetwork:
         self.stalls += 1
         self._structure_dirty = True
         self.trace.emit(
-            self.engine.now, "flow.loss", fid=flow.fid, src=flow.src,
+            self.engine.now, "flow.stall", fid=flow.fid, src=flow.src,
             dst=flow.dst, penalty=penalty, backoff=flow.backoff,
             remaining=flow.remaining, label=flow.label,
         )

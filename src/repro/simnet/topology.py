@@ -65,7 +65,8 @@ class Topology:
 
     Use :func:`single_switch` / :func:`edge_core` (or build hosts,
     switches and links by hand) and then call :meth:`finalize` to compute
-    routes.  After finalisation the object is logically immutable.
+    routes.  After finalisation the fabric cannot grow: its builders
+    raise :class:`~repro.exceptions.RoutingError`.
     """
 
     hosts: list[Host] = field(default_factory=list)
@@ -80,14 +81,20 @@ class Topology:
 
     # -- construction -------------------------------------------------
 
+    def _check_open(self) -> None:
+        if self._finalized:
+            raise RoutingError(f"topology {self.name!r} is finalized; it cannot grow")
+
     def add_link(self, capacity: float, kind: LinkKind, name: str) -> int:
         """Append a directed link; returns its dense index."""
+        self._check_open()
         link = Link(len(self.links), capacity, kind, name)
         self.links.append(link)
         return link.index
 
     def add_switch(self, *, backplane_capacity: float | None = None) -> int:
         """Append a switch, optionally with a finite backplane."""
+        self._check_open()
         idx = len(self.switches)
         backplane = -1
         if backplane_capacity is not None:
@@ -95,7 +102,6 @@ class Topology:
                 backplane_capacity, LinkKind.BACKPLANE, f"switch{idx}.backplane"
             )
         self.switches.append(Switch(idx, backplane_link=backplane))
-        self._gather = None
         return idx
 
     def add_host(self, switch: int, *, nic_bandwidth: float) -> int:
@@ -106,7 +112,6 @@ class Topology:
         tx = self.add_link(nic_bandwidth, LinkKind.HOST_TX, f"host{idx}.tx")
         rx = self.add_link(nic_bandwidth, LinkKind.HOST_RX, f"host{idx}.rx")
         self.hosts.append(Host(idx, switch, tx_link=tx, rx_link=rx))
-        self._gather = None
         return idx
 
     def connect_switches(self, a: int, b: int, *, bandwidth: float) -> None:
@@ -115,7 +120,6 @@ class Topology:
         ba = self.add_link(bandwidth, LinkKind.TRUNK, f"trunk{b}->{a}")
         self.switches[a].trunks[b] = ab
         self.switches[b].trunks[a] = ba
-        self._gather = None
 
     def finalize(self) -> "Topology":
         """Compute inter-switch routes; must be called before routing.
@@ -242,9 +246,7 @@ class Topology:
         ``a * S + b``) its segment length (-1 when unreachable) and
         links, padded to one width.  Built on the first call after
         :meth:`finalize`, so a fabric that is only fingerprinted or
-        routed pair by pair never pays for them, and built again after
-        a host, switch or trunk is added, so the table reads the same
-        state :meth:`route` does.
+        routed pair by pair never pays for them.
         """
         if self._gather is None:
             n_switches = len(self.switches)

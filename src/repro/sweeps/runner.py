@@ -751,12 +751,10 @@ def configure_default_runner(
     if executor is None:
         raw = os.environ.get("REPRO_SWEEP_EXECUTOR")
         if raw is not None and raw.strip():
-            if raw not in EXECUTORS:
-                known = ", ".join(EXECUTORS.names())
-                raise UnknownNameError(
-                    f"REPRO_SWEEP_EXECUTOR: unknown executor {raw!r}; known: {known}"
-                )
-            executor = raw
+            try:
+                executor = EXECUTORS.canonical(raw)
+            except UnknownNameError as exc:
+                raise UnknownNameError(f"REPRO_SWEEP_EXECUTOR: {exc}") from None
     if enable_cache is None:
         enable_cache = cache_dir is not None or bool(os.environ.get("REPRO_SWEEP_CACHE"))
     cache = ResultCache(cache_dir) if enable_cache else None

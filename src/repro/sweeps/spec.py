@@ -219,11 +219,6 @@ class SweepSpec:
                 canonical_models.append(resolved)
         object.__setattr__(self, "models", tuple(canonical_models))
         if self.engine is not None:
-            if self.engine not in ENGINES:
-                known = ", ".join(ENGINES.names())
-                raise ValueError(
-                    f"unknown engine {self.engine!r}; known: {known}"
-                )
             object.__setattr__(self, "engine", ENGINES.canonical(self.engine))
 
     @property

@@ -17,40 +17,16 @@ coordinate always obtain bit-identical matrices.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..core.med import MED
-from ..exceptions import ScenarioError, UnknownNameError
-from ..registry import PATTERNS
+from ..exceptions import ScenarioError
+from ..registry import PATTERNS, canonical_params, params_key
 from ..simnet.rng import RngFactory
 
 __all__ = ["PatternSpec", "as_pattern"]
-
-_PARAM_TYPES = (int, float, str, bool)
-
-
-def _canonical_value(key, value):
-    """One canonical spelling per parameter value.
-
-    ``8`` and ``8.0`` must be the *same* parameter — same key(), same
-    RNG stream, same cache payload — whether they arrived from TOML
-    (``factor = 8.0``), the CLI (``factor=8``) or Python, so integral
-    floats collapse to ints.  Bools stay bools (checked first: bool is
-    an int subclass).
-    """
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, _PARAM_TYPES):
-        return value
-    raise ScenarioError(
-        f"pattern param {key!r} must be a scalar "
-        f"(int/float/str/bool), got {type(value).__name__}"
-    )
 
 
 @dataclass(frozen=True)
@@ -66,58 +42,10 @@ class PatternSpec:
     params: tuple = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "name", PATTERNS.canonical(self.name))
-        except UnknownNameError as exc:
-            raise ScenarioError(exc.args[0]) from None
-        raw = self.params
-        if isinstance(raw, dict):
-            raw = tuple(raw.items())
-        try:
-            pairs = tuple(
-                sorted((str(k), _canonical_value(k, v)) for k, v in raw)
-            )
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, ScenarioError):
-                raise
-            raise ScenarioError(
-                f"pattern params must be a mapping, got {self.params!r}"
-            ) from None
-        object.__setattr__(self, "params", pairs)
-        self._check_generator_accepts(pairs)
-
-    def _check_generator_accepts(self, pairs: tuple) -> None:
-        """Fail at spec-construction time, not mid-sweep in a worker."""
-        signature = inspect.signature(PATTERNS.get(self.name))
-        accepts_kwargs = any(
-            p.kind is inspect.Parameter.VAR_KEYWORD
-            for p in signature.parameters.values()
-        )
-        if accepts_kwargs:
-            return
-        # Parameters reachable as keywords: keyword-only ones plus any
-        # positional-or-keyword beyond the leading (n_processes,
-        # msg_size) pair — user generators need not use a `*` separator.
-        positional = [
-            p.name for p in signature.parameters.values()
-            if p.kind in (
-                inspect.Parameter.POSITIONAL_ONLY,
-                inspect.Parameter.POSITIONAL_OR_KEYWORD,
-            )
-        ]
-        known = {
-            p.name for p in signature.parameters.values()
-            if p.kind in (
-                inspect.Parameter.KEYWORD_ONLY,
-                inspect.Parameter.POSITIONAL_OR_KEYWORD,
-            )
-        } - set(positional[:2]) - {"rng"}
-        unknown = sorted(key for key, _ in pairs if key not in known)
-        if unknown:
-            raise ScenarioError(
-                f"unknown param(s) {unknown} for pattern {self.name!r}; "
-                f"known: {', '.join(sorted(known)) or '(none)'}"
-            )
+        object.__setattr__(self, "name", PATTERNS.canonical(self.name, ScenarioError))
+        object.__setattr__(self, "params", canonical_params(self.params, "pattern"))
+        # Fail at spec-construction time, not mid-sweep in a worker.
+        PATTERNS.check_params(self.name, dict(self.params))
 
     # -- queries ---------------------------------------------------------
 
@@ -134,15 +62,10 @@ class PatternSpec:
     def key(self) -> str:
         """Canonical compact form, e.g. ``hotspot(factor=8,targets=2)``.
 
-        Used in RNG stream names and log labels; parameter order (and
-        the one-spelling-per-value rule — ``8.0`` renders as ``8``) is
-        the canonical form ``__post_init__`` established.
+        Used in RNG stream names and log labels (see
+        :func:`~repro.registry.params_key`).
         """
-        if not self.params:
-            return self.name
-        inner = ",".join(f"{k}={v!r}" if isinstance(v, str) else f"{k}={v}"
-                         for k, v in self.params)
-        return f"{self.name}({inner})"
+        return params_key(self.name, self.params)
 
     # -- matrix construction ---------------------------------------------
 

@@ -130,6 +130,55 @@ class TestListSections:
         assert "fig06" not in out
 
 
+def _scenario_with(tmp_path, head: str) -> str:
+    """The inline test scenario with *head* in place of its ``base`` line."""
+    path = tmp_path / "named.toml"
+    path.write_text(SCENARIO_TOML.replace('base = "gigabit-ethernet"', head))
+    return str(path)
+
+
+class TestUnknownNameLines:
+    """Every entry point prints the registry's own one line, exit code 2."""
+
+    @pytest.mark.parametrize("argv, kind, registry", [
+        (["sweep", "--engine", "nosuch"], "engine", api.ENGINES),
+        (["run", "fig02", "--engine", "nosuch"], "engine", api.ENGINES),
+        (["characterize", "myrinet", "--engine", "nosuch"], "engine", api.ENGINES),
+        (["trace", "myrinet", "--engine", "nosuch"], "engine", api.ENGINES),
+        (["sweep", "--placement", "nosuch:groups=2"], "placement", api.PLACEMENTS),
+        (["run", "fig02", "--placement", "nosuch"], "placement", api.PLACEMENTS),
+        (["optimize-placement", "myrinet", "--optimizer", "nosuch"],
+         "placement optimizer", api.PLACEMENT_OPTIMIZERS),
+        (["optimize-placement", "myrinet", "--pattern", "nosuch:x=1"],
+         "pattern", api.PATTERNS),
+        (["characterize", "nosuch"], "cluster", api.CLUSTERS),
+        (["predict", "nosuch", "8", "64kB"], "cluster", api.CLUSTERS),
+    ], ids=lambda value: value if isinstance(value, str) else None)
+    def test_flag_names(self, capsys, argv, kind, registry):
+        assert main(argv) == 2
+        known = ", ".join(registry.names())
+        assert capsys.readouterr().err.splitlines() == [
+            f"unknown {kind} 'nosuch'; known: {known}"
+        ]
+
+    @pytest.mark.parametrize("head, kind, registry", [
+        ('base = "nosuch"', "cluster", api.CLUSTERS),
+        ('base = "myrinet"\nalgorithm = "nosuch"', "algorithm", api.ALGORITHMS),
+        ('base = "myrinet"\nmodel = "nosuch"', "model", api.MODELS),
+        ('base = "myrinet"\nengine = "nosuch"', "engine", api.ENGINES),
+        ('base = "myrinet"\n[scenario.topology]\nfactory = "nosuch"',
+         "topology", api.TOPOLOGIES),
+    ], ids=["cluster", "algorithm", "model", "engine", "topology"])
+    def test_scenario_names(self, tmp_path, capsys, head, kind, registry):
+        path = _scenario_with(tmp_path, head)
+        known = ", ".join(registry.names())
+        for argv in (["run", "--scenario", path], ["characterize", path]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                f"unknown {kind} 'nosuch'; known: {known}"
+            ]
+
+
 class TestNearMissClusterNames:
     def test_characterize_accepts_underscore_variant(self, capsys):
         assert main([
@@ -257,6 +306,28 @@ class TestScenarioCli:
         assert main([*command, "--scenario", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.strip().splitlines() == ["sweep failed: need 0 < rto_min <= rto_max"]
+
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--no-cache", "--scenario"], ["run", "--scenario"],
+        ["characterize"],
+    ], ids=["sweep", "run", "characterize"])
+    @pytest.mark.parametrize("params, message", [
+        ("nic_bandwidth = 1.25e8\nbogus = 3\n",
+         "unknown param(s) ['bogus'] for topology 'single-switch'; "
+         "known: backplane_capacity, name, nic_bandwidth"),
+        ("backplane_capacity = 1e9\n",
+         "missing param(s) ['nic_bandwidth'] for topology 'single-switch'"),
+    ], ids=["unknown", "missing"])
+    def test_bad_topology_params_fail_at_load(
+        self, tmp_path, capsys, command, params, message
+    ):
+        path = tmp_path / "bad.toml"
+        path.write_text(
+            SCENARIO_TOML + "\n[scenario.topology]\nfactory = \"single-switch\"\n"
+            "\n[scenario.topology.params]\n" + params
+        )
+        assert main([*command, str(path)]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [message]
 
     def test_run_scenario_scalar_nprocs_clean_exit(self, tmp_path, capsys):
         path = tmp_path / "bad.toml"

@@ -25,6 +25,7 @@ from repro.registry import ALGORITHMS, ENGINES
 from repro.scenario import ScenarioSpec
 from repro.simmpi import RunResult
 from repro.simmpi.lowering import lower_program
+from repro.sweeps import ResultCache, SweepRunner
 from repro.sweeps.cache import point_key, profile_fingerprint
 from repro.sweeps.spec import SweepPoint, SweepSpec
 from repro.traffic import as_pattern
@@ -296,9 +297,15 @@ class TestLossyVector:
 
 
 class TestCacheKeyStability:
-    """Default-engine cache keys must stay byte-identical to the
-    pre-engine-layer (PR 5) filenames, or every user's result cache is
-    silently invalidated."""
+    """Cache keys must stay byte-identical, or every user's result cache
+    is silently invalidated.
+
+    ``EXPECTED``, ``EXPECTED_PATTERN`` and ``EXPECTED_SCENARIO`` pin
+    :func:`point_key` over :func:`profile_fingerprint` at its default
+    probe sizes, the key scheme from before the engine layer.  The
+    runner probes each point's fabric at the point's own n instead, so
+    the file names it writes differ; ``EXPECTED_ON_DISK`` pins those.
+    """
 
     EXPECTED = {
         "gigabit-ethernet":
@@ -314,6 +321,20 @@ class TestCacheKeyStability:
     EXPECTED_SCENARIO = (
         "55ca616a477f1531164d90b03258eb676bea1baa6eacb55c6205c19d3a4b5661"
     )
+    #: File names (without ``.json``) that ``SweepRunner`` writes for a
+    #: GigE n=8 m=4096 ``direct`` seed-0 single-rep point, by variant.
+    EXPECTED_ON_DISK = {
+        "plain":
+            "430837a208efe71c36ec091f88574d0bb0fbb1e63670a906580086359c7eae25",
+        "hotspot":
+            "993f49aca642c7eeed07db09d7ab9e10f186db34c820cd6e78eba97e3ffd3a47",
+        "round-robin":
+            "c4fcd46016fc8e06ef04798ba74f33ea62d4b1608028c27cb9c2e29dc6c900cf",
+        "vector":
+            "3c4ae48ec035e74b072c372d684b45bff04f45b895484fdb957414216b7c710d",
+        "scenario":
+            "a7d85aa8d845920415369b32c967b3c8111a78e6c5f09a872ba0179cf9595025",
+    }
 
     @pytest.mark.parametrize("cluster_name", sorted(EXPECTED))
     def test_registry_cluster_keys_unchanged(self, cluster_name):
@@ -348,6 +369,48 @@ class TestCacheKeyStability:
             scenario=spec.cache_payload(),
         )
         assert key == self.EXPECTED_SCENARIO
+
+    def test_runner_writes_the_pinned_keys(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(ENGINE_ENV, raising=False)
+        base = dict(
+            cluster="gigabit-ethernet", n_processes=8, msg_size=4096,
+            algorithm="direct", seed=0, reps=1,
+        )
+        variants = {
+            "plain": ({}, None),
+            "hotspot": (
+                {"pattern": {"name": "hotspot",
+                             "params": {"targets": 2, "factor": 4.0}}},
+                None,
+            ),
+            "round-robin": (
+                {"placement": {"name": "round-robin", "params": {"groups": 2}}},
+                None,
+            ),
+            "vector": ({"engine": "vector"}, None),
+            "scenario": (
+                {"cluster": "demo"},
+                ScenarioSpec(
+                    name="demo", base="gigabit-ethernet",
+                    transport={"jitter_scale": 0.0},
+                ),
+            ),
+        }
+        written = {}
+        for label, (fields, scenario) in variants.items():
+            runner = SweepRunner(cache=ResultCache(tmp_path / label))
+            try:
+                runner.run_points(
+                    [SweepPoint(**{**base, **fields})], scenario=scenario
+                )
+            finally:
+                runner.close()
+            written[label] = [
+                path.stem for path in (tmp_path / label).rglob("*.json")
+            ]
+        assert written == {
+            label: [key] for label, key in self.EXPECTED_ON_DISK.items()
+        }
 
     def test_non_default_engine_changes_key(self):
         base = SweepPoint(

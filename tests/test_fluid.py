@@ -191,7 +191,7 @@ class TestLossProcess:
         engine, net = make_net(loss=self.lossy_params(), seed=3)
         [net.inject(src, 3, 50e6) for src in (0, 1, 2)]
         engine.run()
-        losses = net.trace.by_category("flow.loss")
+        losses = net.trace.by_category("flow.stall")
         resumes = net.trace.by_category("flow.resume")
         assert len(losses) == net.total_losses
         # Every stall eventually resumed (no flow left stranded).

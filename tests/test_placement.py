@@ -92,6 +92,13 @@ class TestPlacementSpec:
         with pytest.raises(ScenarioError, match="unknown param"):
             PlacementSpec("round-robin", {"grops": 4})
 
+    def test_missing_param_rejected_at_construction(self):
+        with pytest.raises(ScenarioError) as excinfo:
+            PlacementSpec("round-robin")
+        assert str(excinfo.value) == (
+            "missing param(s) ['groups'] for placement 'round-robin'"
+        )
+
     def test_dict_round_trip(self):
         spec = PlacementSpec("block", {"size": 4, "shift": 2})
         assert PlacementSpec.from_dict(spec.to_dict()) == spec
@@ -115,7 +122,7 @@ class TestPlacementSpec:
         assert as_placement("none") is None
         assert as_placement({"name": "identity"}) is None
         assert as_placement([0, 1, 2, 3]) is None  # explicit identity
-        assert as_placement("round-robin") is not None
+        assert as_placement("random") is not None
         assert as_placement([1, 0]).is_explicit
 
     def test_divisibility_failures_surface_as_scenario_errors(self):
@@ -336,6 +343,18 @@ class TestOptimizers:
         assert result.ratio == pytest.approx(3.92, abs=0.01)
         assert result.evaluations > 0
         assert result.placement.is_explicit
+
+    def test_bad_params_fail_before_the_fabric_is_built(self):
+        class Unbuilt:
+            def topology(self, n):
+                raise AssertionError("fabric built before the params check")
+
+        with pytest.raises(ScenarioError) as excinfo:
+            optimize_placement(Unbuilt(), 8, 4096, params={"iterations": 10})
+        assert str(excinfo.value) == (
+            "unknown param(s) ['iterations'] for placement optimizer "
+            "'greedy'; known: max_rounds"
+        )
 
     @pytest.mark.parametrize("optimizer", ["greedy", "anneal"])
     def test_optimized_never_exceeds_identity(self, optimizer):
@@ -592,6 +611,15 @@ class TestCli:
         ]) == 2
         assert "unknown placement" in capsys.readouterr().err
 
+    def test_missing_placement_param_exits_2(self, capsys):
+        assert main([
+            "sweep", "--clusters", "gigabit-ethernet", "--placement", "round-robin",
+        ]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "invalid sweep spec: missing param(s) ['groups'] "
+            "for placement 'round-robin'"
+        ]
+
     def test_run_placement_requires_scenario(self, capsys):
         assert main(["run", "fig02", "--placement", "identity"]) == 2
         assert "--placement needs --scenario" in capsys.readouterr().err
@@ -622,6 +650,17 @@ class TestCli:
             "--optimizer", "greedy:temperature=2",
         ]) == 2
         assert "invalid optimizer parameters" in capsys.readouterr().err
+
+    def test_optimizer_params_checked_before_the_search(self, capsys):
+        with mock.patch.object(PlacementObjective, "__init__", side_effect=AssertionError):
+            assert main([
+                "optimize-placement", "gigabit-ethernet",
+                "--optimizer", "greedy:iterations=10",
+            ]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "invalid optimizer parameters: unknown param(s) ['iterations'] "
+            "for placement optimizer 'greedy'; known: max_rounds"
+        ]
 
     def test_sweep_placement_axis_end_to_end(self, capsys, tmp_path):
         csv_path = tmp_path / "sweep.csv"

@@ -2,14 +2,16 @@
 
 import pytest
 
-from repro.exceptions import DuplicateNameError, UnknownNameError
+from repro.exceptions import DuplicateNameError, ScenarioError, UnknownNameError
 from repro.registry import (
     ALGORITHMS,
     BACKENDS,
     CLUSTERS,
     TOPOLOGIES,
     Registry,
+    canonical_params,
     normalize_name,
+    params_key,
 )
 
 
@@ -109,6 +111,68 @@ class TestRegistration:
         reg = Registry("widget")
         with pytest.raises(ValueError, match="non-empty"):
             reg.register("  ", object())
+
+
+class TestParams:
+    def test_canonical_form_sorts_and_collapses_integral_floats(self):
+        assert canonical_params({"b": 8.0, "a": 1.5, "c": True}, "widget") == (
+            ("a", 1.5), ("b", 8), ("c", True),
+        )
+        assert canonical_params((("k", "x"),), "widget") == (("k", "x"),)
+        assert canonical_params({}, "widget") == ()
+
+    @pytest.mark.parametrize("params, message", [
+        ({"k": [1]}, "widget param 'k' must be a scalar (int/float/str/bool), got list"),
+        (5, "widget params must be a mapping, got 5"),
+    ])
+    def test_canonical_form_rejects_non_scalars(self, params, message):
+        with pytest.raises(ScenarioError) as excinfo:
+            canonical_params(params, "widget")
+        assert str(excinfo.value) == message
+
+    def test_key_form(self):
+        assert params_key("w", ()) == "w"
+        assert params_key("w", (("a", 1), ("b", "x"))) == "w(a=1,b='x')"
+
+    def test_canonical_raises_the_requested_error(self):
+        reg = Registry("widget")
+        reg.register("a", object())
+        with pytest.raises(ScenarioError) as excinfo:
+            reg.canonical("b", ScenarioError)
+        assert str(excinfo.value) == "unknown widget 'b'; known: a"
+
+    def test_check_binds_keys_past_the_leading_and_supplied_params(self):
+        reg = Registry("widget", leading=2, supplied=("rng",))
+
+        @reg.register("w")
+        def widget(n, m, rng=None, size=1, *, groups):
+            pass
+
+        reg.check_params("W", {"groups": 2})
+        reg.check_params("w", ["groups", "size"])
+        with pytest.raises(ScenarioError) as excinfo:
+            reg.check_params("w", {"groups": 2, "m": 1, "rng": 0})
+        assert str(excinfo.value) == (
+            "unknown param(s) ['m', 'rng'] for widget 'w'; known: groups, size"
+        )
+        with pytest.raises(ScenarioError) as excinfo:
+            reg.check_params("w", {"size": 2})
+        assert str(excinfo.value) == "missing param(s) ['groups'] for widget 'w'"
+
+    def test_kwargs_take_any_key_but_not_a_missing_one(self):
+        reg = Registry("widget", leading=1)
+
+        @reg.register("w")
+        def widget(n, *, groups, **params):
+            pass
+
+        reg.check_params("w", {"groups": 2, "anything": 1})
+        with pytest.raises(ScenarioError, match=r"missing param\(s\) \['groups'\]"):
+            reg.check_params("w", {"anything": 1})
+
+    def test_check_of_an_unknown_name_is_the_lookup_error(self):
+        with pytest.raises(UnknownNameError, match="unknown widget 'w'"):
+            Registry("widget").check_params("w", {})
 
 
 class TestDeprecationShims:

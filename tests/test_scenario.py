@@ -232,6 +232,23 @@ class TestTopologySpec:
         with pytest.raises(ScenarioError, match="factory"):
             TopologySpec("")
 
+    @pytest.mark.parametrize("params, message", [
+        ({"nic_bandwidth": 1e8, "ports": 4},
+         "unknown param(s) ['ports'] for topology 'single-switch'; "
+         "known: backplane_capacity, name, nic_bandwidth"),
+        ({}, "missing param(s) ['nic_bandwidth'] for topology 'single-switch'"),
+    ], ids=["unknown", "missing"])
+    def test_params_checked_at_construction(self, params, message):
+        with pytest.raises(ScenarioError) as excinfo:
+            TopologySpec("single_switch", params)
+        assert str(excinfo.value) == message
+
+    def test_factory_spelling_and_params_kept_as_given(self):
+        spec = TopologySpec("Single_Switch", {"nic_bandwidth": 1e8})
+        assert spec.to_dict() == {
+            "factory": "Single_Switch", "params": {"nic_bandwidth": 1e8},
+        }
+
 
 class TestLoadTimeValidation:
     def test_unknown_topology_factory_fails_at_load(self):

@@ -348,28 +348,28 @@ class TestRouteTable:
         with pytest.raises(ValueError, match="1-D columns"):
             topo.route_table([0, 1], [1])
 
-    def test_table_reads_what_route_reads_after_the_fabric_grows(self):
+    def test_a_finalized_fabric_cannot_grow(self):
         topo = Topology()
         a, b = topo.add_switch(), topo.add_switch(backplane_capacity=5e9)
         topo.connect_switches(a, b, bandwidth=1e9)
         for switch in (a, b, b):
             topo.add_host(switch, nic_bandwidth=1e8)
         topo.finalize()
-        topo.route_table([0], [1])  # builds the gather arrays
-        c = topo.add_switch()
-        topo.connect_switches(b, c, bandwidth=1e9)
-        topo.add_host(a, nic_bandwidth=1e8)
         n = topo.n_hosts
         src, dst = np.divmod(np.arange(n * n), n)
-        routes = _routes_or_none(topo, src, dst)
-        assert None not in routes
-        assert _rows(*topo.route_table(src, dst)) == routes
-        # A host on the switch added after finalize() has no route yet.
-        topo.add_host(c, nic_bandwidth=1e8)
-        with pytest.raises(RoutingError, match="no switch path"):
-            topo.route(0, n)
-        with pytest.raises(RoutingError, match="no switch path"):
-            topo.route_table([0], [n])
+        table = _rows(*topo.route_table(src, dst))
+        for grow in (
+            lambda: topo.add_link(1e9, LinkKind.TRUNK, "spare"),
+            lambda: topo.add_switch(),
+            lambda: topo.add_switch(backplane_capacity=5e9),
+            lambda: topo.add_host(a, nic_bandwidth=1e8),
+            lambda: topo.connect_switches(a, b, bandwidth=1e9),
+        ):
+            with pytest.raises(RoutingError, match="finalized"):
+                grow()
+        assert (n, len(topo.switches), topo.n_links) == (3, 2, 9)
+        assert _rows(*topo.route_table(src, dst)) == table
+        assert table == _routes_or_none(topo, src, dst)
 
     def test_empty_columns_give_an_empty_table(self):
         topo = single_switch(3, nic_bandwidth=1e8)
