@@ -1,4 +1,4 @@
-"""Ablation: δ parenthesisation — per-round vs global (DESIGN.md §7.1).
+"""Ablation: δ parenthesisation — per-round vs global (:mod:`repro.core.signature`).
 
 Eq. 5 of the paper is typographically ambiguous about whether δ is paid
 once or once per round.  This bench fits both variants on the same

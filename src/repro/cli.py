@@ -541,6 +541,14 @@ def _cmd_optimize_placement(args: argparse.Namespace) -> int:
     except ValueError as exc:  # covers ScenarioError
         print(f"invalid optimizer parameters: {exc}", file=sys.stderr)
         return 2
+    try:
+        pattern = (
+            api.PatternSpec.from_dict(_parse_spec_arg(args.pattern))
+            if args.pattern else None
+        )
+    except ValueError as exc:  # covers ScenarioError
+        print(f"invalid pattern parameters: {exc}", file=sys.stderr)
+        return 2
     _ledger_note(
         cluster=scenario.name, optimizer=optimizer["name"],
         scenario_key=_scenario_key(scenario),
@@ -552,7 +560,7 @@ def _cmd_optimize_placement(args: argparse.Namespace) -> int:
             optimizer=optimizer["name"],
             seed=args.seed,
             params=optimizer["params"] or None,
-            pattern=_parse_spec_arg(args.pattern) if args.pattern else None,
+            pattern=pattern,
         )
     except (MeasurementError, ScenarioError, SimulationError, ValueError) as exc:
         print(f"cannot optimize placement: {exc}", file=sys.stderr)

@@ -2,9 +2,10 @@
 
 Each profile bundles a topology factory, a transport parameter set and a
 contention mechanism configuration (loss process / HoL penalty), plus the
-paper's reported signature for cross-checking in EXPERIMENTS.md.
+paper's reported signature, which Table S
+(:mod:`repro.experiments.table_signatures`) sets beside the fitted one.
 
-Calibration philosophy (DESIGN.md §2): absolute constants are tuned so
+Calibration philosophy: absolute constants are tuned so
 that the *mechanisms* produce the paper's qualitative signature — the
 ordering γ_GigE > γ_Myrinet > γ_FE ≈ 1, the δ ordering FE > GigE ≫
 Myrinet ≈ 0, the Fig. 2/3 stress shapes — not so that 2006 wall-clock

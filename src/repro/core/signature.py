@@ -6,8 +6,10 @@ All-to-All completion time to the theoretical lower bound:
     T(n, m) = (n-1)·(α + m·β)·γ                     if m <  M
     T(n, m) = (n-1)·((α + m·β)·γ + δ)               if m >= M
 
-(δ parenthesisation per DESIGN.md: per-round by default, with the
-alternative "global" reading available for the ablation).
+(δ parenthesisation: eq. 5 leaves open whether δ is paid once or once
+per round; per-round is the default because only it generalises across
+n, and the "global" reading stays available for the ablation in
+``benchmarks/bench_ablation_delta_mode.py``).
 
 Fitting (γ, δ) is a *linear* problem: with LB = (n-1)(α+mβ) and the
 indicator 1[m >= M],
@@ -224,7 +226,7 @@ def fit_signature(
         Regression method (``gls`` uses repetition variances when
         available, FGLS otherwise).
     delta_mode:
-        ``"per_round"`` (default, see DESIGN.md) or ``"global"``.
+        ``"per_round"`` (default, see the module docstring) or ``"global"``.
     prune_delta:
         Apply the paper's Myrinet rule: a fitted δ below 1 us (or a
         negative one) is dropped entirely.

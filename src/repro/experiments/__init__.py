@@ -1,6 +1,8 @@
-"""Per-figure/table experiment drivers (the reproduction index).
+"""The paper's figures and tables as runnable experiments.
 
-See DESIGN.md §4 for the experiment ↔ paper mapping.
+The experiment ↔ paper mapping is :data:`.registry.EXPERIMENTS`; the
+three §8 networks whose fit, surface and error figures it binds are the
+rows of :data:`.validation.TESTBEDS`.
 """
 
 from .common import SCALES, ExperimentResult, Scale

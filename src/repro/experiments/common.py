@@ -1,11 +1,13 @@
 """Shared experiment machinery.
 
-Every figure/table of the paper's evaluation has a module in this
-package exposing ``run(scale=..., seed=...) -> ExperimentResult``.  Three
-scales bound simulation cost:
+Every figure/table of the paper's evaluation is a registry entry
+(:mod:`.registry`) whose runner takes ``(scale, *, seed)`` and returns
+an :class:`ExperimentResult`.  Four scales bound simulation cost:
 
 * ``smoke``   — seconds; used by the test suite to check wiring & shape;
-* ``default`` — tens of seconds; used by the benchmark harness;
+* ``bench``   — the ``default`` grids at fewer repetitions; used by the
+  benchmark harness;
+* ``default`` — tens of seconds;
 * ``full``    — paper-fidelity grids; minutes (run explicitly).
 
 Results carry named series or surfaces plus the rendered ASCII figure,
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping
 
 import numpy as np
 
@@ -246,5 +247,3 @@ def reference_signature(
         cluster.name, nprocs, scale.name, seed, delta_mode
     )
 
-
-Mapping  # re-exported typing helper used by subclasses' annotations

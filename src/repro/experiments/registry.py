@@ -7,27 +7,19 @@ the benchmark harness and the integration tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
+from typing import Callable, Iterator
 
 from .common import ExperimentResult
 from . import (
-    fig02_bandwidth,
-    fig03_transmission_times,
     fig04_two_beta,
     fig05_small_messages,
-    fig06_fe_fit,
-    fig07_fe_surface,
-    fig08_fe_error,
-    fig09_gige_fit,
-    fig10_gige_surface,
-    fig11_gige_error,
-    fig12_myrinet_fit,
-    fig13_myrinet_surface,
-    fig14_myrinet_error,
+    stress,
     table_model_shootout,
     table_placement,
     table_signatures,
 )
+from .validation import TESTBEDS, Testbed, error_figure, fit_figure, surface_figure
 
 __all__ = ["ExperimentSpec", "EXPERIMENTS", "run_experiment"]
 
@@ -42,18 +34,32 @@ class ExperimentSpec:
     runner: Callable[..., ExperimentResult]
 
 
+def _testbed_specs(row: Testbed) -> Iterator[ExperimentSpec]:
+    """A §8 testbed's fit, surface and error figures, numbered from its fit."""
+    figures = (
+        (fit_figure, f"{row.label} fit at {row.n_prime} {row.fit_hosts} ({row.fitted})"),
+        (surface_figure, f"{row.label} prediction surface"),
+        (error_figure, f"{row.label} estimation error vs process count"),
+    )
+    for fig, (make, description) in enumerate(figures, start=row.fit_fig):
+        exp_id, paper_ref = f"fig{fig:02d}", f"Fig. {fig}"
+        yield ExperimentSpec(
+            exp_id, paper_ref, description, partial(make, exp_id, paper_ref, row)
+        )
+
+
 EXPERIMENTS: dict[str, ExperimentSpec] = {
     spec.exp_id: spec
     for spec in [
         ExperimentSpec(
             "fig02", "Fig. 2",
             "average bandwidth vs simultaneous connections (GigE stress)",
-            fig02_bandwidth.run,
+            stress.bandwidth_figure,
         ),
         ExperimentSpec(
             "fig03", "Fig. 3",
             "individual 32 MB transmission times under flood (GigE)",
-            fig03_transmission_times.run,
+            stress.transmission_figure,
         ),
         ExperimentSpec(
             "fig04", "Fig. 4",
@@ -65,51 +71,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             "small-message non-linearity surface (GigE, 256 B steps)",
             fig05_small_messages.run,
         ),
-        ExperimentSpec(
-            "fig06", "Fig. 6",
-            "Fast Ethernet fit at 24 machines (gamma/delta)",
-            fig06_fe_fit.run,
-        ),
-        ExperimentSpec(
-            "fig07", "Fig. 7",
-            "Fast Ethernet prediction surface",
-            fig07_fe_surface.run,
-        ),
-        ExperimentSpec(
-            "fig08", "Fig. 8",
-            "Fast Ethernet estimation error vs process count",
-            fig08_fe_error.run,
-        ),
-        ExperimentSpec(
-            "fig09", "Fig. 9",
-            "Gigabit Ethernet fit at 40 machines (gamma/delta)",
-            fig09_gige_fit.run,
-        ),
-        ExperimentSpec(
-            "fig10", "Fig. 10",
-            "Gigabit Ethernet prediction surface",
-            fig10_gige_surface.run,
-        ),
-        ExperimentSpec(
-            "fig11", "Fig. 11",
-            "Gigabit Ethernet estimation error vs process count",
-            fig11_gige_error.run,
-        ),
-        ExperimentSpec(
-            "fig12", "Fig. 12",
-            "Myrinet fit at 24 processes (gamma only)",
-            fig12_myrinet_fit.run,
-        ),
-        ExperimentSpec(
-            "fig13", "Fig. 13",
-            "Myrinet prediction surface",
-            fig13_myrinet_surface.run,
-        ),
-        ExperimentSpec(
-            "fig14", "Fig. 14",
-            "Myrinet estimation error vs process count",
-            fig14_myrinet_error.run,
-        ),
+        *(spec for row in TESTBEDS for spec in _testbed_specs(row)),
         ExperimentSpec(
             "tableS", "§8 parameters",
             "fitted signatures vs paper values, all three networks",

@@ -19,11 +19,12 @@ from ..measure.alltoall import sweep_grid
 from ..models import DEFAULT_MODELS, compare_models
 from ..sweeps.runner import default_runner
 from .common import ExperimentResult, reference_hockney, resolve_scale
+from .validation import TESTBEDS
 
 __all__ = ["run", "SHOOTOUT_CLUSTERS"]
 
 #: The paper's three testbeds, in its presentation order.
-SHOOTOUT_CLUSTERS = ("fast-ethernet", "gigabit-ethernet", "myrinet")
+SHOOTOUT_CLUSTERS = tuple(row.cluster for row in TESTBEDS)
 
 
 def _grid_for(scale) -> tuple[tuple[int, ...], tuple[int, ...]]:

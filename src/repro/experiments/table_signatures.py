@@ -16,17 +16,9 @@ import numpy as np
 
 from ..clusters.profiles import get_cluster
 from .common import ExperimentResult, reference_signature, resolve_scale
-from .fig06_fe_fit import SAMPLE_NPROCS as FE_NPROCS
-from .fig09_gige_fit import SAMPLE_NPROCS as GIGE_NPROCS
-from .fig12_myrinet_fit import SAMPLE_NPROCS as MYRINET_NPROCS
+from .validation import TESTBEDS
 
-__all__ = ["run", "SAMPLE_NPROCS_BY_CLUSTER"]
-
-SAMPLE_NPROCS_BY_CLUSTER = {
-    "fast-ethernet": FE_NPROCS,
-    "gigabit-ethernet": GIGE_NPROCS,
-    "myrinet": MYRINET_NPROCS,
-}
+__all__ = ["run"]
 
 
 def run(scale="default", *, seed: int = 0) -> ExperimentResult:
@@ -36,15 +28,14 @@ def run(scale="default", *, seed: int = 0) -> ExperimentResult:
     gammas_fitted = []
     gammas_paper = []
     # The paper's three testbeds only — the registry may hold more.
-    for name in SAMPLE_NPROCS_BY_CLUSTER:
-        cluster = get_cluster(name)
-        nprocs = SAMPLE_NPROCS_BY_CLUSTER[name]
-        fit_n = nprocs if scale.name != "smoke" else 6
+    for testbed in TESTBEDS:
+        cluster = get_cluster(testbed.cluster)
+        fit_n = testbed.fit_nprocs(scale)
         signature = reference_signature(cluster, fit_n, scale, seed=seed)
         paper = cluster.paper
         rows.append(
             {
-                "network": name,
+                "network": testbed.cluster,
                 "n_prime": fit_n,
                 "gamma_fitted": signature.gamma,
                 "gamma_paper": paper.gamma if paper else float("nan"),

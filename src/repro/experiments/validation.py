@@ -1,17 +1,20 @@
-"""Shared builders for the §8 validation figures.
+"""The §8 validation: one table of testbeds and three figure functions.
 
-Each network gets three figures: a *fit* at the sample size n′
-(measured vs lower bound vs prediction), a *prediction surface* over
-(n, m), and an *error curve* vs n for four message sizes.  These
-builders implement the common logic; the per-figure modules bind the
-cluster, n′ and paper reference.
+The paper validates its signature the same way on each of its three
+networks: a *fit* at the sample size n′ (measured vs lower bound vs
+prediction), a *prediction surface* over (n, m), and an *error curve*
+vs n for four message sizes.  :data:`TESTBEDS` holds one row per
+network, in the paper's order; the experiment registry binds each row
+to the three functions, and Tables S and M read the same rows.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from ..clusters.profiles import ClusterProfile
+from ..clusters.profiles import get_cluster
 from ..core.bounds import alltoall_lower_bound
 from ..core.errors import relative_error_percent
 from ..measure.alltoall import sweep_grid, sweep_sizes
@@ -20,10 +23,13 @@ from .common import (
     Scale,
     reference_hockney,
     reference_signature,
+    resolve_scale,
     sample_sizes_for,
 )
 
 __all__ = [
+    "Testbed",
+    "TESTBEDS",
     "fit_figure",
     "surface_figure",
     "error_figure",
@@ -35,17 +41,68 @@ __all__ = [
 ERROR_MESSAGE_SIZES = (131_072, 262_144, 524_288, 1_048_576)
 
 
+@dataclass(frozen=True)
+class Testbed:
+    """One §8 network: its cluster, its sample size and its three figures.
+
+    ``n_prime`` is the process count the (γ, δ, M) regression samples;
+    ``max_n`` bounds the surface and error figures; ``fit_fig`` numbers
+    the fit figure, and the surface and error figures follow it.
+    ``fit_hosts`` and ``fitted`` complete the fit figure's description.
+    """
+
+    cluster: str
+    label: str
+    n_prime: int
+    max_n: int
+    fit_fig: int
+    fit_hosts: str
+    fitted: str
+
+    def fit_nprocs(self, scale: Scale) -> int:
+        """n′ at *scale*: smoke runs fit at 6 processes."""
+        return 6 if scale.name == "smoke" else self.n_prime
+
+
+TESTBEDS: tuple[Testbed, ...] = (
+    # Retransmission delays barely matter on the slow wire (γ ≈ 1); δ is
+    # the affine start-up above M that the Hockney model misses.
+    Testbed(
+        "fast-ethernet", "Fast Ethernet", n_prime=24, max_n=40, fit_fig=6,
+        fit_hosts="machines", fitted="gamma/delta",
+    ),
+    # Retransmissions in a high-rate fabric open a wide gap over the
+    # lower bound.  The signature over-predicts unsaturated n by about
+    # 1/γ − 1 (≈ −77%) and fits once the network saturates, the model's
+    # domain.
+    Testbed(
+        "gigabit-ethernet", "Gigabit Ethernet", n_prime=40, max_n=50, fit_fig=9,
+        fit_hosts="machines", fitted="gamma/delta",
+    ),
+    # Contention acts as on Ethernet though the start-up cost is almost
+    # nil (δ below 1 us, dropped).  Myrinet saturates only above about
+    # 40 processes, so n′ = 24 under-samples it: the paper blames the
+    # sample, not the model, for the small-n errors (see the sample-size
+    # ablation bench).
+    Testbed(
+        "myrinet", "Myrinet", n_prime=24, max_n=50, fit_fig=12,
+        fit_hosts="processes", fitted="gamma only",
+    ),
+)
+
+
 def fit_figure(
     exp_id: str,
     paper_ref: str,
-    cluster: ClusterProfile,
-    sample_nprocs: int,
-    scale: Scale,
+    row: Testbed,
+    scale: str | Scale,
     *,
     seed: int = 0,
 ) -> ExperimentResult:
     """Measured vs lower bound vs fitted prediction at n′ (Figs. 6/9/12)."""
-    nprocs = sample_nprocs if scale.name != "smoke" else 6
+    scale = resolve_scale(scale)
+    cluster = get_cluster(row.cluster)
+    nprocs = row.fit_nprocs(scale)
     hockney = reference_hockney(cluster, scale, seed=seed)
     signature = reference_signature(cluster, nprocs, scale, seed=seed)
     sizes = sample_sizes_for(scale)
@@ -111,17 +168,17 @@ def _surface_grid(scale: Scale, max_n: int) -> tuple[list[int], list[int]]:
 def surface_figure(
     exp_id: str,
     paper_ref: str,
-    cluster: ClusterProfile,
-    sample_nprocs: int,
-    scale: Scale,
+    row: Testbed,
+    scale: str | Scale,
     *,
     seed: int = 0,
-    max_n: int = 50,
 ) -> ExperimentResult:
     """Measured + predicted (n, m) surfaces (Figs. 7/10/13)."""
-    fit_n = sample_nprocs if scale.name != "smoke" else 6
+    scale = resolve_scale(scale)
+    cluster = get_cluster(row.cluster)
+    fit_n = row.fit_nprocs(scale)
     signature = reference_signature(cluster, fit_n, scale, seed=seed)
-    n_values, m_values = _surface_grid(scale, max_n)
+    n_values, m_values = _surface_grid(scale, row.max_n)
     # One engine-routed grid sweep (n-major order matches the reshape);
     # per-point streams are named, so values are identical to the old
     # point-by-point loop.
@@ -164,15 +221,15 @@ def surface_figure(
 def error_figure(
     exp_id: str,
     paper_ref: str,
-    cluster: ClusterProfile,
-    sample_nprocs: int,
-    scale: Scale,
+    row: Testbed,
+    scale: str | Scale,
     *,
     seed: int = 0,
-    max_n: int = 50,
 ) -> ExperimentResult:
     """Relative error vs process count for four sizes (Figs. 8/11/14)."""
-    fit_n = sample_nprocs if scale.name != "smoke" else 6
+    scale = resolve_scale(scale)
+    cluster = get_cluster(row.cluster)
+    fit_n = row.fit_nprocs(scale)
     signature = reference_signature(cluster, fit_n, scale, seed=seed)
     if scale.name == "smoke":
         ns = [4, 8]
@@ -183,7 +240,7 @@ def error_figure(
     else:  # default / bench
         ns = [5, 10, 20, 30, 40]
         sizes = ERROR_MESSAGE_SIZES
-    ns = [n for n in ns if n <= max_n]
+    ns = [n for n in ns if n <= row.max_n]
 
     grid = sweep_grid(cluster, ns, sizes, reps=scale.reps, seed=seed + 4)
     by_point = {(s.n_processes, s.msg_size): s for s in grid}

@@ -5,7 +5,7 @@ timing primitives (one-way point-to-point times and All-to-All
 completion times).  The simulator backend wraps the modules in this
 package; the mpi4py backend runs the same probes on a *real* cluster
 when ``mpi4py`` is importable and the script is launched under
-``mpiexec`` — the substitution documented in DESIGN.md §2.
+``mpiexec``, in place of the simulated clusters of :mod:`repro.simnet`.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """MPI-like simulated runtime (substrate).
 
-Replaces LAM-MPI/MPICH on the paper's clusters; see DESIGN.md §2.
+Replaces LAM-MPI/MPICH on the paper's clusters; the stack behaviour it
+models is listed in :mod:`.transport`.
 """
 
 from .collectives import (

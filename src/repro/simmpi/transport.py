@@ -17,7 +17,7 @@ into wire traffic:
   host): ``sender_concurrency``;
 * **receiver demultiplexing** — kernel stacks pay a serialized per-message
   service cost when many inbound streams complete concurrently (the δ
-  mechanism, §5 of DESIGN.md); OS-bypass stacks (gm) pay none;
+  mechanism, :mod:`repro.simnet.resources`); OS-bypass stacks (gm) pay none;
 * **jitter** — random per-message submission noise that breaks the
   perfect symmetry of Algorithm 1's rotation (the convoy-effect seed).
 """

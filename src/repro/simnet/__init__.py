@@ -1,7 +1,10 @@
 """Fluid discrete-event network simulator (substrate).
 
-Replaces the paper's physical Grid'5000 clusters.  See DESIGN.md §2/§5
-for the substitution argument and contention mechanisms.
+Replaces the paper's physical Grid'5000 clusters: the signature needs
+only completion times, so a network that shares bandwidth max-min and
+models the three contention mechanisms stands in for them — TCP loss
+(:mod:`.loss`), head-of-line blocking (:mod:`.penalty`) and receive
+demultiplexing (:mod:`.resources`).
 """
 
 from .engine import Engine, EventHandle

@@ -11,7 +11,7 @@ the number of flows sharing the link:
 with ``k`` the number of flows crossing the link and ``eta`` a per-link-kind
 coefficient.  ``eta = 0`` (the default, and the value for store-and-forward
 Ethernet switches) recovers ideal fair sharing.  This is the mechanism
-behind the Myrinet contention ratio γ ≈ 2.5 (DESIGN.md §5): transient
+behind the Myrinet contention ratio γ ≈ 2.5: transient
 many-to-one bursts not only share a port but *slow the port itself*,
 which sustains the convoys that desynchronised Direct Exchange creates.
 """

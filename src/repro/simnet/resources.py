@@ -3,7 +3,7 @@
 Models the per-message host processing that a kernel network stack pays
 when demultiplexing many concurrent inbound streams: requests queue and
 are served one at a time.  This is the mechanism behind the paper's δ
-parameter (see DESIGN.md §5) — with n-1 simultaneous arrivals the queue
+parameter — with n-1 simultaneous arrivals the queue
 serialises, contributing an affine per-round overhead, while a single
 ping-pong message (queue of one) pays only its own service time.  The
 protocol replay (:mod:`repro.simmpi.protocol`) gives each receiving

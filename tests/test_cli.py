@@ -106,7 +106,35 @@ reps = 1
 """
 
 
+#: ``list experiments``, line for line: each experiment's id, paper
+#: reference and description.
+EXPERIMENT_LISTING = """\
+  fig02   Fig. 2         average bandwidth vs simultaneous connections (GigE stress)
+  fig03   Fig. 3         individual 32 MB transmission times under flood (GigE)
+  fig04   Fig. 4         two-beta synthetic prediction vs measurement, 40 procs GigE
+  fig05   Fig. 5         small-message non-linearity surface (GigE, 256 B steps)
+  fig06   Fig. 6         Fast Ethernet fit at 24 machines (gamma/delta)
+  fig07   Fig. 7         Fast Ethernet prediction surface
+  fig08   Fig. 8         Fast Ethernet estimation error vs process count
+  fig09   Fig. 9         Gigabit Ethernet fit at 40 machines (gamma/delta)
+  fig10   Fig. 10        Gigabit Ethernet prediction surface
+  fig11   Fig. 11        Gigabit Ethernet estimation error vs process count
+  fig12   Fig. 12        Myrinet fit at 24 processes (gamma only)
+  fig13   Fig. 13        Myrinet prediction surface
+  fig14   Fig. 14        Myrinet estimation error vs process count
+  tableM  §8 claim       cost-model shootout: Hockney vs contention-signature error gap, \
+all three networks
+  tableP  §4 analysis    rank placement: avoided vs incurred contention on the edge-core \
+GigE stress fabric, predicted and simulated
+  tableS  §8 parameters  fitted signatures vs paper values, all three networks
+"""
+
+
 class TestListSections:
+    def test_experiment_listing_is_pinned(self, capsys):
+        assert main(["list", "experiments"]) == 0
+        assert capsys.readouterr().out == EXPERIMENT_LISTING
+
     def test_list_all_includes_registries(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out

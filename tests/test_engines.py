@@ -7,7 +7,10 @@ import dataclasses
 import gc
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro import api
 from repro.cli import main
@@ -21,6 +24,7 @@ from repro.exceptions import (
 )
 from repro.measure.alltoall import measure_alltoall
 from repro.obs.metrics import REGISTRY, diff_snapshots
+from repro.placement import PlacedTopology
 from repro.registry import ALGORITHMS, ENGINES
 from repro.scenario import ScenarioSpec
 from repro.simmpi import RunResult
@@ -146,6 +150,52 @@ class TestVectorLimits:
 
         with pytest.raises(LoweringError, match="ctx.now"):
             lower_program(clocky, 4, 2_048)
+
+
+def _cut_bound(topology, transport, lowered) -> float:
+    """The busiest link's routed wire bytes over its capacity, in seconds."""
+    remote = ~lowered.local
+    _, _, wire = transport.message_costs(lowered.nbytes[remote])
+    indptr, links = topology.route_table(lowered.src[remote], lowered.dst[remote])
+    loads = np.bincount(
+        links, weights=np.repeat(wire, np.diff(indptr)), minlength=topology.n_links
+    )
+    return float(np.max(loads / np.asarray(topology.capacities())))
+
+
+class TestCutLowerBound:
+    """No run beats its busiest link: on both engines a run lasts at least
+    the largest, over all links, of the wire bytes routed over the link
+    divided by its capacity.  Lost bytes or an oversubscribed link break
+    it, even where the engines would still agree with each other."""
+
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_no_run_beats_its_busiest_link(self, draw_fabric, data):
+        fabric = draw_fabric(data, connected=True)
+        n = fabric.n_hosts
+        assume(n >= 2)
+        placed = PlacedTopology(fabric, data.draw(st.permutations(range(n)), label="perm"))
+        algorithm = data.draw(st.sampled_from(api.list_algorithms()), label="algorithm")
+        if algorithm.startswith("alltoallv-"):
+            entries = data.draw(
+                st.lists(st.integers(0, 100_000), min_size=n * n, max_size=n * n),
+                label="matrix",
+            )
+            run_arg = np.array(entries, dtype=np.int64).reshape(n, n)
+        else:
+            run_arg = data.draw(st.sampled_from((4_096, 70_000)), label="msg_size")
+        gige = get_cluster("gigabit-ethernet")
+        cluster = gige.with_overrides(
+            topology_factory=lambda _: placed,
+            loss=gige.loss if data.draw(st.booleans(), label="lossy") else None,
+        )
+        seed = data.draw(st.integers(0, 3), label="seed")
+        program = ALGORITHMS.get(algorithm)
+        bound = _cut_bound(placed, cluster.transport, lower_program(program, n, run_arg))
+        for engine in ("fluid", "vector"):
+            result = ENGINES.get(engine)(cluster, n, program, run_arg, seed)
+            assert result.duration >= bound, engine
 
 
 class TestLossyVector:

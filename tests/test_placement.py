@@ -662,6 +662,20 @@ class TestCli:
             "for placement optimizer 'greedy'; known: max_rounds"
         ]
 
+    @pytest.mark.parametrize("pattern, message", [
+        ("hotspot:victims=2",
+         "unknown param(s) ['victims'] for pattern 'hotspot'; known: factor, targets"),
+        ("hotspot:targets", "bad pattern parameter 'targets' (expected key=value)"),
+    ], ids=["unknown", "malformed"])
+    def test_pattern_params_checked_before_the_search(self, capsys, pattern, message):
+        with mock.patch.object(PlacementObjective, "__init__", side_effect=AssertionError):
+            assert main([
+                "optimize-placement", "gigabit-ethernet", "--pattern", pattern,
+            ]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"invalid pattern parameters: {message}"
+        ]
+
     def test_sweep_placement_axis_end_to_end(self, capsys, tmp_path):
         csv_path = tmp_path / "sweep.csv"
         argv = [
