@@ -9,7 +9,7 @@ import numpy as np
 from repro.clusters.profiles import gigabit_ethernet
 from repro.core.signature import fit_signature
 from repro.experiments.common import SCALES, reference_hockney, sample_sizes_for
-from repro.measure.alltoall import sweep_sizes
+from repro.measure.alltoall import sweep_grid
 
 
 def test_ablation_regression_method(benchmark):
@@ -18,8 +18,8 @@ def test_ablation_regression_method(benchmark):
 
     def ablation():
         hockney = reference_hockney(cluster, scale, seed=0)
-        samples = sweep_sizes(
-            cluster, 40, sample_sizes_for(scale), reps=2, seed=21
+        samples = sweep_grid(
+            cluster, [40], sample_sizes_for(scale), reps=2, seed=21
         )
         fits = {}
         for method in ("ols", "gls", "fgls"):

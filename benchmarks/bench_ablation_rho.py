@@ -12,7 +12,7 @@ from repro.clusters.profiles import gigabit_ethernet
 from repro.core.errors import mean_absolute_percentage_error
 from repro.core.throughput import extract_two_beta
 from repro.experiments.common import SCALES, reference_hockney
-from repro.measure.alltoall import sweep_sizes
+from repro.measure.alltoall import sweep_grid
 from repro.measure.stress import run_stress
 
 
@@ -26,7 +26,7 @@ def test_ablation_rho(benchmark):
         unloaded = run_stress(cluster, 1, 32 * 1024 * 1024, seed=31)
         saturated = run_stress(cluster, 40, 32 * 1024 * 1024, seed=32)
         times = np.concatenate([unloaded.times, saturated.times])
-        samples = sweep_sizes(cluster, 40, sizes, reps=1, seed=33)
+        samples = sweep_grid(cluster, [40], sizes, reps=1, seed=33)
         measured = np.array([s.mean_time for s in samples])
         mapes = {}
         for rho in (0.25, 0.5, 0.75):

@@ -306,6 +306,28 @@ def _resolve_cluster_arg(name: str) -> tuple["api.Scenario", bool]:
     return api.Scenario.from_name(name), False
 
 
+def _point_args(nprocs, size, flags=("--nprocs", "--size")):
+    """Checked ``(n, m)`` of a one-point command (``None``: the default).
+
+    A bad value raises :class:`ValueError` naming its flag, which the
+    command prints as one line before exiting 2.
+    """
+    if nprocs is not None and nprocs < 2:
+        raise ValueError(
+            f"invalid {flags[0]}: All-to-All needs at least 2 processes, "
+            f"got {nprocs}"
+        )
+    if size is None:
+        return nprocs, None
+    try:
+        nbytes = parse_size(size)
+    except ValueError as exc:
+        raise ValueError(f"invalid {flags[1]}: {exc}") from None
+    if nbytes < 1:
+        raise ValueError(f"invalid {flags[1]}: a message needs at least 1 byte")
+    return nprocs, nbytes
+
+
 def _load_scenario(path: str) -> "api.Scenario | None":
     """Load a scenario file, printing a clean error on failure."""
     try:
@@ -510,15 +532,21 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     except (OSError, UnknownNameError, ScenarioError) as exc:
         print(exc, file=sys.stderr)
         return 2
-    size = parse_size(args.msg_size)
+    try:
+        nprocs, size = _point_args(
+            args.nprocs, args.msg_size, ("nprocs", "msg_size")
+        )
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     try:
         signature = scenario.paper_signature(size)
     except ScenarioError:
         print("no paper signature recorded for this cluster", file=sys.stderr)
         return 1
-    time = signature.predict(args.nprocs, size)
-    bound = signature.lower_bound(args.nprocs, size)
-    print(f"predicted MPI_Alltoall({args.nprocs} procs, {size} B):")
+    time = signature.predict(nprocs, size)
+    bound = signature.lower_bound(nprocs, size)
+    print(f"predicted MPI_Alltoall({nprocs} procs, {size} B):")
     print(f"  prediction : {format_time(float(time))}")
     print(f"  lower bound: {format_time(float(bound))}")
     print(f"  signature  : {signature}")
@@ -534,6 +562,11 @@ def _cmd_optimize_placement(args: argparse.Namespace) -> int:
     if _check_names(api.PLACEMENT_OPTIMIZERS, args.optimizer) or _check_names(
         api.PATTERNS, args.pattern
     ):
+        return 2
+    try:
+        nprocs, size = _point_args(args.nprocs, args.size)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
     try:
         optimizer = _parse_spec_arg(args.optimizer, "optimizer")
@@ -555,8 +588,8 @@ def _cmd_optimize_placement(args: argparse.Namespace) -> int:
     )
     try:
         result = scenario.optimize_placement(
-            args.nprocs,
-            parse_size(args.size) if args.size is not None else None,
+            nprocs,
+            size,
             optimizer=optimizer["name"],
             seed=args.seed,
             params=optimizer["params"] or None,
@@ -566,7 +599,7 @@ def _cmd_optimize_placement(args: argparse.Namespace) -> int:
         print(f"cannot optimize placement: {exc}", file=sys.stderr)
         return 1
     workload = scenario.spec.workload
-    n = args.nprocs if args.nprocs is not None else workload.fit_nprocs
+    n = nprocs if nprocs is not None else workload.fit_nprocs
     print(f"cluster    : {scenario.name}")
     print(f"optimizer  : {result.optimizer} (seed {result.seed}, "
           f"{result.evaluations} evaluations)")
@@ -764,38 +797,6 @@ def _cmd_compare_models(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scenario_sweep_models(args, scenario, result) -> int:
-    """``sweep --scenario FILE --models ...``: compare on the sweep's
-    samples under the scenario's own profile/ping-pong context."""
-    samples = [
-        r.sample for r in result.results
-        if r.ok and r.point.pattern is None and r.point.placement is None
-    ]
-    if not samples:
-        print(
-            "model comparison skipped: no successful uniform-pattern, "
-            "identity-placement points (the zoo models predict the "
-            "regular All-to-All under the default mapping)",
-            file=sys.stderr,
-        )
-        return 0
-    try:
-        comparison = scenario.compare_models(
-            tuple(_csv_list(args.models)), samples=samples
-        )
-    except UnknownNameError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    except (FittingError, MeasurementError, ScenarioError) as exc:
-        # e.g. the post-sweep ping-pong context measurement failing —
-        # the sweep itself already succeeded and streamed/cached.
-        print(f"model comparison failed: {exc}", file=sys.stderr)
-        return 1
-    print(f"\nmodel comparison — {scenario.name}:")
-    print(comparison.render())
-    return 0
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     if _check_names(api.ENGINES, args.engine):
         return 2
@@ -805,13 +806,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(exc, file=sys.stderr)
         return 2
     try:
-        size = parse_size(args.size) if args.size is not None else None
+        nprocs, size = _point_args(args.nprocs, args.size)
     except ValueError as exc:
-        print(f"invalid --size: {exc}", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return 2
     try:
         observation = scenario.trace(
-            args.nprocs,
+            nprocs,
             size,
             seed=args.seed,
             algorithm=args.algorithm,
@@ -897,10 +898,15 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from functools import partial
+
     from .sweeps import ResultCache, SweepRunner, SweepSpec, default_cache_dir
 
-    if _check_names(api.ENGINES, args.engine) or _check_names(
-        api.PLACEMENTS, *(args.placement or ())
+    models = _csv_list(args.models) if args.models else []
+    if (
+        _check_names(api.ENGINES, args.engine)
+        or _check_names(api.PLACEMENTS, *(args.placement or ()))
+        or _check_names(api.MODELS, *models)
     ):
         return 2
     if args.heartbeat is not None and args.heartbeat <= 0:
@@ -926,8 +932,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     progress = _progress_printer() if args.progress else None
 
-    # --models is absent here on purpose: it is a post-processing hook,
-    # not a grid axis, so it composes with --scenario sweeps too.
+    # --models is absent here on purpose: it ranks cost models on the
+    # finished sweep, never adds an axis, so it composes with --scenario.
     axis_flags = (
         "clusters", "nprocs", "sizes", "algorithms", "pattern",
         "placement", "seeds", "reps",
@@ -953,85 +959,81 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         _ledger_note(
             scenario=args.scenario, scenario_key=_scenario_key(scenario)
         )
+        sweep = partial(scenario.sweep, runner=runner)
+        described, seed = scenario.describe(), scenario.spec.workload.seeds[0]
+    else:
+        scenario = None
         try:
-            result = scenario.sweep(runner=runner, sinks=sinks, progress=progress)
-        except _SWEEP_ERRORS as exc:
-            print(f"sweep failed: {exc}", file=sys.stderr)
-            return 1
-        print(f"sweep     : {scenario.describe()}")
-        print(f"workers   : {runner.workers} ({runner.executor_name} executor)")
-        print(f"cache     : {cache.root if cache is not None else 'disabled'}")
-        _print_sweep_summary(result, streamed=streamed)
-        if args.profile:
-            print(result.profile().render())
-        if args.models:
-            code = _scenario_sweep_models(args, scenario, result)
-            if code:
-                return code
-        return 1 if result.n_failed else 0
+            spec = SweepSpec(
+                clusters=tuple(_csv_list(args.clusters or "gigabit-ethernet")),
+                nprocs=tuple(int(n) for n in _csv_list(args.nprocs or "4,8")),
+                sizes=tuple(
+                    parse_size(s) for s in _csv_list(args.sizes or "2kB,32kB,256kB")
+                ),
+                algorithms=tuple(_csv_list(args.algorithms or "direct")),
+                patterns=(
+                    tuple(_parse_spec_arg(p) for p in args.pattern)
+                    if args.pattern
+                    else (None,)
+                ),
+                placements=(
+                    tuple(_parse_spec_arg(p, "placement") for p in args.placement)
+                    if args.placement
+                    else (None,)
+                ),
+                seeds=tuple(int(s) for s in _csv_list(args.seeds or "0")),
+                reps=args.reps if args.reps is not None else 1,
+                engine=args.engine,
+            )
+        except ValueError as exc:
+            print(f"invalid sweep spec: {exc}", file=sys.stderr)
+            return 2
+        if args.heartbeat is not None:
+            from .obs.heartbeat import HeartbeatSink
 
+            sinks = sinks + (HeartbeatSink(args.heartbeat, total=spec.n_points),)
+        _ledger_note(spec=spec.describe(), n_points=spec.n_points)
+        sweep = partial(runner.run, spec)
+        described, seed = spec.describe(), min(spec.seeds)
     try:
-        spec = SweepSpec(
-            clusters=tuple(_csv_list(args.clusters or "gigabit-ethernet")),
-            nprocs=tuple(int(n) for n in _csv_list(args.nprocs or "4,8")),
-            sizes=tuple(
-                parse_size(s) for s in _csv_list(args.sizes or "2kB,32kB,256kB")
-            ),
-            algorithms=tuple(_csv_list(args.algorithms or "direct")),
-            patterns=(
-                tuple(_parse_spec_arg(p) for p in args.pattern)
-                if args.pattern
-                else (None,)
-            ),
-            placements=(
-                tuple(_parse_spec_arg(p, "placement") for p in args.placement)
-                if args.placement
-                else (None,)
-            ),
-            seeds=tuple(int(s) for s in _csv_list(args.seeds or "0")),
-            reps=args.reps if args.reps is not None else 1,
-            models=tuple(_csv_list(args.models)) if args.models else (),
-            engine=args.engine,
-        )
-    except ValueError as exc:
-        print(f"invalid sweep spec: {exc}", file=sys.stderr)
-        return 2
-    if args.heartbeat is not None:
-        from .obs.heartbeat import HeartbeatSink
-
-        sinks = sinks + (HeartbeatSink(args.heartbeat, total=spec.n_points),)
-    _ledger_note(spec=spec.describe(), n_points=spec.n_points)
-    try:
-        result = runner.run(spec, sinks=sinks, progress=progress)
+        result = sweep(sinks=sinks, progress=progress)
     except KeyError as exc:
         print(exc.args[0] if exc.args else str(exc), file=sys.stderr)
         return 2
-    except FittingError as exc:
-        # The post-sweep model comparison failed; the points themselves
-        # are already cached/streamed.
-        print(f"model comparison failed: {exc}", file=sys.stderr)
-        return 1
     except _SWEEP_ERRORS as exc:
         # e.g. a pattern whose matrix degenerates at some grid point
         # (shift:offset=n) — report cleanly, not as a traceback.
         print(f"sweep failed: {exc}", file=sys.stderr)
         return 1
 
-    print(f"sweep     : {spec.describe()}")
+    print(f"sweep     : {described}")
     print(f"workers   : {runner.workers} ({runner.executor_name} executor)")
     print(f"cache     : {cache.root if cache is not None else 'disabled'}")
     _print_sweep_summary(result, streamed=streamed)
     if args.profile:
         print(result.profile().render())
-    if spec.models and not result.comparisons:
-        print(
-            "model comparison skipped: no successful uniform-pattern "
-            "points (the zoo models predict the regular All-to-All)",
-            file=sys.stderr,
-        )
-    for cluster_name, comparison in sorted((result.comparisons or {}).items()):
-        print(f"\nmodel comparison — {cluster_name}:")
-        print(comparison.render())
+    if models:
+        from .models.selection import compare_for_sweep
+
+        try:
+            comparisons = compare_for_sweep(
+                result, models, seed=seed,
+                profile=None if scenario is None else scenario.profile,
+            )
+        except (FittingError, MeasurementError, SimulationError) as exc:
+            # The points themselves are already cached and streamed.
+            print(f"model comparison failed: {exc}", file=sys.stderr)
+            return 1
+        if not comparisons:
+            print(
+                "model comparison skipped: no successful uniform-pattern, "
+                "identity-placement points (the zoo models predict the "
+                "regular All-to-All under the default mapping)",
+                file=sys.stderr,
+            )
+        for name, comparison in comparisons.items():
+            print(f"\nmodel comparison — {name}:")
+            print(comparison.render())
     if not sinks:
         slowest = sorted(
             (r for r in result.results if r.ok),

@@ -25,8 +25,8 @@ from ..analysis.ascii_plot import line_plot, scatter_plot, surface_table
 from ..analysis.io import rows_from_series, write_csv
 from ..clusters.profiles import ClusterProfile, get_cluster
 from ..core.hockney import HockneyParams
-from ..core.signature import ContentionSignature, fit_signature
-from ..measure.alltoall import sweep_sizes
+from ..core.signature import ContentionSignature, SignatureFit, fit_signature
+from ..measure.alltoall import sweep_grid
 from ..measure.pingpong import hockney_from_pingpong, measure_pingpong
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "Scale",
     "ExperimentResult",
     "reference_hockney",
+    "reference_fit",
     "reference_signature",
     "sample_sizes_for",
 ]
@@ -204,29 +205,42 @@ def reference_hockney(
 
 
 @lru_cache(maxsize=64)
-def _signature_cached(
+def _fit_cached(
     cluster_name: str,
     nprocs: int,
     scale_name: str,
     seed: int,
     delta_mode: str,
-) -> ContentionSignature:
-    from ..sweeps.runner import default_runner
-
+) -> SignatureFit:
     cluster = get_cluster(cluster_name)
     scale = SCALES[scale_name]
     hockney = reference_hockney(cluster, scale, seed=seed)
-    sizes = sample_sizes_for(scale)
     # Routed through the sweep engine: the process-wide runner supplies
     # the execution backend (REPRO_SWEEP_WORKERS / REPRO_SWEEP_EXECUTOR,
     # a persistent warm pool across figures) and the on-disk result
     # cache (REPRO_SWEEP_CACHE) on top of this in-memory lru_cache.
-    samples = sweep_sizes(
-        cluster, nprocs, sizes, reps=scale.reps, seed=seed + 1,
-        runner=default_runner(),
+    samples = sweep_grid(
+        cluster, [nprocs], sample_sizes_for(scale), reps=scale.reps,
+        seed=seed + 1,
     )
-    fit = fit_signature(samples, hockney, delta_mode=delta_mode)
-    return fit.signature
+    return fit_signature(samples, hockney, delta_mode=delta_mode)
+
+
+def reference_fit(
+    cluster: ClusterProfile,
+    nprocs: int,
+    scale: Scale,
+    *,
+    seed: int = 0,
+    delta_mode: str = "per_round",
+) -> SignatureFit:
+    """The §8 signature fit at sample size *nprocs*, with its samples (cached).
+
+    Caching matters: figures 6/7/8 (and 9/10/11, 12/13/14) share one
+    fit per network, exactly as the paper reuses the n′ sample fit
+    across its figures; the fit figure plots the fit's own samples.
+    """
+    return _fit_cached(cluster.name, nprocs, scale.name, seed, delta_mode)
 
 
 def reference_signature(
@@ -237,13 +251,8 @@ def reference_signature(
     seed: int = 0,
     delta_mode: str = "per_round",
 ) -> ContentionSignature:
-    """The §8 signature fitted at sample size *nprocs* (cached).
-
-    Caching matters: figures 6/7/8 (and 9/10/11, 12/13/14) share one
-    fitted signature per network, exactly as the paper reuses the n′
-    sample fit across its prediction and error figures.
-    """
-    return _signature_cached(
-        cluster.name, nprocs, scale.name, seed, delta_mode
-    )
+    """The signature of :func:`reference_fit` (cached)."""
+    return reference_fit(
+        cluster, nprocs, scale, seed=seed, delta_mode=delta_mode
+    ).signature
 

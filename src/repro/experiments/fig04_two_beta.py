@@ -15,7 +15,7 @@ import numpy as np
 from ..clusters.profiles import gigabit_ethernet
 from ..core.throughput import two_beta_from_states
 from ..core.bounds import alltoall_lower_bound
-from ..measure.alltoall import sweep_sizes
+from ..measure.alltoall import sweep_grid
 from ..measure.stress import run_stress
 from .common import ExperimentResult, reference_hockney, resolve_scale, sample_sizes_for
 
@@ -43,8 +43,8 @@ def run(scale="default", *, seed: int = 0, rho: float = 0.5) -> ExperimentResult
     )
 
     sizes = sample_sizes_for(scale)
-    samples = sweep_sizes(
-        cluster, nprocs, sizes, reps=scale.reps, seed=seed + 2
+    samples = sweep_grid(
+        cluster, [nprocs], sizes, reps=scale.reps, seed=seed + 2
     )
     m = np.array(sizes, dtype=np.float64)
     measured = np.array([s.mean_time for s in samples])

@@ -14,8 +14,9 @@ For each process count the table reports the predicted bottleneck
 (identity vs optimized, from the placed traffic matrix's MED routed
 over the fabric) and the *simulated* completion time of both mappings
 under the batched vector engine — the avoided-vs-incurred contention,
-confirmed end to end.  Losses are disabled: the vector engine rejects
-lossy profiles, and the predicted objective models bandwidth only.
+confirmed end to end.  Losses are disabled: the predicted objective
+models bandwidth only, and lossless vector runs match the fluid oracle
+to roundoff, where lossy ones match only in distribution.
 """
 
 from __future__ import annotations

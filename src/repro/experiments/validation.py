@@ -17,14 +17,14 @@ import numpy as np
 from ..clusters.profiles import get_cluster
 from ..core.bounds import alltoall_lower_bound
 from ..core.errors import relative_error_percent
-from ..measure.alltoall import sweep_grid, sweep_sizes
+from ..measure.alltoall import sweep_grid
 from .common import (
     ExperimentResult,
     Scale,
+    reference_fit,
     reference_hockney,
     reference_signature,
     resolve_scale,
-    sample_sizes_for,
 )
 
 __all__ = [
@@ -104,19 +104,16 @@ def fit_figure(
     cluster = get_cluster(row.cluster)
     nprocs = row.fit_nprocs(scale)
     hockney = reference_hockney(cluster, scale, seed=seed)
-    signature = reference_signature(cluster, nprocs, scale, seed=seed)
-    sizes = sample_sizes_for(scale)
-    samples = sweep_sizes(
-        cluster, nprocs, sizes, reps=scale.reps, seed=seed + 1
-    )
-    m = np.asarray(sizes, dtype=np.float64)
-    measured = np.array([s.mean_time for s in samples])
+    fit = reference_fit(cluster, nprocs, scale, seed=seed)
+    signature = fit.signature
+    m = np.array([s.msg_size for s in fit.samples], dtype=np.float64)
+    measured = np.array([s.mean_time for s in fit.samples])
     bound = alltoall_lower_bound(nprocs, m, hockney)
     predicted = signature.predict(nprocs, m)
 
     result = ExperimentResult(
         exp_id=exp_id,
-        title=f"MPI_Alltoall fit, {cluster.name}, {nprocs} machines",
+        title=f"MPI_Alltoall fit, {cluster.name}, {nprocs} {row.fit_hosts}",
         paper_ref=paper_ref,
         kind="lines",
         xlabel="message size (bytes)",

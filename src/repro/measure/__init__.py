@@ -1,6 +1,6 @@
 """Measurement harness: ping-pong, stress flood, All-to-All timing."""
 
-from .alltoall import measure_alltoall, sweep_grid, sweep_sizes
+from .alltoall import measure_alltoall, sweep_grid
 from .backends import Mpi4pyBackend, SimBackend, get_backend
 from .pingpong import (
     PingPongResult,
@@ -17,7 +17,6 @@ from .stress import StressRun, StressSweep, run_stress, stress_sweep
 __all__ = [
     "measure_alltoall",
     "sweep_grid",
-    "sweep_sizes",
     "Mpi4pyBackend",
     "SimBackend",
     "get_backend",

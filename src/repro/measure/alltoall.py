@@ -39,7 +39,7 @@ from ..simmpi.collectives import variant_for
 from ..simnet.rng import RngFactory
 from ..traffic import PatternSpec, as_pattern
 
-__all__ = ["measure_alltoall", "sweep_sizes", "sweep_grid"]
+__all__ = ["measure_alltoall", "sweep_grid"]
 
 
 def _resolve_program(algorithm: str, pattern: "PatternSpec | None"):
@@ -242,54 +242,6 @@ def measure_alltoall(
     return sample
 
 
-def _run_points(cluster, points, runner, scenario=None, progress=None):
-    """Route points through a sweep runner (default: process-wide one).
-
-    Imported lazily: :mod:`repro.sweeps` builds on this module.
-    *scenario* (a :class:`~repro.scenario.ScenarioSpec`) is forwarded so
-    cache keys incorporate the scenario definition and misses can fan
-    out to worker processes even for non-registry profiles; *progress*
-    is the runner's per-point ``(done, total, result)`` callback.
-    """
-    from ..sweeps.runner import default_runner
-
-    if runner is None:
-        runner = default_runner()
-    return runner.run_points(
-        points, profile=cluster, scenario=scenario, progress=progress
-    ).samples
-
-
-def sweep_sizes(
-    cluster: ClusterProfile,
-    n_processes: int,
-    sizes,
-    *,
-    reps: int = 3,
-    seed: int = 0,
-    algorithm: str = "direct",
-    pattern=None,
-    engine=None,
-    placement=None,
-    runner=None,
-    scenario=None,
-    progress=None,
-) -> list[AlltoallSample]:
-    """Message-size sweep at fixed n (the fit figures 6/9/12).
-
-    Routed through the sweep engine: pass a configured
-    :class:`~repro.sweeps.SweepRunner` (or set ``REPRO_SWEEP_WORKERS`` /
-    ``REPRO_SWEEP_EXECUTOR`` / ``REPRO_SWEEP_CACHE``) to parallelise
-    and cache the points; *progress* is called per landed point.
-    """
-    return sweep_grid(
-        cluster, [n_processes], sizes, reps=reps, seed=seed,
-        algorithm=algorithm, pattern=pattern, engine=engine,
-        placement=placement, runner=runner, scenario=scenario,
-        progress=progress,
-    )
-
-
 def sweep_grid(
     cluster: ClusterProfile,
     n_values,
@@ -305,11 +257,17 @@ def sweep_grid(
     scenario=None,
     progress=None,
 ) -> list[AlltoallSample]:
-    """(n, m) grid sweep (the surface figures 5/7/10/13).
+    """(n, m) grid sweep, n-major; a fit at one n′ is ``[n′] x sizes``.
 
-    Point order is n-major, size-minor.  Same runner/progress semantics
-    as :func:`sweep_sizes`.
+    Routed through the sweep engine: pass a configured
+    :class:`~repro.sweeps.SweepRunner` (or set ``REPRO_SWEEP_WORKERS`` /
+    ``REPRO_SWEEP_EXECUTOR`` / ``REPRO_SWEEP_CACHE``) to parallelise and
+    cache the points.  *scenario* (a :class:`~repro.scenario.ScenarioSpec`)
+    enters the cache keys and lets misses fan out to workers even for
+    non-registry profiles; *progress* is called per landed point.
     """
+    # Imported lazily: repro.sweeps builds on this module.
+    from ..sweeps.runner import default_runner
     from ..sweeps.spec import SweepPoint
 
     try:
@@ -331,4 +289,8 @@ def sweep_grid(
     except ValueError as exc:
         # Preserve the measure layer's exception hierarchy.
         raise MeasurementError(str(exc)) from None
-    return _run_points(cluster, points, runner, scenario, progress)
+    if runner is None:
+        runner = default_runner()
+    return runner.run_points(
+        points, profile=cluster, scenario=scenario, progress=progress
+    ).samples

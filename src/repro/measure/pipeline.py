@@ -15,7 +15,7 @@ from ..clusters.profiles import ClusterProfile
 from ..core.hockney import HockneyFit
 from ..core.predictor import AlltoallPredictor
 from ..core.signature import AlltoallSample, SignatureFit, fit_signature
-from .alltoall import sweep_sizes
+from .alltoall import sweep_grid
 from .pingpong import PingPongResult, hockney_from_pingpong, measure_pingpong
 
 __all__ = ["Characterization", "characterize_cluster", "DEFAULT_SAMPLE_SIZES"]
@@ -83,9 +83,9 @@ def characterize_cluster(
         cluster, reps=pingpong_reps, seed=seed
     )
     hockney_fit = hockney_from_pingpong(pingpong)
-    samples = sweep_sizes(
+    samples = sweep_grid(
         cluster,
-        sample_nprocs,
+        [sample_nprocs],
         sample_sizes,
         reps=reps,
         seed=seed,

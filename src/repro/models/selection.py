@@ -7,7 +7,8 @@ models on them, scores each fit in-sample (RMSE and MAPE, the paper's
 ``|measured/estimated - 1|`` metric) and out-of-sample (deterministic
 k-fold plus leave-one-n-out cross-validation), and emits a ranked
 :class:`ModelComparison` — the machinery behind
-``repro-alltoall compare-models`` and the tableM shootout experiment.
+``repro-alltoall compare-models``, ``sweep --models`` and the tableM
+shootout experiment.
 
 Everything here is deterministic: folds are assigned round-robin over a
 canonical sample ordering, never drawn from an RNG, so the same samples
@@ -389,7 +390,7 @@ def compare_models(
     if not samples:
         raise FittingError("no samples to compare models on")
     # Canonicalise and deduplicate (an alias plus its canonical name is
-    # one model — same policy as SweepSpec.models).
+    # one model).
     names: list[str] = []
     for model in models or DEFAULT_MODELS:
         resolved = MODELS.canonical(model)
@@ -461,35 +462,33 @@ def compare_for_sweep(
     k: int = 4,
     seed: int = 0,
     pingpong_reps: int = 3,
+    profile=None,
 ) -> dict[str, "ModelComparison"]:
-    """Per-cluster model comparison over a finished sweep.
+    """Per-cluster model comparison over a finished sweep (``sweep --models``).
 
-    Groups the sweep's successful uniform-pattern points by cluster;
-    for registry-resolvable cluster names the fit context (ping-pong
-    Hockney α/β, topology capacities) is derived from the profile,
-    otherwise models fit context-free.  Returns ``{cluster name:
-    ModelComparison}`` for every cluster with enough samples.
+    Fits the successful uniform-pattern, identity-placement points (the
+    only exchange the zoo models predict) per cluster, always under the
+    fabric's ping-pong context as eq. 1 is parameterised: Hockney α/β
+    from *pingpong_reps* ping-pongs at *seed*, and the topology.  The
+    fabric is *profile* when given (a scenario sweep's), else the
+    registered cluster of that name.  Returns ``{cluster name:
+    ModelComparison}`` in name order, empty when no point qualifies.
     """
     from ..clusters.profiles import get_cluster
     from ..measure.pingpong import hockney_from_pingpong, measure_pingpong
-    from ..registry import CLUSTERS
 
     by_cluster: dict[str, list[AlltoallSample]] = {}
     for point_result in result.results:
-        if not point_result.ok or point_result.point.pattern is not None:
-            continue
-        by_cluster.setdefault(point_result.point.cluster, []).append(
-            point_result.sample
-        )
+        point = point_result.point
+        if point_result.ok and point.pattern is None and point.placement is None:
+            by_cluster.setdefault(point.cluster, []).append(point_result.sample)
     comparisons: dict[str, ModelComparison] = {}
     for name in sorted(by_cluster):
-        profile = get_cluster(name) if name in CLUSTERS else None
-        hockney = None
-        if profile is not None:
-            pingpong = measure_pingpong(profile, reps=pingpong_reps, seed=seed)
-            hockney = hockney_from_pingpong(pingpong).params
+        fabric = profile if profile is not None else get_cluster(name)
+        pingpong = measure_pingpong(fabric, reps=pingpong_reps, seed=seed)
         comparison = compare_models(
-            by_cluster[name], models, hockney=hockney, cluster=profile, k=k
+            by_cluster[name], models,
+            hockney=hockney_from_pingpong(pingpong).params, cluster=fabric, k=k,
         )
         comparison.cluster = name
         comparisons[name] = comparison

@@ -30,6 +30,10 @@ Results stream as they land: pass ``sinks`` (incremental CSV/JSONL
 appenders from :mod:`repro.exec.sinks`) and/or a ``progress`` callback
 to ``run``/``run_points`` and arbitrarily large sweeps run in bounded
 memory.
+
+The runner stops at samples and rows.  Fitting cost models on a
+finished :class:`SweepResult` is
+:func:`repro.models.selection.compare_for_sweep`'s job.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import json
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..analysis.io import write_csv
@@ -188,11 +192,6 @@ class SweepResult:
     #: Wall time of the execution (cache-miss) phase alone; the gap to
     #: ``elapsed`` is cache probing, keying and streaming.
     exec_elapsed: float = 0.0
-    spec: SweepSpec | None = field(default=None, repr=False)
-    #: Per-cluster cost-model comparisons (populated by :meth:`SweepRunner.run`
-    #: when the spec carries a ``models`` hook, or on demand by
-    #: :meth:`compare_models`).
-    comparisons: dict | None = field(default=None, repr=False)
 
     @property
     def samples(self) -> list[AlltoallSample]:
@@ -257,31 +256,6 @@ class SweepResult:
             for row in rows:
                 handle.write(json.dumps(row) + "\n")
         return path
-
-    def compare_models(
-        self, models=None, *, k: int = 4, seed: int | None = None
-    ) -> dict:
-        """Fit cost models per cluster on this sweep's samples, ranked.
-
-        *models* defaults to the spec's ``models`` hook, else the full
-        built-in zoo; *seed* (for the ping-pong context measurement)
-        defaults to the spec's smallest seed, so calling this after the
-        fact reproduces exactly what ``run()`` attached.  The
-        comparisons are cached on :attr:`comparisons` and returned
-        (``{cluster: ModelComparison}``).
-        """
-        from ..models.builtins import DEFAULT_MODELS
-        from ..models.selection import compare_for_sweep
-
-        if models is None:
-            models = (
-                self.spec.models if self.spec is not None and self.spec.models
-                else DEFAULT_MODELS
-            )
-        if seed is None:
-            seed = min(self.spec.seeds) if self.spec is not None else 0
-        self.comparisons = compare_for_sweep(self, models, k=k, seed=seed)
-        return self.comparisons
 
 
 class SweepRunner:
@@ -369,18 +343,8 @@ class SweepRunner:
         sinks: tuple[ResultSink, ...] = (),
         progress=None,
     ) -> SweepResult:
-        """Resolve every point of *spec* (cache hits + fresh simulations).
-
-        When the spec carries a ``models`` post-processing hook, the
-        registered cost models are fitted per cluster on the finished
-        sweep's samples and the ranked comparisons attached to
-        :attr:`SweepResult.comparisons`.
-        """
-        result = self.run_points(spec.points(), sinks=sinks, progress=progress)
-        result.spec = spec
-        if spec.models:
-            result.compare_models(spec.models)
-        return result
+        """Resolve every point of *spec* (cache hits + fresh simulations)."""
+        return self.run_points(spec.points(), sinks=sinks, progress=progress)
 
     def run_points(
         self,

@@ -15,6 +15,10 @@ the trivial ``uniform`` spec, which canonicalises to ``None`` — is the
 legacy regular All-to-All, whose points carry no pattern in their cache
 keys (so pre-pattern cache entries stay valid and uniform sweeps hit
 them bit-for-bit).
+
+A spec is the grid and nothing else.  What a finished sweep is used for
+is its caller's business: ``sweep --models`` ranks cost models on the
+result with :func:`repro.models.selection.compare_for_sweep`.
 """
 
 from __future__ import annotations
@@ -22,11 +26,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .. import models as _models  # noqa: F401 - registers the built-in cost models
 from ..engines import DEFAULT_ENGINE, default_engine
 from ..exceptions import UnknownNameError
 from ..placement import PlacementSpec, as_placement
-from ..registry import ALGORITHMS, CLUSTERS, ENGINES, MODELS
+from ..registry import ALGORITHMS, CLUSTERS, ENGINES
 from ..simmpi.collectives import variant_for
 from ..traffic import PatternSpec, as_pattern
 
@@ -127,12 +130,6 @@ class SweepSpec:
         the package docstring).
     reps:
         Repetitions averaged inside each point.
-    models:
-        Optional post-processing hook: cost-model names (entries of
-        :data:`repro.registry.MODELS`) to fit per cluster on the
-        finished sweep's samples.  Not a grid axis — it never affects
-        which points run or their cache keys; the runner attaches the
-        ranked comparisons to ``SweepResult.comparisons``.
     engine:
         Simulation engine for every point (an entry of
         :data:`repro.registry.ENGINES`); ``None`` defers to the
@@ -148,7 +145,6 @@ class SweepSpec:
     placements: tuple = (None,)
     seeds: tuple[int, ...] = (0,)
     reps: int = 3
-    models: tuple[str, ...] = ()
     engine: str | None = None
 
     def __post_init__(self) -> None:
@@ -206,18 +202,6 @@ class SweepSpec:
             raise ValueError("every sweep axis needs at least one value")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
-        unknown_models = [m for m in self.models if m not in MODELS]
-        if unknown_models:
-            known = ", ".join(MODELS.names())
-            raise ValueError(f"unknown models {unknown_models}; known: {known}")
-        # Canonicalise and deduplicate (an alias plus its canonical name
-        # is one model, not a post-sweep comparison failure).
-        canonical_models: list[str] = []
-        for model in self.models:
-            resolved = MODELS.canonical(model)
-            if resolved not in canonical_models:
-                canonical_models.append(resolved)
-        object.__setattr__(self, "models", tuple(canonical_models))
         if self.engine is not None:
             object.__setattr__(self, "engine", ENGINES.canonical(self.engine))
 

@@ -206,6 +206,67 @@ class TestUnknownNameLines:
                 f"unknown {kind} 'nosuch'; known: {known}"
             ]
 
+    @pytest.mark.parametrize("scenario", [False, True], ids=["flags", "scenario"])
+    def test_sweep_models_checked_before_any_point(
+        self, tmp_path, capsys, monkeypatch, scenario
+    ):
+        from repro.sweeps import SweepRunner
+
+        def no_points(*args, **kwargs):
+            raise AssertionError("a point ran before --models was checked")
+
+        monkeypatch.setattr(SweepRunner, "run_points", no_points)
+        grid = (
+            ["--scenario", _scenario_with(tmp_path, 'base = "myrinet"')]
+            if scenario else ["--clusters", "myrinet"]
+        )
+        assert main(["sweep", *grid, "--models", "nosuch", "--no-cache"]) == 2
+        known = ", ".join(api.MODELS.names())
+        assert capsys.readouterr().err.splitlines() == [
+            f"unknown model 'nosuch'; known: {known}"
+        ]
+
+
+#: One-point command lines with a bad n or m, and the line each prints.
+BAD_POINTS = [
+    (["predict", "gigabit-ethernet", "8", "12qB"],
+     "invalid msg_size: cannot parse size '12qB'"),
+    (["predict", "gigabit-ethernet", "8", "-5"],
+     "invalid msg_size: cannot parse size '-5'"),
+    (["predict", "gigabit-ethernet", "0", "1kB"],
+     "invalid nprocs: All-to-All needs at least 2 processes, got 0"),
+    (["predict", "gigabit-ethernet", "1", "1kB"],
+     "invalid nprocs: All-to-All needs at least 2 processes, got 1"),
+    (["optimize-placement", "gigabit-ethernet", "--nprocs", "1"],
+     "invalid --nprocs: All-to-All needs at least 2 processes, got 1"),
+    (["optimize-placement", "gigabit-ethernet", "--size", "12qB"],
+     "invalid --size: cannot parse size '12qB'"),
+    (["optimize-placement", "gigabit-ethernet", "--size", "0"],
+     "invalid --size: a message needs at least 1 byte"),
+    (["trace", "gigabit-ethernet", "--nprocs", "1"],
+     "invalid --nprocs: All-to-All needs at least 2 processes, got 1"),
+]
+
+
+class TestPointArguments:
+    """A bad process count or message size: one stderr line, exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv, line", BAD_POINTS, ids=[" ".join(argv) for argv, _ in BAD_POINTS]
+    )
+    def test_rejected_before_any_work(self, capsys, argv, line):
+        from unittest import mock
+
+        from repro.placement.objective import PlacementObjective
+
+        with mock.patch.object(
+            PlacementObjective, "__init__", side_effect=AssertionError
+        ):
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [line]
+
 
 class TestNearMissClusterNames:
     def test_characterize_accepts_underscore_variant(self, capsys):

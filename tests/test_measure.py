@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.signature import AlltoallSample
 from repro.exceptions import MeasurementError
-from repro.measure.alltoall import measure_alltoall, sweep_grid, sweep_sizes
+from repro.measure.alltoall import measure_alltoall, sweep_grid
 from repro.measure.pingpong import (
     hockney_from_pingpong,
     measure_pingpong,
@@ -91,8 +91,8 @@ class TestAlltoallMeasure:
         assert a.mean_time == b.mean_time
 
     def test_time_grows_with_message_size(self, gige_cluster):
-        samples = sweep_sizes(
-            gige_cluster, 4, [65_536, 1_048_576], reps=1, seed=0
+        samples = sweep_grid(
+            gige_cluster, [4], [65_536, 1_048_576], reps=1, seed=0
         )
         assert samples[1].mean_time > samples[0].mean_time
 
@@ -123,6 +123,6 @@ class TestAlltoallMeasure:
         # Engine routing must not change the measure layer's exception
         # contract (callers catch ReproError/MeasurementError).
         with pytest.raises(MeasurementError):
-            sweep_sizes(gige_cluster, 1, [1024], reps=1)
+            sweep_grid(gige_cluster, [1], [1024], reps=1)
         with pytest.raises(MeasurementError):
             sweep_grid(gige_cluster, [4], [0], reps=1)

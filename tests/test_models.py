@@ -16,6 +16,7 @@ from repro.models import (
     DEFAULT_MODELS,
     FittedModel,
     ModelComparison,
+    compare_for_sweep,
     compare_models,
     fabric_rates,
     get_model,
@@ -572,53 +573,98 @@ class TestScenarioIntegration:
         assert warm.params["alpha"] == pytest.approx(2e-4, rel=1e-5)
 
 
+def _myrinet_sweep(*placements):
+    """A finished Myrinet flag sweep: n in {4, 6}, two sizes, one rep."""
+    from repro.sweeps import SweepRunner, SweepSpec
+
+    spec = SweepSpec(
+        clusters=("myrinet",), nprocs=(4, 6), sizes=(2_048, 32_768), reps=1,
+        placements=placements or (None,),
+    )
+    return SweepRunner(workers=1).run(spec)
+
+
+def _hockney_line(out: str) -> str:
+    """The params of the ``hockney`` row of a rendered comparison."""
+    line = next(line for line in out.splitlines() if line.startswith("hockney "))
+    return line[line.index("("):]
+
+
+@pytest.fixture(scope="module")
+def myrinet_sweep():
+    return _myrinet_sweep()
+
+
 class TestSweepIntegration:
-    def test_sweep_spec_models_canonicalised(self):
-        from repro.sweeps import SweepSpec
+    def test_compare_for_sweep_canonicalises_models(self, myrinet_sweep):
+        comp = compare_for_sweep(
+            myrinet_sweep, ("Contention_Signature", "naive")
+        )["myrinet"]
+        assert sorted(comp.ranking) == ["hockney", "signature"]
 
-        spec = SweepSpec(
-            clusters=("myrinet",), nprocs=(4,), sizes=(2_048,),
-            models=("Contention_Signature", "naive"),
-        )
-        assert spec.models == ("signature", "hockney")
-
-    def test_sweep_spec_models_deduplicated(self):
+    def test_compare_for_sweep_deduplicates_models(self, myrinet_sweep):
         # An alias plus its canonical name is one model, not a
         # post-sweep comparison crash.
-        from repro.sweeps import SweepSpec
+        comp = compare_for_sweep(
+            myrinet_sweep, ("hockney", "naive", "signature")
+        )["myrinet"]
+        assert sorted(comp.ranking) == ["hockney", "signature"]
 
-        spec = SweepSpec(
-            clusters=("myrinet",), nprocs=(4,), sizes=(2_048,),
-            models=("hockney", "naive", "signature"),
-        )
-        assert spec.models == ("hockney", "signature")
+    def test_compare_for_sweep_unknown_model_rejected(self, myrinet_sweep):
+        from repro.exceptions import UnknownNameError
 
-    def test_sweep_spec_unknown_model_rejected(self):
-        from repro.sweeps import SweepSpec
+        with pytest.raises(UnknownNameError, match="unknown model 'bogus'"):
+            compare_for_sweep(myrinet_sweep, ("bogus",))
 
-        with pytest.raises(ValueError, match="unknown models"):
-            SweepSpec(
-                clusters=("myrinet",), nprocs=(4,), sizes=(2_048,),
-                models=("bogus",),
-            )
+    def test_models_flag_is_not_an_axis(self, capsys, tmp_path):
+        # --models never changes which points run or their cache keys:
+        # the same grid with it reads every point from the first run.
+        from repro.cli import main
 
-    def test_models_hook_is_not_an_axis(self):
-        from repro.sweeps import SweepSpec
-
-        bare = SweepSpec(clusters=("myrinet",), nprocs=(4,), sizes=(2_048,))
-        hooked = SweepSpec(
-            clusters=("myrinet",), nprocs=(4,), sizes=(2_048,),
-            models=("hockney",),
-        )
-        assert hooked.n_points == bare.n_points
-        assert [p.key_payload() for p in hooked.points()] == [
-            p.key_payload() for p in bare.points()
+        argv = [
+            "sweep", "--clusters", "myrinet", "--nprocs", "4",
+            "--sizes", "2kB,32kB", "--reps", "1",
+            "--cache-dir", str(tmp_path / "cache"),
         ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main([*argv, "--models", "hockney"]) == 0
+        out = capsys.readouterr().out
+        assert "simulated : 0" in out and "cached    : 2" in out
+        assert "model comparison — myrinet:" in out
+
+    def test_compare_for_sweep_fits_under_the_pingpong(self, myrinet_sweep):
+        from repro.clusters.profiles import get_cluster
+        from repro.measure.pingpong import hockney_from_pingpong, measure_pingpong
+
+        comp = compare_for_sweep(
+            myrinet_sweep, ("hockney", "signature")
+        )["myrinet"]
+        assert isinstance(comp, ModelComparison)
+        assert comp.ranking.index("signature") < comp.ranking.index("hockney")
+        # eq. 1 keeps the ping-pong's α/β (3 reps at the grid's seed).
+        pingpong = hockney_from_pingpong(
+            measure_pingpong(get_cluster("myrinet"), reps=3, seed=0)
+        ).params
+        assert comp.report("hockney").fitted.params == {
+            "alpha": pingpong.alpha, "beta": pingpong.beta,
+        }
+
+    def test_compare_for_sweep_fits_identity_points_only(self):
+        # On a uniform exchange a placed point repeats an identity
+        # point; fitting both would count each sample twice.
+        result = _myrinet_sweep(
+            None, {"name": "round-robin", "params": {"groups": 2}}
+        )
+        assert result.n_points == 8
+        comp = compare_for_sweep(result, ("hockney",))["myrinet"]
+        assert comp.n_samples == 4
 
     def test_scenario_sweep_with_models_flag(self, capsys, tmp_path):
-        # --models is a post-processing hook, not a grid axis, so it
-        # composes with --scenario sweeps (under the scenario's own
-        # profile/ping-pong context).
+        # --models ranks cost models on the finished sweep, never adds
+        # an axis, so it composes with --scenario sweeps (under the
+        # scenario's own profile/ping-pong context).
+        from repro.api import Scenario
         from repro.cli import main
         from repro.scenario import ScenarioSpec
 
@@ -638,6 +684,16 @@ class TestSweepIntegration:
             line for line in out.splitlines() if line.startswith("ranking:")
         )
         assert ranking.index("signature") < ranking.index("hockney")
+        # Hockney alone fits under the same ping-pong context: its α/β
+        # do not depend on which other models are compared.
+        assert main([
+            "sweep", "--scenario", str(path), "--no-cache",
+            "--models", "hockney",
+        ]) == 0
+        alone = capsys.readouterr().out
+        hockney = Scenario.from_file(path).hockney()
+        expected = f"(alpha={hockney.alpha:.4g}, beta={hockney.beta:.4g})"
+        assert _hockney_line(alone) == _hockney_line(out) == expected
 
     def test_models_hook_on_pattern_sweep_warns_not_crashes(self, capsys):
         # A pure-irregular sweep has no uniform samples to fit on; the
@@ -652,23 +708,6 @@ class TestSweepIntegration:
         captured = capsys.readouterr()
         assert "model comparison skipped" in captured.err
         assert "model comparison —" not in captured.out
-
-    def test_runner_attaches_comparisons(self):
-        from repro.sweeps import SweepRunner, SweepSpec
-
-        spec = SweepSpec(
-            clusters=("myrinet",), nprocs=(4, 6),
-            sizes=(2_048, 32_768), reps=1,
-            models=("hockney", "signature"),
-        )
-        result = SweepRunner(workers=1).run(spec)
-        assert result.comparisons is not None
-        comp = result.comparisons["myrinet"]
-        assert isinstance(comp, ModelComparison)
-        assert comp.ranking.index("signature") < comp.ranking.index("hockney")
-        # On-demand comparison over a finished sweep matches the hook.
-        again = result.compare_models(("hockney", "signature"))
-        assert again["myrinet"].ranking == comp.ranking
 
 
 class TestCli:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.clusters.profiles import gigabit_ethernet, myrinet
 from repro.core.signature import AlltoallSample
-from repro.measure.alltoall import measure_alltoall, sweep_grid, sweep_sizes
+from repro.measure.alltoall import measure_alltoall, sweep_grid
 from repro.sweeps import (
     CACHE_VERSION,
     ResultCache,
@@ -352,11 +352,11 @@ class TestRunner:
 class TestSweepHelpersRouteThroughEngine:
     # A NumPy integer n must reach the cache key as a plain int.
     @pytest.mark.parametrize("n", [4, np.int64(4)], ids=["int", "np.int64"])
-    def test_sweep_sizes_accepts_runner_with_cache(self, tmp_path, n):
+    def test_sweep_grid_accepts_runner_with_cache(self, tmp_path, n):
         cluster = gigabit_ethernet()
         runner = SweepRunner(workers=1, cache=ResultCache(tmp_path))
-        first = sweep_sizes(cluster, n, [2048, 8192], reps=1, seed=0, runner=runner)
-        again = sweep_sizes(cluster, n, [2048, 8192], reps=1, seed=0, runner=runner)
+        first = sweep_grid(cluster, [n], [2048, 8192], reps=1, seed=0, runner=runner)
+        again = sweep_grid(cluster, [n], [2048, 8192], reps=1, seed=0, runner=runner)
         assert [s.mean_time for s in first] == [s.mean_time for s in again]
         assert runner.cache.hits == 2
 

@@ -20,7 +20,7 @@ from repro.measure import (
     hockney_from_pingpong,
     measure_pingpong,
     run_stress,
-    sweep_sizes,
+    sweep_grid,
 )
 from repro.simnet.entities import LinkKind
 from repro.simnet.loss import LossParams
@@ -31,7 +31,7 @@ def signature_for(cluster, nprocs, reps=2, seed=7):
     pp = measure_pingpong(cluster, sizes=[1, 65536, 1048576], reps=2, seed=1)
     hockney = hockney_from_pingpong(pp).params
     sizes = [131072, 262144, 524288, 786432, 1048576]
-    samples = sweep_sizes(cluster, nprocs, sizes, reps=reps, seed=seed)
+    samples = sweep_grid(cluster, [nprocs], sizes, reps=reps, seed=seed)
     fit = fit_signature(samples, hockney)
     return hockney, fit.signature, samples
 
