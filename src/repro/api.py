@@ -479,29 +479,19 @@ class Scenario:
         ``signature`` unless the file says otherwise).  *samples*
         substitutes externally-measured rows (e.g. loaded from a sweep
         CSV via :func:`repro.models.samples_from_rows`) for the
-        simulated grid; such offline fits only run the simulated
-        ping-pong when the model declares
-        :attr:`~repro.models.CostModel.requires_hockney` — a LogGP or
-        max-rate fit from a CSV stays simulation-free (and a
-        context-free Hockney fit regresses α/β from the rows).  Extra
-        keyword arguments pass through to the model's ``fit``
+        simulated grid.  Either way the fit runs under this fabric's
+        ping-pong Hockney α/β (:meth:`hockney`) and topology, as eq. 1
+        is parameterised, so a Hockney fit adopts the ping-pong's α/β
+        and never regresses them from the rows.  Extra keyword
+        arguments pass through to the model's ``fit``
         (``delta_mode=...``, ``threshold=...``, …).
         """
         name = model if model is not None else self.spec.model
         fit_model = get_model(name)
-        external = samples is not None
         if samples is None:
             samples = self.grid_samples(runner=runner)
-        # Offline fits of context-free models get NO hockney context —
-        # not even a previously-cached one — so the result depends only
-        # on the rows, never on what this instance measured earlier.
-        hockney = (
-            self.hockney()
-            if not external or fit_model.requires_hockney
-            else None
-        )
         return fit_model.fit(
-            samples, hockney=hockney, cluster=self.profile, **options
+            samples, hockney=self.hockney(), cluster=self.profile, **options
         )
 
     def compare_models(
@@ -519,28 +509,20 @@ class Scenario:
         scored by in-sample RMSE/MAPE plus k-fold and leave-one-n-out
         cross-validation — the repo's operationalisation of "the
         contention signature beats contention-blind models".  As in
-        :meth:`fit_model`, offline comparisons (*samples* given) only
-        run the simulated ping-pong when some compared model requires
-        the Hockney context.
+        :meth:`fit_model`, every model fits under the ping-pong context,
+        offline comparisons (*samples* given) included.
         """
         # Resolve model names first: a typo must fail before the grid
         # is measured, not after minutes of simulation.
         names = models if models is not None else DEFAULT_MODELS
-        resolved = [get_model(m) for m in names]
-        external = samples is not None
+        for name in names:
+            get_model(name)
         if samples is None:
             samples = self.grid_samples(runner=runner)
-        # As in fit_model: an all-context-free offline comparison never
-        # sees a cached ping-pong fit (order-independence).
-        hockney = (
-            self.hockney()
-            if not external or any(m.requires_hockney for m in resolved)
-            else None
-        )
         comparison = compare_models(
             samples,
             names,
-            hockney=hockney,
+            hockney=self.hockney(),
             cluster=self.profile,
             k=k,
             options=options or None,

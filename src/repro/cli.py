@@ -53,30 +53,58 @@ invocation appends a fingerprinted entry (git sha, python/numpy, cpu
 count, wall time, metrics snapshot) to the ledger —
 ``.repro/ledger.jsonl`` by default, ``REPRO_LEDGER`` overrides the
 path or disables it (``REPRO_LEDGER=off``).
+
+The failure policy lives in :func:`main`: commands raise instead of
+printing an error and returning a code, and ``main`` prints the one
+stderr line — exit 1 for a failed run (a ``… failed: …`` or ``cannot
+…: …`` line, see ``_failing``), exit 2 for bad input.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
 from . import api, __version__
 from .obs.export import EXPORT_FORMATS
-from .exceptions import (
-    ExecutionError,
-    FittingError,
-    MeasurementError,
-    ScenarioError,
-    SimulationError,
-    UnknownNameError,
-)
+from .exceptions import ReproError, ScenarioError, UnknownNameError
 from .experiments.registry import EXPERIMENTS, run_experiment
 from .units import format_time, parse_size
 
-#: Errors a failed sweep point re-raises without ``--keep-going``; a
-#: point whose worker died arrives as :class:`ExecutionError`.
-_SWEEP_ERRORS = (MeasurementError, ScenarioError, SimulationError, ExecutionError)
+#: What a failed run raises: :func:`_failing` turns it into exit 1.
+_RUN_ERRORS = (ReproError, ValueError)
+
+#: Suffixes that make a cluster argument a scenario file.
+_SCENARIO_FILES = (".toml", ".json")
+
+
+class _Exit(Exception):
+    """End the command: :func:`main` prints *line* to stderr, returns *code*."""
+
+    def __init__(self, code: int, line: str) -> None:
+        super().__init__(line)
+        self.code, self.line = code, line
+
+
+@contextlib.contextmanager
+def _failing(prefix: str = "", code: int = 1):
+    """Turn an error raised in the block into one line and exit *code*.
+
+    Exit 1 is a failed run: :data:`_RUN_ERRORS` end as ``prefix +
+    message``, and an :class:`UnknownNameError` goes on to :func:`main`,
+    which prints the registry's own line with exit 2.  Exit 2 is bad
+    input (argument resolution): the same errors, and ``OSError``,
+    whose message names its file and prints alone.
+    """
+    try:
+        yield
+    except (OSError, *_RUN_ERRORS) as exc:
+        if code == 1 and isinstance(exc, (OSError, UnknownNameError)):
+            raise
+        line = str(exc) if isinstance(exc, OSError) else f"{prefix}{exc}"
+        raise _Exit(code, line) from None
 
 
 def _scenario_key(scenario) -> str | None:
@@ -139,10 +167,20 @@ def _ledger_note(**fields) -> None:
         _ACTIVE_LEDGER.note(**fields)
 
 
-def _doc_summary(obj) -> str:
-    """First docstring line, or empty (user plugins may be undocumented)."""
-    lines = (obj.__doc__ or "").splitlines()
-    return lines[0].strip() if lines else ""
+def _documented(entries):
+    """A ``list`` section: each entry's name and first docstring line.
+
+    *entries* is a registry or a plain dict; the rows come sorted, and
+    an undocumented user plugin lists an empty description.
+    """
+
+    def rows():
+        return [
+            (name, next(iter((obj.__doc__ or "").splitlines()), "").strip())
+            for name, obj in sorted(entries.items())
+        ]
+
+    return rows
 
 
 #: Sections of ``repro-alltoall list`` (name -> row enumerator).
@@ -158,43 +196,16 @@ _LIST_SECTIONS = {
         (name, api.CLUSTERS.get(name)().description)
         for name in api.list_clusters()
     ],
-    "topologies": lambda: [
-        (name, _doc_summary(api.TOPOLOGIES.get(name)))
-        for name in api.list_topologies()
-    ],
-    "algorithms": lambda: [
-        (name, _doc_summary(api.ALGORITHMS.get(name)))
-        for name in api.list_algorithms()
-    ],
-    "patterns": lambda: [
-        (name, _doc_summary(api.PATTERNS.get(name)))
-        for name in api.list_patterns()
-    ],
+    "topologies": _documented(api.TOPOLOGIES),
+    "algorithms": _documented(api.ALGORITHMS),
+    "patterns": _documented(api.PATTERNS),
     "backends": lambda: [(name, "") for name in api.list_backends()],
-    "executors": lambda: [
-        (name, _doc_summary(api.EXECUTORS.get(name)))
-        for name in api.list_executors()
-    ],
-    "models": lambda: [
-        (name, _doc_summary(api.MODELS.get(name)))
-        for name in api.list_models()
-    ],
-    "engines": lambda: [
-        (name, _doc_summary(api.ENGINES.get(name)))
-        for name in api.list_engines()
-    ],
-    "placements": lambda: [
-        (name, _doc_summary(api.PLACEMENTS.get(name)))
-        for name in api.list_placements()
-    ],
-    "placement-optimizers": lambda: [
-        (name, _doc_summary(api.PLACEMENT_OPTIMIZERS.get(name)))
-        for name in api.list_placement_optimizers()
-    ],
-    "trace-formats": lambda: [
-        (name, _doc_summary(fn))
-        for name, fn in sorted(EXPORT_FORMATS.items())
-    ],
+    "executors": _documented(api.EXECUTORS),
+    "models": _documented(api.MODELS),
+    "engines": _documented(api.ENGINES),
+    "placements": _documented(api.PLACEMENTS),
+    "placement-optimizers": _documented(api.PLACEMENT_OPTIMIZERS),
+    "trace-formats": _documented(EXPORT_FORMATS),
 }
 
 
@@ -251,90 +262,71 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_names(registry, *values) -> int:
-    """Exit code 2 when a flag value names no entry of *registry*, else 0.
+def _check_names(registry, *values) -> None:
+    """Check flag values against *registry* before anything runs.
 
     *values* are ``name`` or ``name:k=v,…`` flag values (``None`` is
     skipped).  Downstream layers reject unknown names too, but from
-    mid-pipeline; checking before anything runs keeps the failure the
-    registry's own one-line message on stderr.
+    mid-pipeline; checking first keeps the failure the registry's own
+    one-line message (:class:`UnknownNameError`, exit 2).
     """
     for value in values:
-        if value is None:
-            continue
-        try:
+        if value is not None:
             registry.canonical(value.partition(":")[0].strip())
-        except UnknownNameError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-    return 0
 
 
-def _with_engine(scenario: "api.Scenario", engine: str) -> "api.Scenario":
-    """The scenario with its engine field overridden from the CLI."""
+def _with(scenario: "api.Scenario", **fields) -> "api.Scenario":
+    """The scenario with spec *fields* overridden from the CLI."""
     import dataclasses
 
-    return api.Scenario(dataclasses.replace(scenario.spec, engine=engine))
+    return api.Scenario(dataclasses.replace(scenario.spec, **fields))
 
 
-def _with_placement(scenario: "api.Scenario", text: str) -> "api.Scenario":
-    """The scenario with its placement overridden from ``--placement``.
+#: Workload keyword of :meth:`api.Scenario.from_name` → the flag that sets it.
+_WORKLOAD_FLAGS = {
+    "nprocs": "--nprocs", "sizes": "--sizes", "reps": "--reps", "seeds": "--seed",
+}
 
-    Raises :class:`ValueError` (which :class:`ScenarioError` subclasses)
-    on bad grammar or strategy parameters; callers turn that into
-    exit code 2.
+
+def _target(name: str, *, file: bool = False, **workload) -> "api.Scenario":
+    """The scenario a cluster argument names; exit 2 when it names none.
+
+    A ``.toml``/``.json`` name is a scenario file, as is any name given
+    with *file* (``--scenario FILE``); a file brings its own workload
+    grid, so *workload* overrides end the command.  Anything else is a
+    registered cluster (alias-tolerant) under the default or *workload*
+    grid, so a stray local file named after a cluster can never shadow
+    the registry.
     """
-    import dataclasses
-
-    from .placement import as_placement
-
-    spec = as_placement(_parse_spec_arg(text, "placement"))
-    return api.Scenario(dataclasses.replace(scenario.spec, placement=spec))
-
-
-def _resolve_cluster_arg(name: str) -> tuple["api.Scenario", bool]:
-    """A cluster name (registry, alias-tolerant) or a scenario file path.
-
-    Only ``.toml``/``.json`` arguments are treated as files, so a
-    stray local file named after a cluster can never shadow the
-    registry.  Returns ``(scenario, from_file)``; the caller turns
-    lookup errors (:class:`UnknownNameError` / :class:`ScenarioError`)
-    into exit codes.
-    """
-    if name.endswith((".toml", ".json")):
-        return api.Scenario.from_file(name), True
-    return api.Scenario.from_name(name), False
+    with _failing(code=2):
+        if not (file or name.endswith(_SCENARIO_FILES)):
+            return api.Scenario.from_name(name, **workload)
+        if workload:
+            given = ", ".join(_WORKLOAD_FLAGS[key] for key in workload)
+            raise _Exit(
+                2, f"a scenario file brings its own workload grid; drop {given}"
+            )
+        return api.Scenario.from_file(name)
 
 
 def _point_args(nprocs, size, flags=("--nprocs", "--size")):
     """Checked ``(n, m)`` of a one-point command (``None``: the default).
 
-    A bad value raises :class:`ValueError` naming its flag, which the
-    command prints as one line before exiting 2.
+    A bad value ends the command with one line naming its flag, exit 2.
     """
     if nprocs is not None and nprocs < 2:
-        raise ValueError(
+        raise _Exit(
+            2,
             f"invalid {flags[0]}: All-to-All needs at least 2 processes, "
-            f"got {nprocs}"
+            f"got {nprocs}",
         )
     if size is None:
         return nprocs, None
-    try:
+    with _failing(f"invalid {flags[1]}: ", code=2):
         nbytes = parse_size(size)
-    except ValueError as exc:
-        raise ValueError(f"invalid {flags[1]}: {exc}") from None
     if nbytes < 1:
-        raise ValueError(f"invalid {flags[1]}: a message needs at least 1 byte")
+        raise _Exit(2, f"invalid {flags[1]}: a message needs at least 1 byte")
     return nprocs, nbytes
-
-
-def _load_scenario(path: str) -> "api.Scenario | None":
-    """Load a scenario file, printing a clean error on failure."""
-    try:
-        return api.Scenario.from_file(path)
-    except (OSError, ScenarioError, UnknownNameError) as exc:
-        print(exc, file=sys.stderr)
-        return None
 
 
 def _print_sweep_summary(result, *, streamed=()) -> None:
@@ -399,38 +391,45 @@ def _progress_printer():
     return _report
 
 
+@contextlib.contextmanager
+def _default_engine(name: str | None):
+    """Make *name* the process-wide default engine inside the block.
+
+    Experiment drivers thread no engine parameter; the default
+    (``REPRO_SIM_ENGINE``) reaches every measurement they run.  The
+    previous value, or its absence, comes back when the block ends,
+    however it ends.
+    """
+    from .engines import ENGINE_ENV
+
+    previous = os.environ.get(ENGINE_ENV)
+    if name:
+        os.environ[ENGINE_ENV] = api.ENGINES.canonical(name)
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop(ENGINE_ENV, None)
+        else:
+            os.environ[ENGINE_ENV] = previous
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.scenario and args.experiment:
-        print(
-            "run takes an experiment id or --scenario FILE, not both",
-            file=sys.stderr,
-        )
-        return 2
-    if _check_names(api.ENGINES, args.engine) or _check_names(
-        api.PLACEMENTS, args.placement
-    ):
-        return 2
+        raise _Exit(2, "run takes an experiment id or --scenario FILE, not both")
+    _check_names(api.ENGINES, args.engine)
+    _check_names(api.PLACEMENTS, args.placement)
     if args.scenario:
         return _run_scenario(args)
     if args.placement:
         # Experiments fix their own rank mappings (table_placement
         # sweeps them internally); only scenario runs take the override.
-        print("--placement needs --scenario FILE", file=sys.stderr)
-        return 2
+        raise _Exit(2, "--placement needs --scenario FILE")
     if not args.experiment:
-        print("run needs an experiment id or --scenario FILE", file=sys.stderr)
-        return 2
-    if args.engine:
-        # Experiment drivers thread no engine parameter; setting the
-        # process-wide default (REPRO_SIM_ENGINE) reaches every
-        # measurement they run.
-        import os
-
-        from .engines import ENGINE_ENV
-
-        os.environ[ENGINE_ENV] = api.ENGINES.canonical(args.engine)
+        raise _Exit(2, "run needs an experiment id or --scenario FILE")
     _ledger_note(experiment=args.experiment, scale=args.scale)
-    result = run_experiment(args.experiment, scale=args.scale, seed=args.seed)
+    with _default_engine(args.engine), _failing("run failed: "):
+        result = run_experiment(args.experiment, scale=args.scale, seed=args.seed)
     print(result.render())
     if args.csv:
         result.save_csv(args.csv)
@@ -440,17 +439,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _run_scenario(args: argparse.Namespace) -> int:
     """Sweep a scenario file's workload grid, then fit its signature."""
-    scenario = _load_scenario(args.scenario)
-    if scenario is None:
-        return 2
+    scenario = _target(args.scenario, file=True)
     if args.engine:
-        scenario = _with_engine(scenario, args.engine)
+        scenario = _with(scenario, engine=args.engine)
     if args.placement:
-        try:
-            scenario = _with_placement(scenario, args.placement)
-        except ValueError as exc:  # covers ScenarioError
-            print(f"invalid --placement: {exc}", file=sys.stderr)
-            return 2
+        from .placement import as_placement
+
+        with _failing("invalid --placement: ", code=2):
+            placement = as_placement(_parse_spec_arg(args.placement, "placement"))
+            scenario = _with(scenario, placement=placement)
     print(f"scenario  : {scenario.describe()}")
     _ledger_note(scenario=args.scenario, scenario_key=_scenario_key(scenario))
     from .exec.sinks import CsvSink
@@ -458,59 +455,39 @@ def _run_scenario(args: argparse.Namespace) -> int:
     sinks, streamed = (), []
     if args.csv:
         sinks, streamed = (CsvSink(args.csv),), [("csv", args.csv)]
-    try:
+    with _failing("sweep failed: "):
         result = scenario.sweep(sinks=sinks)
-    except _SWEEP_ERRORS as exc:
-        print(f"sweep failed: {exc}", file=sys.stderr)
-        return 1
     print(f"points    : {result.n_points}")
     _print_sweep_summary(result, streamed=streamed)
-    try:
+    with _failing("cannot fit signature: "):
         ch = scenario.fit_signature()
-    except (FittingError, MeasurementError, SimulationError) as exc:
-        print(f"cannot fit signature: {exc}", file=sys.stderr)
-        return 1
     print(f"hockney   : {ch.hockney_fit.params}")
     print(f"signature : {ch.signature}")
     return 0
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
-    if _check_names(api.ENGINES, args.engine):
-        return 2
-    try:
-        scenario, from_file = _resolve_cluster_arg(args.cluster)
-    except (OSError, UnknownNameError, ScenarioError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    cluster = scenario.profile
-    workload = scenario.spec.workload
-    _ledger_note(cluster=cluster.name, scenario_key=_scenario_key(scenario))
-    kwargs = {}
-    if args.engine:
-        kwargs["engine"] = args.engine
-    if not from_file:
+    _check_names(api.ENGINES, args.engine)
+    scenario = _target(args.cluster)
+    nprocs, _ = _point_args(args.nprocs, None)
+    if args.reps is not None and args.reps < 1:
+        raise _Exit(2, f"invalid --reps: need at least 1 repetition, got {args.reps}")
+    _ledger_note(cluster=scenario.name, scenario_key=_scenario_key(scenario))
+    given = {
+        "sample_nprocs": nprocs, "reps": args.reps, "seed": args.seed,
+        "engine": args.engine,
+    }
+    kwargs = {key: value for key, value in given.items() if value is not None}
+    if not args.cluster.endswith(_SCENARIO_FILES):
         # Plain cluster names keep the historical CLI defaults (n'=16,
         # the pipeline's 8-size ladder); scenario files bring their own
         # workload.
         from .measure.pipeline import DEFAULT_SAMPLE_SIZES
 
-        kwargs["sample_sizes"] = DEFAULT_SAMPLE_SIZES
-    try:
-        ch = scenario.fit_signature(
-            sample_nprocs=(
-                args.nprocs
-                or (workload.fit_nprocs if from_file else 16)
-            ),
-            reps=args.reps if args.reps is not None
-            else (workload.reps if from_file else 2),
-            seed=args.seed if args.seed is not None
-            else (workload.seeds[0] if from_file else 0),
-            **kwargs,
-        )
-    except (FittingError, MeasurementError, SimulationError) as exc:
-        print(f"cannot fit signature: {exc}", file=sys.stderr)
-        return 1
+        kwargs = {"sample_nprocs": 16, "sample_sizes": DEFAULT_SAMPLE_SIZES, **kwargs}
+    with _failing("cannot fit signature: "):
+        cluster = scenario.profile
+        ch = scenario.fit_signature(**kwargs)
     hockney = ch.hockney_fit.params
     sig = ch.signature
     print(f"cluster     : {cluster.name}")
@@ -527,23 +504,12 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    try:
-        scenario, _ = _resolve_cluster_arg(args.cluster)
-    except (OSError, UnknownNameError, ScenarioError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    try:
-        nprocs, size = _point_args(
-            args.nprocs, args.msg_size, ("nprocs", "msg_size")
-        )
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    scenario = _target(args.cluster)
+    nprocs, size = _point_args(args.nprocs, args.msg_size, ("nprocs", "msg_size"))
     try:
         signature = scenario.paper_signature(size)
     except ScenarioError:
-        print("no paper signature recorded for this cluster", file=sys.stderr)
-        return 1
+        raise _Exit(1, "no paper signature recorded for this cluster") from None
     time = signature.predict(nprocs, size)
     bound = signature.lower_bound(nprocs, size)
     print(f"predicted MPI_Alltoall({nprocs} procs, {size} B):")
@@ -554,39 +520,23 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize_placement(args: argparse.Namespace) -> int:
-    try:
-        scenario, _ = _resolve_cluster_arg(args.cluster)
-    except (OSError, UnknownNameError, ScenarioError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    if _check_names(api.PLACEMENT_OPTIMIZERS, args.optimizer) or _check_names(
-        api.PATTERNS, args.pattern
-    ):
-        return 2
-    try:
-        nprocs, size = _point_args(args.nprocs, args.size)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    try:
+    scenario = _target(args.cluster)
+    _check_names(api.PLACEMENT_OPTIMIZERS, args.optimizer)
+    _check_names(api.PATTERNS, args.pattern)
+    nprocs, size = _point_args(args.nprocs, args.size)
+    with _failing("invalid optimizer parameters: ", code=2):
         optimizer = _parse_spec_arg(args.optimizer, "optimizer")
         api.PLACEMENT_OPTIMIZERS.check_params(optimizer["name"], optimizer["params"])
-    except ValueError as exc:  # covers ScenarioError
-        print(f"invalid optimizer parameters: {exc}", file=sys.stderr)
-        return 2
-    try:
+    with _failing("invalid pattern parameters: ", code=2):
         pattern = (
             api.PatternSpec.from_dict(_parse_spec_arg(args.pattern))
             if args.pattern else None
         )
-    except ValueError as exc:  # covers ScenarioError
-        print(f"invalid pattern parameters: {exc}", file=sys.stderr)
-        return 2
     _ledger_note(
         cluster=scenario.name, optimizer=optimizer["name"],
         scenario_key=_scenario_key(scenario),
     )
-    try:
+    with _failing("cannot optimize placement: "):
         result = scenario.optimize_placement(
             nprocs,
             size,
@@ -595,9 +545,6 @@ def _cmd_optimize_placement(args: argparse.Namespace) -> int:
             params=optimizer["params"] or None,
             pattern=pattern,
         )
-    except (MeasurementError, ScenarioError, SimulationError, ValueError) as exc:
-        print(f"cannot optimize placement: {exc}", file=sys.stderr)
-        return 1
     workload = scenario.spec.workload
     n = nprocs if nprocs is not None else workload.fit_nprocs
     print(f"cluster    : {scenario.name}")
@@ -632,46 +579,26 @@ def _csv_list(text: str) -> list[str]:
     return [item.strip() for item in text.split(",") if item.strip()]
 
 
-def _model_scenario(args) -> "api.Scenario | None":
+def _model_scenario(args) -> "api.Scenario":
     """The fit/compare-models target: a cluster name or scenario file.
 
     Workload override flags (``--nprocs``/``--sizes``/``--reps``/
     ``--seed``) apply to plain cluster names only; scenario files bring
-    their own grid.  Prints a clean error and returns ``None`` on any
-    lookup/validation failure.
+    their own grid.
     """
-    overrides = {}
-    try:
+    workload = {}
+    with _failing("invalid workload flags: ", code=2):
         if args.nprocs:
-            overrides["nprocs"] = tuple(int(n) for n in _csv_list(args.nprocs))
+            workload["nprocs"] = tuple(int(n) for n in _csv_list(args.nprocs))
         if args.sizes:
-            overrides["sizes"] = tuple(
+            workload["sizes"] = tuple(
                 parse_size(s) for s in _csv_list(args.sizes)
             )
-    except ValueError as exc:
-        print(f"invalid workload flags: {exc}", file=sys.stderr)
-        return None
     if args.reps is not None:
-        overrides["reps"] = args.reps
+        workload["reps"] = args.reps
     if args.seed is not None:
-        overrides["seeds"] = (args.seed,)
-    if args.cluster.endswith((".toml", ".json")):
-        if overrides:
-            given = ", ".join(
-                f"--{f}" for f in ("nprocs", "sizes", "reps", "seed")
-                if getattr(args, f) is not None
-            )
-            print(
-                f"a scenario file brings its own workload grid; drop {given}",
-                file=sys.stderr,
-            )
-            return None
-        return _load_scenario(args.cluster)
-    try:
-        return api.Scenario.from_name(args.cluster, **overrides)
-    except (UnknownNameError, ScenarioError) as exc:
-        print(exc, file=sys.stderr)
-        return None
+        workload["seeds"] = (args.seed,)
+    return _target(args.cluster, **workload)
 
 
 def _model_samples(args, scenario):
@@ -681,62 +608,41 @@ def _model_samples(args, scenario):
     sweep files work, and a sweep file measured on another fabric —
     sink files always carry the cluster column — cannot silently fit
     under this target's ping-pong/topology context; unlabelled
-    hand-rolled rows are trusted as-is).  Returns
-    ``(samples, error_exit_code)``; samples stay ``None`` when the
-    scenario should measure its own grid.
+    hand-rolled rows are trusted as-is).  ``None`` means the scenario
+    should measure its own grid.
     """
     if not args.from_rows:
-        return None, None
+        return None
     from .analysis.io import read_rows
     from .models import samples_from_rows
 
-    try:
-        rows = read_rows(args.from_rows)
-        samples = samples_from_rows(rows, cluster=scenario.name)
-    except OSError as exc:
-        print(exc, file=sys.stderr)
-        return None, 2
-    except (FittingError, ValueError) as exc:
-        print(f"cannot load samples from {args.from_rows}: {exc}", file=sys.stderr)
-        return None, 2
+    with _failing(f"cannot load samples from {args.from_rows}: ", code=2):
+        samples = samples_from_rows(read_rows(args.from_rows), cluster=scenario.name)
     if not samples:
-        print(
+        raise _Exit(
+            1,
             f"{args.from_rows} holds no usable uniform-pattern rows for "
             f"cluster {scenario.name!r}",
-            file=sys.stderr,
         )
-        return None, 1
-    return samples, None
+    return samples
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     scenario = _model_scenario(args)
-    if scenario is None:
-        return 2
-    samples, code = _model_samples(args, scenario)
-    if code is not None:
-        return code
+    samples = _model_samples(args, scenario)
     from .models import get_model, score_fit
 
-    name = args.model or scenario.spec.model
-    try:
-        model = get_model(name)
-    except UnknownNameError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    model = get_model(args.model or scenario.spec.model)
     print(f"scenario  : {scenario.describe()}")
     print(f"model     : {model.name}")
     _ledger_note(
         cluster=scenario.name, model=model.name,
         scenario_key=_scenario_key(scenario),
     )
-    try:
+    with _failing(f"cannot fit {model.name}: "):
         fitted = scenario.fit_model(model.name, samples=samples)
         used = samples if samples is not None else scenario.grid_samples()
         score = score_fit(fitted, used)
-    except (FittingError, MeasurementError, ScenarioError) as exc:
-        print(f"cannot fit {model.name}: {exc}", file=sys.stderr)
-        return 1
     schema = {spec.name: spec for spec in model.param_schema}
     width = max(len(n) for n in schema)
     for pname, value in sorted(fitted.params.items()):
@@ -753,32 +659,21 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 def _cmd_compare_models(args: argparse.Namespace) -> int:
     scenario = _model_scenario(args)
-    if scenario is None:
-        return 2
-    samples, code = _model_samples(args, scenario)
-    if code is not None:
-        return code
+    samples = _model_samples(args, scenario)
     models = _csv_list(args.models) if args.models else None
     print(f"scenario  : {scenario.describe()}")
     _ledger_note(
         cluster=scenario.name, scenario_key=_scenario_key(scenario)
     )
-    try:
+    with _failing("cannot compare models: "):
         comparison = scenario.compare_models(
             models, samples=samples, k=args.k
         )
-    except UnknownNameError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    except (FittingError, MeasurementError, ScenarioError) as exc:
-        print(f"cannot compare models: {exc}", file=sys.stderr)
-        return 1
     print(comparison.render())
     if not any(r.ok for r in comparison.reports):
         # The table above shows each model's reason; a comparison that
         # produced zero fits is a failure, not a ranking.
-        print("no model could be fitted on these samples", file=sys.stderr)
-        return 1
+        raise _Exit(1, "no model could be fitted on these samples")
     if comparison.reports and comparison.reports[0].ok:
         best = comparison.reports[0]
         print(
@@ -798,19 +693,10 @@ def _cmd_compare_models(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    if _check_names(api.ENGINES, args.engine):
-        return 2
-    try:
-        scenario, _ = _resolve_cluster_arg(args.cluster)
-    except (OSError, UnknownNameError, ScenarioError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    try:
-        nprocs, size = _point_args(args.nprocs, args.size)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    try:
+    _check_names(api.ENGINES, args.engine)
+    scenario = _target(args.cluster)
+    nprocs, size = _point_args(args.nprocs, args.size)
+    with _failing("trace failed: "):
         observation = scenario.trace(
             nprocs,
             size,
@@ -818,9 +704,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             algorithm=args.algorithm,
             engine=args.engine,
         )
-    except (MeasurementError, ScenarioError, SimulationError) as exc:
-        print(f"trace failed: {exc}", file=sys.stderr)
-        return 1
     # Without --out the serialized trace goes to stdout, so the
     # human-readable summary moves to stderr to keep stdout parseable.
     info = sys.stdout if args.out else sys.stderr
@@ -837,26 +720,27 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _bench_records(*paths) -> list[list[dict]]:
+    """The schema-conforming bench records under each list of *paths*.
+
+    A missing path or a file that is not JSON ends the command, exit 2.
+    """
+    from .obs.bench import load_records
+
+    with _failing(code=2):
+        return [load_records(each) for each in paths]
+
+
 def _cmd_bench_ingest(args: argparse.Namespace) -> int:
     """Load BENCH_*.json records into the run ledger."""
-    from .obs.bench import load_records
     from .obs.ledger import default_ledger
 
-    try:
-        records = load_records(args.paths)
-    except (FileNotFoundError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    [records] = _bench_records(args.paths)
     if not records:
-        print("no schema-conforming bench records found", file=sys.stderr)
-        return 1
+        raise _Exit(1, "no schema-conforming bench records found")
     ledger = default_ledger()
     if not ledger.enabled:
-        print(
-            "ledger disabled (REPRO_LEDGER); nothing ingested",
-            file=sys.stderr,
-        )
-        return 1
+        raise _Exit(1, "ledger disabled (REPRO_LEDGER); nothing ingested")
     for record in records:
         ledger.record("bench", bench=record.get("bench"), record=record)
     print(f"ingested {len(records)} bench record(s) into {ledger.path}")
@@ -876,20 +760,12 @@ def _cmd_bench_report(args: argparse.Namespace) -> int:
 
 def _cmd_bench_compare(args: argparse.Namespace) -> int:
     """Gate current bench records against committed baselines."""
-    from .obs.bench import compare, load_records, render_findings
+    from .obs.bench import compare, render_findings
 
-    try:
-        baseline = load_records(args.baseline)
-        current = load_records(args.paths)
-    except (FileNotFoundError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    if not baseline:
-        print("no schema-conforming baseline records", file=sys.stderr)
-        return 2
-    if not current:
-        print("no schema-conforming current records", file=sys.stderr)
-        return 2
+    baseline, current = _bench_records(args.baseline, args.paths)
+    for records, which in ((baseline, "baseline"), (current, "current")):
+        if not records:
+            raise _Exit(2, f"no schema-conforming {which} records")
     findings = compare(baseline, current)
     print(render_findings(findings))
     bad = [f for f in findings if not f.ok]
@@ -903,22 +779,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .sweeps import ResultCache, SweepRunner, SweepSpec, default_cache_dir
 
     models = _csv_list(args.models) if args.models else []
-    if (
-        _check_names(api.ENGINES, args.engine)
-        or _check_names(api.PLACEMENTS, *(args.placement or ()))
-        or _check_names(api.MODELS, *models)
-    ):
-        return 2
+    _check_names(api.ENGINES, args.engine)
+    _check_names(api.PLACEMENTS, *(args.placement or ()))
+    _check_names(api.MODELS, *models)
     if args.heartbeat is not None and args.heartbeat <= 0:
-        print(
-            "invalid sweep options: --heartbeat must be positive",
-            file=sys.stderr,
+        raise _Exit(2, "invalid sweep options: --heartbeat must be positive")
+    with _failing("invalid sweep options: ", code=2):
+        cache = None if args.no_cache else ResultCache(
+            args.cache_dir or default_cache_dir()
         )
-        return 2
-    cache = None if args.no_cache else ResultCache(
-        args.cache_dir or default_cache_dir()
-    )
-    try:
         runner = SweepRunner(
             workers=args.workers,
             cache=cache,
@@ -927,9 +796,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             on_error="keep" if args.keep_going else "raise",
         )
         sinks, streamed = _sweep_sinks(args)
-    except ValueError as exc:
-        print(f"invalid sweep options: {exc}", file=sys.stderr)
-        return 2
     progress = _progress_printer() if args.progress else None
 
     # --models is absent here on purpose: it ranks cost models on the
@@ -941,16 +807,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.scenario:
         given = [f"--{f}" for f in axis_flags if getattr(args, f) is not None]
         if given:
-            print(
-                f"--scenario brings its own workload grid; drop {', '.join(given)}",
-                file=sys.stderr,
+            raise _Exit(
+                2, f"--scenario brings its own workload grid; drop {', '.join(given)}"
             )
-            return 2
-        scenario = _load_scenario(args.scenario)
-        if scenario is None:
-            return 2
+        scenario = _target(args.scenario, file=True)
         if args.engine:
-            scenario = _with_engine(scenario, args.engine)
+            scenario = _with(scenario, engine=args.engine)
         if args.heartbeat is not None:
             from .obs.heartbeat import HeartbeatSink
 
@@ -963,7 +825,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         described, seed = scenario.describe(), scenario.spec.workload.seeds[0]
     else:
         scenario = None
-        try:
+        with _failing("invalid sweep spec: ", code=2):
             spec = SweepSpec(
                 clusters=tuple(_csv_list(args.clusters or "gigabit-ethernet")),
                 nprocs=tuple(int(n) for n in _csv_list(args.nprocs or "4,8")),
@@ -985,9 +847,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 reps=args.reps if args.reps is not None else 1,
                 engine=args.engine,
             )
-        except ValueError as exc:
-            print(f"invalid sweep spec: {exc}", file=sys.stderr)
-            return 2
         if args.heartbeat is not None:
             from .obs.heartbeat import HeartbeatSink
 
@@ -995,16 +854,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         _ledger_note(spec=spec.describe(), n_points=spec.n_points)
         sweep = partial(runner.run, spec)
         described, seed = spec.describe(), min(spec.seeds)
-    try:
+    # A pattern whose matrix degenerates at some grid point
+    # (shift:offset=n), or a grid beyond a fabric's size, ends in one
+    # line, not a traceback.
+    with _failing("sweep failed: "):
         result = sweep(sinks=sinks, progress=progress)
-    except KeyError as exc:
-        print(exc.args[0] if exc.args else str(exc), file=sys.stderr)
-        return 2
-    except _SWEEP_ERRORS as exc:
-        # e.g. a pattern whose matrix degenerates at some grid point
-        # (shift:offset=n) — report cleanly, not as a traceback.
-        print(f"sweep failed: {exc}", file=sys.stderr)
-        return 1
 
     print(f"sweep     : {described}")
     print(f"workers   : {runner.workers} ({runner.executor_name} executor)")
@@ -1015,15 +869,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if models:
         from .models.selection import compare_for_sweep
 
-        try:
+        # The points themselves are already cached and streamed.
+        with _failing("model comparison failed: "):
             comparisons = compare_for_sweep(
                 result, models, seed=seed,
                 profile=None if scenario is None else scenario.profile,
             )
-        except (FittingError, MeasurementError, SimulationError) as exc:
-            # The points themselves are already cached and streamed.
-            print(f"model comparison failed: {exc}", file=sys.stderr)
-            return 1
         if not comparisons:
             print(
                 "model comparison skipped: no successful uniform-pattern, "
@@ -1432,25 +1283,31 @@ _LEDGERED = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point."""
+    """CLI entry point: the one place a failure becomes a line and a code."""
     global _ACTIVE_LEDGER
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command not in _LEDGERED:
-        return args.func(args)
-    kind = args.command
-    if kind == "bench":
-        kind = f"bench-{args.bench_command}"
-    _ACTIVE_LEDGER = _LedgerScope(
-        kind, argv=list(argv) if argv is not None else sys.argv[1:]
-    )
+    if args.command in _LEDGERED:
+        kind = args.command
+        if kind == "bench":
+            kind = f"bench-{args.bench_command}"
+        _ACTIVE_LEDGER = _LedgerScope(
+            kind, argv=list(argv) if argv is not None else sys.argv[1:]
+        )
     code = 1
     try:
         code = args.func(args)
-        return code
+    except _Exit as exc:
+        code = exc.code
+        print(exc.line, file=sys.stderr)
+    except UnknownNameError as exc:
+        code = 2
+        print(exc, file=sys.stderr)
     finally:
         scope, _ACTIVE_LEDGER = _ACTIVE_LEDGER, None
-        scope.finish(code)
+        if scope is not None:
+            scope.finish(code)
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -145,11 +145,6 @@ class CostModel(abc.ABC):
     #: The learned parameters, in canonical order.
     param_schema: tuple[ParamSpec, ...] = ()
 
-    #: Whether :meth:`fit` needs ping-pong Hockney α/β context to work.
-    #: Pipelines consult this to skip the simulated ping-pong for
-    #: offline fits (e.g. ``Scenario.fit_model(samples=...)``).
-    requires_hockney: bool = False
-
     # -- protocol -------------------------------------------------------
 
     @abc.abstractmethod

@@ -149,7 +149,6 @@ class SignatureModel(CostModel):
     """The paper's §7 contention signature ``T = LB·γ + δ·(n-1)·1[m>=M]``."""
 
     name = "signature"
-    requires_hockney = True
     param_schema = (
         ParamSpec("alpha", "s", "Hockney start-up (ping-pong)"),
         ParamSpec("beta", "s/B", "Hockney inverse bandwidth (ping-pong)"),
@@ -370,7 +369,6 @@ class KneeModel(CostModel):
     """
 
     name = "knee"
-    requires_hockney = True
     param_schema = SignatureModel.param_schema + (
         ParamSpec("n_free", "", "largest contention-free process count"),
         ParamSpec("n_sat", "", "smallest fully-saturated process count"),

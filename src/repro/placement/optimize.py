@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from ..registry import PLACEMENT_OPTIMIZERS, register_placement_optimizer
 from ..simnet.rng import RngFactory
 from ..simnet.topology import Topology
+from ..traffic import as_pattern
 from .objective import PlacementObjective, traffic_matrix
 from .spec import PlacementSpec
 
@@ -150,14 +151,25 @@ def optimize_placement(
     :class:`~repro.traffic.spec.PatternSpec` or ``None`` for uniform)
     at (n, msg_size, seed) — routed over the fabric; see
     :mod:`repro.placement.objective`.  Deterministic given *seed*.
-    An unknown *optimizer* or *params* it does not take raise before
-    the fabric is built.
+    An unknown *optimizer* or *params* it does not take, n < 2 or
+    m < 1 raise before the fabric is built, and a workload with no
+    network traffic (every mapping scores 0) before the search.
     """
     name = PLACEMENT_OPTIMIZERS.canonical(optimizer)
     PLACEMENT_OPTIMIZERS.check_params(name, params or {})
-    n = int(n_processes)
+    n, m = int(n_processes), int(msg_size)
+    if n < 2 or m < 1:
+        raise ValueError(
+            f"a placement needs n >= 2 processes and m >= 1 byte, got n={n}, m={m}"
+        )
     topo = cluster if isinstance(cluster, (Topology,)) else cluster.topology(n)
-    W = traffic_matrix(n, int(msg_size), pattern, seed=seed)
+    pattern = as_pattern(pattern)
+    W = traffic_matrix(n, m, pattern, seed=seed)
+    if not W.any():
+        raise ValueError(
+            f"pattern {pattern.key()} yields no network traffic at "
+            f"(n={n}, m={m}, seed={seed}); nothing to place"
+        )
     score = PlacementObjective(topo, W)
     evaluations = 0
 

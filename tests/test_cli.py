@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface."""
 
+import os
 from pathlib import Path
 
 import pytest
@@ -181,6 +182,13 @@ class TestUnknownNameLines:
          "pattern", api.PATTERNS),
         (["characterize", "nosuch"], "cluster", api.CLUSTERS),
         (["predict", "nosuch", "8", "64kB"], "cluster", api.CLUSTERS),
+        (["trace", "nosuch"], "cluster", api.CLUSTERS),
+        (["optimize-placement", "nosuch"], "cluster", api.CLUSTERS),
+        (["fit", "nosuch"], "cluster", api.CLUSTERS),
+        (["compare-models", "nosuch"], "cluster", api.CLUSTERS),
+        (["fit", "myrinet", "--model", "nosuch"], "model", api.MODELS),
+        (["compare-models", "myrinet", "--models", "hockney,nosuch"],
+         "model", api.MODELS),
     ], ids=lambda value: value if isinstance(value, str) else None)
     def test_flag_names(self, capsys, argv, kind, registry):
         assert main(argv) == 2
@@ -200,7 +208,12 @@ class TestUnknownNameLines:
     def test_scenario_names(self, tmp_path, capsys, head, kind, registry):
         path = _scenario_with(tmp_path, head)
         known = ", ".join(registry.names())
-        for argv in (["run", "--scenario", path], ["characterize", path]):
+        for argv in (
+            ["run", "--scenario", path], ["sweep", "--scenario", path],
+            ["characterize", path], ["fit", path], ["compare-models", path],
+            ["predict", path, "8", "1kB"], ["optimize-placement", path],
+            ["trace", path],
+        ):
             assert main(argv) == 2
             assert capsys.readouterr().err.splitlines() == [
                 f"unknown {kind} 'nosuch'; known: {known}"
@@ -226,6 +239,13 @@ class TestUnknownNameLines:
             f"unknown model 'nosuch'; known: {known}"
         ]
 
+    def test_sweep_unknown_clusters(self, capsys):
+        assert main(["sweep", "--clusters", "myrinet,nosuch", "--no-cache"]) == 2
+        known = ", ".join(api.CLUSTERS.names())
+        assert capsys.readouterr().err.splitlines() == [
+            f"unknown clusters ['nosuch']; known: {known}"
+        ]
+
 
 #: One-point command lines with a bad n or m, and the line each prints.
 BAD_POINTS = [
@@ -245,6 +265,10 @@ BAD_POINTS = [
      "invalid --size: a message needs at least 1 byte"),
     (["trace", "gigabit-ethernet", "--nprocs", "1"],
      "invalid --nprocs: All-to-All needs at least 2 processes, got 1"),
+    (["trace", "gigabit-ethernet", "--size", "0"],
+     "invalid --size: a message needs at least 1 byte"),
+    (["optimize-placement", "gigabit-ethernet", "--nprocs", "0"],
+     "invalid --nprocs: All-to-All needs at least 2 processes, got 0"),
 ]
 
 
@@ -263,6 +287,29 @@ class TestPointArguments:
             PlacementObjective, "__init__", side_effect=AssertionError
         ):
             assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [line]
+
+    @pytest.mark.parametrize("flags, line", [
+        (["--nprocs", "0", "--reps", "1"],
+         "invalid --nprocs: All-to-All needs at least 2 processes, got 0"),
+        (["--nprocs", "1", "--reps", "1"],
+         "invalid --nprocs: All-to-All needs at least 2 processes, got 1"),
+        (["--nprocs", "4", "--reps", "0"],
+         "invalid --reps: need at least 1 repetition, got 0"),
+    ], ids=["nprocs0", "nprocs1", "reps0"])
+    def test_characterize_checks_before_the_pingpong(
+        self, capsys, monkeypatch, flags, line
+    ):
+        # n' = 0 is rejected, not replaced by the default of 16.
+        import repro.api as api_mod
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the fit ran before --nprocs/--reps were checked")
+
+        monkeypatch.setattr(api_mod, "characterize_cluster", no_fit)
+        assert main(["characterize", "myrinet", *flags]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [line]
@@ -482,3 +529,244 @@ class TestScenarioCli:
         (tmp_path / "myrinet").write_text("not a scenario")
         assert main(["predict", "myrinet", "8", "64kB"]) == 0
         assert "prediction" in capsys.readouterr().out
+
+
+THIN_TOML = """
+[scenario]
+name = "thin"
+base = "myrinet"
+
+[scenario.workload]
+nprocs = [4]
+sizes = [1024, 2048]
+reps = 1
+"""
+
+#: A sweep-row CSV header and one Myrinet row of it.
+ROWS_HEADER = "cluster,algorithm,pattern,n_processes,msg_size,seed,reps,mean_time,std_time,error"
+MYRINET_ROW = "myrinet,direct,uniform,4,2048,0,1,0.000557,0.0,"
+
+#: Input files of the failure cases, written into the working directory.
+FAILURE_FILES = {
+    "s.toml": SCENARIO_TOML,
+    "badloss.toml": SCENARIO_TOML + "\n[scenario.loss]\nrto_min = -1.0\n",
+    "thin.toml": THIN_TOML,
+    "bad.json": "{not json",
+    "one.csv": f"{ROWS_HEADER}\n{MYRINET_ROW}\n",
+    "gige.csv": f"{ROWS_HEADER}\n{MYRINET_ROW.replace('myrinet', 'gigabit-ethernet')}\n",
+    "bad.csv": "cluster,n_processes,msg_size,mean_time\nmyrinet,x,2048,0.001\n",
+    "empty/.keep": "",
+    "bench/BENCH_x.json": (
+        '{"schema": "repro-bench/1", "bench": "x", "fingerprint": {}, '
+        '"metrics": {"m": {"value": 1.0, "direction": "higher", '
+        '"tolerance": 0.1, "unit": ""}}}'
+    ),
+}
+
+
+@pytest.fixture
+def failure_files(tmp_path, monkeypatch):
+    """The working directory, holding :data:`FAILURE_FILES`."""
+    for name, text in FAILURE_FILES.items():
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(text)
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+MISSING = "[Errno 2] No such file or directory: 'missing.toml'"
+
+#: At least one argv per error site of the CLI (the unknown-name and bad-point
+#: sites are the classes above): argv, exit code and the one stderr line.  The
+#: ledger is off in tests, so ``bench ingest`` reports it disabled.
+FAILURE_LINES = [
+    (["run", "fig02", "--scenario", "s.toml"], 2,
+     "run takes an experiment id or --scenario FILE, not both"),
+    (["run", "fig02", "--placement", "identity"], 2,
+     "--placement needs --scenario FILE"),
+    (["run"], 2, "run needs an experiment id or --scenario FILE"),
+    (["run", "--scenario", "missing.toml"], 2, MISSING),
+    (["run", "--scenario", "bad.json"], 2,
+     "invalid scenario JSON: Expecting property name enclosed in double "
+     "quotes: line 1 column 2 (char 1)"),
+    (["run", "--scenario", "s.toml", "--placement", "round-robin:groups"], 2,
+     "invalid --placement: bad placement parameter 'groups' (expected key=value)"),
+    (["run", "--scenario", "badloss.toml"], 1,
+     "sweep failed: need 0 < rto_min <= rto_max"),
+    (["run", "--scenario", "thin.toml"], 1,
+     "cannot fit signature: the paper requires at least four measurement "
+     "points, got 2"),
+    (["characterize", "missing.toml"], 2, MISSING),
+    (["characterize", "thin.toml"], 1,
+     "cannot fit signature: the paper requires at least four measurement "
+     "points, got 2"),
+    (["predict", "missing.toml", "8", "1kB"], 2, MISSING),
+    (["predict", "s.toml", "8", "1kB"], 1,
+     "no paper signature recorded for this cluster"),
+    (["optimize-placement", "missing.toml"], 2, MISSING),
+    (["optimize-placement", "gigabit-ethernet", "--optimizer", "anneal:bogus=1"], 2,
+     "invalid optimizer parameters: unknown param(s) ['bogus'] for placement "
+     "optimizer 'anneal'; known: cooling, iterations, t0"),
+    (["optimize-placement", "gigabit-ethernet", "--pattern", "hotspot:bogus=1"], 2,
+     "invalid pattern parameters: unknown param(s) ['bogus'] for pattern "
+     "'hotspot'; known: factor, targets"),
+    (["optimize-placement", "myrinet", "--nprocs", "300"], 1,
+     "cannot optimize placement: myrinet: 300 hosts exceeds physical size 104"),
+    (["fit", "myrinet", "--nprocs", "4,x"], 2,
+     "invalid workload flags: invalid literal for int() with base 10: 'x'"),
+    (["fit", "s.toml", "--reps", "1", "--seed", "2"], 2,
+     "a scenario file brings its own workload grid; drop --reps, --seed"),
+    (["fit", "missing.toml"], 2, MISSING),
+    (["fit", "myrinet", "--reps", "0"], 2, "workload reps must be >= 1"),
+    (["fit", "myrinet", "--from-rows", "missing.csv"], 2,
+     "[Errno 2] No such file or directory: 'missing.csv'"),
+    (["fit", "myrinet", "--from-rows", "bad.csv"], 2,
+     "cannot load samples from bad.csv: malformed sweep row {'cluster': "
+     "'myrinet', 'n_processes': 'x', 'msg_size': 2048, 'mean_time': 0.001}: "
+     "could not convert string to float: 'x'"),
+    (["fit", "myrinet", "--from-rows", "gige.csv"], 1,
+     "gige.csv holds no usable uniform-pattern rows for cluster 'myrinet'"),
+    (["fit", "myrinet", "--from-rows", "one.csv"], 1,
+     "cannot fit signature: the paper requires at least four measurement "
+     "points, got 1"),
+    (["compare-models", "badloss.toml"], 1,
+     "cannot compare models: need 0 < rto_min <= rto_max"),
+    (["compare-models", "myrinet", "--from-rows", "one.csv",
+      "--models", "loggp,knee"], 1, "no model could be fitted on these samples"),
+    (["trace", "missing.toml"], 2, MISSING),
+    (["trace", "badloss.toml"], 1, "trace failed: need 0 < rto_min <= rto_max"),
+    (["bench", "ingest", "missing"], 2, "no such bench record: missing"),
+    (["bench", "ingest", "empty"], 1, "no schema-conforming bench records found"),
+    (["bench", "ingest", "bench"], 1,
+     "ledger disabled (REPRO_LEDGER); nothing ingested"),
+    (["bench", "compare", "--baseline", "missing", "bench"], 2,
+     "no such bench record: missing"),
+    (["bench", "compare", "--baseline", "empty", "bench"], 2,
+     "no schema-conforming baseline records"),
+    (["bench", "compare", "--baseline", "bench", "empty"], 2,
+     "no schema-conforming current records"),
+    (["sweep", "--heartbeat", "0"], 2,
+     "invalid sweep options: --heartbeat must be positive"),
+    (["sweep", "--workers", "0", "--no-cache"], 2,
+     "invalid sweep options: workers must be >= 1"),
+    (["sweep", "--scenario", "s.toml", "--nprocs", "4"], 2,
+     "--scenario brings its own workload grid; drop --nprocs"),
+    (["sweep", "--scenario", "missing.toml"], 2, MISSING),
+    (["sweep", "--nprocs", "x", "--no-cache"], 2,
+     "invalid sweep spec: invalid literal for int() with base 10: 'x'"),
+    (["sweep", "--nprocs", "4", "--sizes", "2kB", "--pattern", "shift:offset=4",
+      "--no-cache"], 1,
+     "sweep failed: pattern shift(offset=4) yields no network traffic at "
+     "(n=4, m=2048, seed=0); nothing to measure"),
+]
+
+
+class TestFailureLines:
+    """Each failure ends in its exit code and one stderr line, no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, code, line", FAILURE_LINES,
+        ids=[" ".join(argv) for argv, _, _ in FAILURE_LINES],
+    )
+    def test_one_line(self, failure_files, capsys, argv, code, line):
+        assert main(argv) == code
+        assert capsys.readouterr().err.splitlines() == [line]
+
+    def test_model_comparison_failure(self, capsys, monkeypatch):
+        import repro.models.selection as selection
+        from repro.exceptions import FittingError
+
+        def failing(*args, **kwargs):
+            raise FittingError("no fit")
+
+        monkeypatch.setattr(selection, "compare_for_sweep", failing)
+        assert main([
+            "sweep", "--clusters", "myrinet", "--nprocs", "4", "--sizes", "2kB",
+            "--no-cache", "--models", "hockney",
+        ]) == 1
+        captured = capsys.readouterr()
+        assert "simulated : 1" in captured.out  # the sweep itself ran
+        assert captured.err.splitlines() == ["model comparison failed: no fit"]
+
+
+#: Command lines that ended in a traceback, and the one line each prints.
+FORMER_TRACEBACKS = [
+    (["characterize", "myrinet", "--nprocs", "300", "--reps", "1"],
+     "cannot fit signature: myrinet: 300 hosts exceeds physical size 104"),
+    (["fit", "myrinet", "--nprocs", "300", "--sizes", "2kB,4kB", "--reps", "1"],
+     "cannot fit signature: myrinet: 300 hosts exceeds physical size 104"),
+    (["compare-models", "myrinet", "--nprocs", "300", "--sizes", "2kB",
+      "--reps", "1"],
+     "cannot compare models: myrinet: 300 hosts exceeds physical size 104"),
+    (["trace", "myrinet", "--nprocs", "300"],
+     "trace failed: myrinet: 300 hosts exceeds physical size 104"),
+    (["sweep", "--clusters", "myrinet", "--nprocs", "300", "--sizes", "2kB",
+      "--no-cache"],
+     "sweep failed: myrinet: 300 hosts exceeds physical size 104"),
+    (["characterize", "badloss.toml"],
+     "cannot fit signature: need 0 < rto_min <= rto_max"),
+    (["optimize-placement", "gigabit-ethernet", "--nprocs", "4",
+      "--pattern", "shift:offset=4"],
+     "cannot optimize placement: pattern shift(offset=4) yields no network "
+     "traffic at (n=4, m=131072, seed=0); nothing to place"),
+]
+
+
+class TestFormerTracebacks:
+    """A grid beyond the fabric, a bad scenario value or a workload with
+    no traffic: one line and exit 1, like every other failed run."""
+
+    @pytest.mark.parametrize(
+        "argv, line", FORMER_TRACEBACKS,
+        ids=[" ".join(argv) for argv, _ in FORMER_TRACEBACKS],
+    )
+    def test_one_line(self, failure_files, capsys, argv, line):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [line]
+        if argv[0] == "optimize-placement":
+            assert captured.out == ""  # no half-printed report
+
+    def test_experiment_failure(self, capsys, monkeypatch):
+        from repro.engines import ENGINE_ENV
+
+        monkeypatch.setenv(ENGINE_ENV, "nosuch")
+        assert main(["run", "fig05", "--scale", "smoke"]) == 1
+        known = ", ".join(api.ENGINES.names())
+        assert capsys.readouterr().err.splitlines() == [
+            f"run failed: {ENGINE_ENV}: unknown engine 'nosuch'; known: {known}"
+        ]
+
+
+class TestRunEngine:
+    """``run EXPERIMENT --engine`` sets the default engine for that run only."""
+
+    @pytest.mark.parametrize("before", [None, "fluid"], ids=["unset", "set"])
+    def test_default_engine_restored(self, monkeypatch, capsys, before):
+        from repro.engines import ENGINE_ENV, default_engine
+
+        if before is None:
+            monkeypatch.delenv(ENGINE_ENV, raising=False)
+        else:
+            monkeypatch.setenv(ENGINE_ENV, before)
+        assert main(["run", "fig05", "--scale", "smoke", "--engine", "vector"]) == 0
+        assert os.environ.get(ENGINE_ENV) == before
+        assert default_engine() == "fluid"
+
+    def test_default_engine_restored_on_failure(self, monkeypatch):
+        import repro.cli as cli
+        from repro.engines import ENGINE_ENV, default_engine
+
+        monkeypatch.delenv(ENGINE_ENV, raising=False)
+        seen = []
+
+        def failing(*args, **kwargs):
+            seen.append(default_engine())
+            raise RuntimeError("the experiment failed")
+
+        monkeypatch.setattr(cli, "run_experiment", failing)
+        with pytest.raises(RuntimeError):
+            main(["run", "fig05", "--scale", "smoke", "--engine", "vector"])
+        assert seen == ["vector"]
+        assert ENGINE_ENV not in os.environ

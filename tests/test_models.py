@@ -542,20 +542,22 @@ class TestScenarioIntegration:
         samples = signature_samples(noise=0.02)
         fitted = sc.fit_model("loggp", samples=samples)
         assert fitted.model == "loggp"
-        # An offline fit of a context-free model runs no simulated
-        # ping-pong (requires_hockney gates the measurement).
-        assert sc._hockney is None
-        comp = sc.compare_models(("loggp", "max-rate"), samples=samples)
-        assert sc._hockney is None
-        assert set(comp.ranking) == {"loggp", "max-rate"}
-        # A signature fit on the same rows does need the context.
-        sc.fit_model("signature", samples=samples)
-        assert sc._hockney is not None
+        # Offline fits run under the fabric's ping-pong context, whatever
+        # the models: Hockney reports the ping-pong's α/β, not the rows'.
+        pingpong = sc.hockney()
+        comp = sc.compare_models(("hockney", "loggp", "max-rate"), samples=samples)
+        assert set(comp.ranking) == {"hockney", "loggp", "max-rate"}
+        expected = {"alpha": pingpong.alpha, "beta": pingpong.beta}
+        assert comp.report("hockney").fitted.params == expected
+        assert sc.fit_model("hockney", samples=samples).params == expected
+        assert sc.fit_model("signature", samples=samples).params["alpha"] == (
+            pingpong.alpha
+        )
 
     def test_offline_fit_is_order_independent(self):
-        # A warm instance (ping-pong already measured) must produce the
-        # same offline context-free fit as a fresh one: the cached
-        # hockney context is never silently substituted for the rows.
+        # A warm instance (ping-pong already measured) and a fresh one
+        # fit the same rows alike: both under the fabric's ping-pong
+        # α/β, never α/β regressed from the rows (here 2e-4 s, 4e-8 s/B).
         from repro.api import Scenario
 
         h = HockneyParams(alpha=2e-4, beta=4e-8)
@@ -567,10 +569,12 @@ class TestScenarioIntegration:
             "hockney", samples=rows
         )
         warm_sc = Scenario.from_name("fast-ethernet")
-        warm_sc.hockney()  # simulate prior context measurement
+        pingpong = warm_sc.hockney()
         warm = warm_sc.fit_model("hockney", samples=rows)
-        assert warm.params == fresh.params
-        assert warm.params["alpha"] == pytest.approx(2e-4, rel=1e-5)
+        assert warm.params == fresh.params == {
+            "alpha": pingpong.alpha, "beta": pingpong.beta,
+        }
+        assert fresh.params["alpha"] != pytest.approx(h.alpha, rel=0.01)
 
 
 def _myrinet_sweep(*placements):
@@ -800,6 +804,42 @@ class TestCli:
         out = capsys.readouterr().out
         assert "ranking: signature > hockney" in out
         assert "over 12 samples" in out  # half the file: one cluster
+
+    def test_from_rows_fits_under_the_pingpong(self, capsys, tmp_path):
+        # Offline fits take α/β from the fabric's ping-pong, whichever
+        # models are compared or fitted: never regressed from the rows.
+        from repro.analysis.io import write_csv
+        from repro.api import Scenario
+        from repro.cli import main
+        from repro.exec.sinks import ROW_FIELDS
+
+        rows = [
+            {
+                "cluster": "myrinet", "algorithm": "direct",
+                "pattern": "uniform", "n_processes": s.n_processes,
+                "msg_size": s.msg_size, "seed": 0, "reps": s.reps,
+                "mean_time": s.mean_time, "std_time": s.std_time,
+                "cached": 0, "error": "",
+            }
+            for s in signature_samples(noise=0.02)
+        ]
+        path = tmp_path / "sweep.csv"
+        write_csv(path, ROW_FIELDS, rows)
+        lines = []
+        for models in ("hockney", "hockney,signature"):
+            assert main([
+                "compare-models", "myrinet", "--from-rows", str(path),
+                "--models", models,
+            ]) == 0
+            lines.append(_hockney_line(capsys.readouterr().out))
+        hockney = Scenario.from_name("myrinet").hockney()
+        assert lines == [
+            f"(alpha={hockney.alpha:.4g}, beta={hockney.beta:.4g})"
+        ] * 2
+        assert main([
+            "fit", "myrinet", "--from-rows", str(path), "--model", "hockney",
+        ]) == 0
+        assert f"alpha = {hockney.alpha:.6g} s" in capsys.readouterr().out
 
     def test_from_rows_wrong_cluster_rejected(self, capsys, tmp_path):
         # A file measured on a different cluster must not silently fit

@@ -356,6 +356,23 @@ class TestOptimizers:
             "'greedy'; known: max_rounds"
         )
 
+    @pytest.mark.parametrize("n, m, pattern, message", [
+        (1, 1024, None,
+         "a placement needs n >= 2 processes and m >= 1 byte, got n=1, m=1024"),
+        (4, 0, None,
+         "a placement needs n >= 2 processes and m >= 1 byte, got n=4, m=0"),
+        (4, 1024, SHIFT,
+         "pattern shift(offset=4) yields no network traffic at (n=4, m=1024, "
+         "seed=0); nothing to place"),
+    ], ids=["n1", "m0", "no-traffic"])
+    def test_degenerate_workloads_fail_before_the_search(self, n, m, pattern, message):
+        # Every mapping of no traffic scores 0, so there is no ratio to
+        # report: the search refuses it instead of dividing by zero.
+        with mock.patch.object(PlacementObjective, "__init__", side_effect=AssertionError):
+            with pytest.raises(ValueError) as excinfo:
+                optimize_placement(get_cluster("gigabit-ethernet"), n, m, pattern=pattern)
+        assert str(excinfo.value) == message
+
     @pytest.mark.parametrize("optimizer", ["greedy", "anneal"])
     def test_optimized_never_exceeds_identity(self, optimizer):
         for n in (8, 16):
