@@ -506,6 +506,8 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     scenario = _target(args.cluster)
     nprocs, size = _point_args(args.nprocs, args.msg_size, ("nprocs", "msg_size"))
+    with _failing("cannot predict: "):
+        scenario.profile  # built first: a bad scenario is not "no signature"
     try:
         signature = scenario.paper_signature(size)
     except ScenarioError:

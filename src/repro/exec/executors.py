@@ -18,14 +18,19 @@ Register additional executors (SLURM, async, …) with
 :func:`repro.registry.register_executor`::
 
     from repro.api import register_executor
+    from repro.exec import Executor
 
-    @register_executor("my-grid")
-    def make(workers):
-        return MyGridExecutor(workers)
+    @register_executor("my-grid")  # called with the worker count
+    class MyGridExecutor(Executor):
+        name = "my-grid"
+        distributed = True  # runs its tasks in other processes
 
-Executors only ever see *portable* tasks when crossing process
-boundaries — the sweep planner keeps unpicklable profile-recipe tasks
-on the serial path (see ``SweepRunner._plan``).
+        def __init__(self, workers): ...
+        def run(self, tasks): ...
+
+An executor that ships tasks to other processes must declare
+``distributed = True``; ``SweepRunner._execute`` decides which batches
+it gets.
 """
 
 from __future__ import annotations
@@ -54,9 +59,8 @@ class Executor:
     name:
         Registry name, echoed in logs and ``repro-alltoall list``.
     distributed:
-        True when ``run`` ships tasks to other processes; the planner
-        only fans out registry/scenario-recipe (picklable) tasks to
-        distributed executors.
+        True when ``run`` ships tasks to other processes (see
+        ``SweepRunner._execute`` for the batches such an executor gets).
     """
 
     name = "base"

@@ -2,8 +2,7 @@
 
 An :class:`ExecutionTask` is everything a worker — in this process or
 another — needs to resolve one sweep point: the point coordinates plus a
-*rebuild recipe* for the cluster it runs on.  Three recipes exist,
-mirroring the three ways call sites hand fabrics to the sweep engine:
+*rebuild recipe* for the cluster it runs on:
 
 * **registry** (the default): the worker resolves ``point.cluster``
   through :data:`repro.registry.CLUSTERS`.  Always picklable.
@@ -14,8 +13,7 @@ mirroring the three ways call sites hand fabrics to the sweep engine:
   pays the profile construction once per scenario, not once per point.
 * **profile**: the task carries the live
   :class:`~repro.clusters.profiles.ClusterProfile` object.  Not
-  picklable — such tasks only ever run in-process (``portable`` is
-  false) and the planner routes them to a serial executor.
+  picklable, so such tasks only ever run in this process.
 
 :func:`run_task` is the **failure-isolation boundary**: it never raises.
 Any exception from profile rebuilding or the simulation itself becomes
@@ -58,11 +56,6 @@ class ExecutionTask:
     point: "SweepPoint"
     scenario: dict | None = None
     profile: "ClusterProfile | None" = None
-
-    @property
-    def portable(self) -> bool:
-        """Whether the task may cross a process boundary (pickles cleanly)."""
-        return self.profile is None
 
 
 @dataclass(frozen=True)

@@ -44,8 +44,6 @@ from .registry import (
     ALGORITHMS,
     ENGINES,
     MODELS,
-    PATTERNS,
-    PLACEMENTS,
     TOPOLOGIES,
     CLUSTERS as _CLUSTER_REGISTRY,
 )
@@ -506,29 +504,6 @@ class ScenarioSpec:
                 f"unsupported scenario file type {path.suffix!r} (use .toml or .json)"
             )
         return path
-
-    def uses_only_builtin_plugins(self) -> bool:
-        """Whether every registered object this spec references ships
-        with the repro package.
-
-        Fresh worker processes (``spawn``/``forkserver`` start methods)
-        import only :mod:`repro`, so registrations made in user scripts
-        are absent there; the sweep runner uses this to decide whether a
-        scenario may be rebuilt in such workers.
-        """
-        objects = [ALGORITHMS.get(self.algorithm)]
-        if self.topology is not None:
-            objects.append(TOPOLOGIES.get(self.topology.factory))
-        if self.base is not None:
-            objects.append(_CLUSTER_REGISTRY.get(self.base))
-        if self.workload.pattern is not None:
-            objects.append(PATTERNS.get(self.workload.pattern.name))
-        if self.placement is not None and not self.placement.is_explicit:
-            objects.append(PLACEMENTS.get(self.placement.name))
-        return all(
-            (getattr(obj, "__module__", "") or "").split(".")[0] == "repro"
-            for obj in objects
-        )
 
     # -- cache integration ---------------------------------------------
 

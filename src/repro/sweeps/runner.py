@@ -12,12 +12,7 @@ point's random streams are derived *by name* from its own coordinates
 8-way pool is bit-identical to the same point simulated serially — and
 so are the cache keys.
 
-Three cluster rebuild recipes mirror the three kinds of call site
-(plain registry names, scenario specs, ad-hoc profile objects); the
-planner picks per batch, falling back to in-process execution whenever
-a fabric cannot be rebuilt faithfully in a worker (non-registry
-profiles, spawn-started platforms with user plugins — see
-``_parallel_safe``).
+Which batches reach the executor is decided in ``SweepRunner._execute``.
 
 Failures are isolated per point: a worker exception — or a worker
 process dying on the point (``WorkerDied``) — becomes an error
@@ -55,7 +50,10 @@ from ..simnet.stats import stats_enabled
 from ..exec.task import ExecutionTask
 from ..exceptions import ExecutionError, UnknownNameError
 from ..obs.metrics import REGISTRY
-from ..registry import CLUSTERS, EXECUTORS
+from ..registry import (
+    ALGORITHMS, CLUSTERS, ENGINES, EXECUTORS, MODELS, PATTERNS, PLACEMENTS,
+    TOPOLOGIES,
+)
 from ..scenario import ScenarioSpec
 from .cache import ResultCache, point_key, profile_fingerprint
 from .spec import SweepPoint, SweepSpec
@@ -68,8 +66,7 @@ __all__ = [
     "default_runner",
 ]
 
-#: Shared fallback for batches that must run in-process (unpicklable
-#: profile recipes, single misses, spawn-unsafe plugins).  Stateless.
+#: Runs the batches a distributed executor does not get.  Stateless.
 _INLINE = SerialExecutor()
 
 #: The registry counter behind each ``sim_*`` column of
@@ -511,117 +508,68 @@ class SweepRunner:
     # -- execution ------------------------------------------------------
 
     @staticmethod
-    def _spawn_safe(points, cluster_names) -> bool:
-        """Whether fresh worker processes can resolve the referenced plugins.
-
-        ``fork`` workers inherit the parent's registries, so anything
-        resolvable here is resolvable there; ``spawn``/``forkserver``
-        workers start from a bare ``import repro`` and only see built-in
-        registrations, so points referencing user-registered clusters or
-        algorithms must stay in-process.
-        """
-        if multiprocessing.get_start_method() == "fork":
-            return True
-        from ..registry import ALGORITHMS, PATTERNS, PLACEMENTS
-
-        objects = [CLUSTERS.get(n) for n in cluster_names]
-        objects += [ALGORITHMS.get(p.algorithm) for p in points]
-        objects += [
-            PATTERNS.get(p.pattern.name)
-            for p in points
-            if p.pattern is not None
-        ]
-        objects += [
-            PLACEMENTS.get(p.placement.name)
-            for p in points
-            if p.placement is not None and not p.placement.is_explicit
-        ]
-        return all(
-            (getattr(obj, "__module__", "") or "").split(".")[0] == "repro"
-            for obj in objects
-        )
-
-    def _parallel_safe(
-        self, profile: ClusterProfile | None, points: list[SweepPoint]
-    ) -> bool:
-        """Whether misses may run in worker processes (registry-resolvable)."""
-        names = {p.cluster for p in points} if profile is None else {profile.name}
-        if any(name not in CLUSTERS for name in names):
-            return False
-        if not self._spawn_safe(points, names):
-            return False
-        if profile is None:
-            return True
-        if CLUSTERS.canonical(profile.name) != profile.name:
-            # The name resolves through an alias to a different profile;
-            # rebuilding by name would silently swap fabrics.
-            return False
-        # A profile object is safe to re-build by name only if it is
-        # indistinguishable from the registry one *at every process
-        # count actually being swept* (topology closures cannot be
-        # hashed, so they are compared through probes at those sizes).
-        sizes = tuple(sorted({p.n_processes for p in points}))
-        return profile_fingerprint(
-            get_cluster(profile.name), probe_sizes=sizes
-        ) == profile_fingerprint(profile, probe_sizes=sizes)
-
-    @staticmethod
-    def _scenario_parallel_safe(scenario: ScenarioSpec) -> bool:
-        """Whether workers can rebuild *scenario* from its spec dict.
-
-        ``fork`` workers inherit the parent's registries, so any
-        scenario is safe; ``spawn``/``forkserver`` workers start from a
-        bare ``import repro`` and only see built-in registrations —
-        scenarios referencing user plugins fall back to in-process
-        execution there instead of crashing mid-sweep.
-        """
-        if multiprocessing.get_start_method() == "fork":
-            return True
-        return scenario.uses_only_builtin_plugins()
-
-    def _plan(
-        self,
-        misses: list[int],
+    def _recipe(
         points: list[SweepPoint],
         profile: ClusterProfile | None,
         scenario: ScenarioSpec | None,
-    ) -> tuple[list[ExecutionTask], bool]:
-        """Choose the rebuild recipe for a miss batch.
+    ) -> dict | None:
+        """What a fresh worker rebuilds this batch's fabric from.
 
-        Returns ``(tasks, fan_out)``; with ``fan_out`` false the batch
-        runs on the in-process serial fallback regardless of the
-        configured executor (unpicklable profiles, single misses,
-        plugins a fresh worker could not resolve).
+        As :class:`ExecutionTask` fields: ``{"scenario": spec dict}``
+        (a profile holds topology closures and does not pickle; its spec
+        does), or ``{}`` for the cluster name each point carries, which
+        also serves a *profile* that probes identical, at every swept n,
+        to the registry entry each point names.  ``None`` keeps the
+        batch in this process: an ad-hoc profile, or, under
+        ``spawn``/``forkserver``, whose workers start from a bare
+        ``import repro``, a plugin the batch's points or scenario name
+        that is not built in or that no registry resolves.  ``fork``
+        workers inherit this process's registries.
         """
-        fan_out = (
-            self.workers > 1
-            and len(misses) > 1
-            and getattr(self.executor, "distributed", False)
-        )
         if scenario is not None:
-            if fan_out and self._scenario_parallel_safe(scenario):
-                # Scenario specs are picklable even when their profiles
-                # are not: workers rebuild the profile from the dict.
-                payload = scenario.to_dict()
-                return (
-                    [ExecutionTask(i, points[i], scenario=payload) for i in misses],
-                    True,
-                )
-            return (
-                [ExecutionTask(i, points[i], profile=profile) for i in misses],
-                False,
-            )
-        if fan_out and self._parallel_safe(profile, [points[i] for i in misses]):
-            # Registry-resolvable (by construction when profile is set:
-            # it probed identical to the registry entry): workers
-            # rebuild clusters by name.
-            return [ExecutionTask(i, points[i]) for i in misses], True
-        if profile is not None:
-            return (
-                [ExecutionTask(i, points[i], profile=profile) for i in misses],
-                False,
-            )
-        return [ExecutionTask(i, points[i]) for i in misses], False
+            recipe = {"scenario": scenario.to_dict()}
+            # A worker re-validates the whole spec, not only the parts
+            # the batch's points use (a fit's points carry no pattern).
+            plugins = {(MODELS, scenario.model)}
+            if scenario.base is not None:
+                plugins.add((CLUSTERS, scenario.base))
+            if scenario.topology is not None:
+                plugins.add((TOPOLOGIES, scenario.topology.factory))
+            uses = [(
+                scenario.algorithm, scenario.engine,
+                scenario.workload.pattern, scenario.placement,
+            )]
+        else:
+            names = {p.cluster for p in points}
+            if profile is not None:
+                sizes = tuple(sorted({p.n_processes for p in points}))
+                probe = profile_fingerprint(profile, probe_sizes=sizes)
+                if any(
+                    name not in CLUSTERS
+                    or profile_fingerprint(get_cluster(name), probe_sizes=sizes) != probe
+                    for name in names
+                ):
+                    return None
+            recipe = {}
+            plugins = {(CLUSTERS, name) for name in names}
+            uses = []
+        if multiprocessing.get_start_method() == "fork":
+            return recipe
+        uses += [(p.algorithm, p.engine, p.pattern, p.placement) for p in points]
+        for algorithm, engine, pattern, placement in uses:
+            plugins.add((ALGORITHMS, algorithm))
+            if engine is not None:
+                plugins.add((ENGINES, engine))
+            if pattern is not None:
+                plugins.add((PATTERNS, pattern.name))
+            if placement is not None and not placement.is_explicit:
+                plugins.add((PLACEMENTS, placement.name))
+        built_in = all(
+            name in registry
+            and (getattr(registry.get(name), "__module__", "") or "").split(".")[0] == "repro"
+            for registry, name in plugins
+        )
+        return recipe if built_in else None
 
     def _execute(
         self,
@@ -630,12 +578,28 @@ class SweepRunner:
         profile: ClusterProfile | None,
         scenario: ScenarioSpec | None = None,
     ):
-        """Yield a final :class:`TaskOutcome` per miss (completion order)."""
+        """Yield a final :class:`TaskOutcome` per miss (completion order).
+
+        The configured executor runs the batch.  A ``distributed`` one
+        gets it only with several workers, more than one miss and a
+        :meth:`_recipe`; otherwise the batch runs in this process.
+        """
         if not misses:
             return
-        tasks, fan_out = self._plan(misses, points, profile, scenario)
-        executor = self.executor if fan_out else _INLINE
-        yield from self._with_retries(executor, tasks, merge=fan_out)
+        executor = self.executor
+        recipe = {"profile": profile}
+        merge = getattr(executor, "distributed", False)
+        if merge:
+            shipped = (
+                self._recipe([points[i] for i in misses], profile, scenario)
+                if self.workers > 1 and len(misses) > 1 else None
+            )
+            if shipped is None:
+                executor, merge = _INLINE, False
+            else:
+                recipe = shipped
+        tasks = [ExecutionTask(i, points[i], **recipe) for i in misses]
+        yield from self._with_retries(executor, tasks, merge=merge)
 
     def _with_retries(
         self, executor: Executor, tasks: list[ExecutionTask], *, merge: bool

@@ -604,6 +604,8 @@ FAILURE_LINES = [
     (["predict", "missing.toml", "8", "1kB"], 2, MISSING),
     (["predict", "s.toml", "8", "1kB"], 1,
      "no paper signature recorded for this cluster"),
+    (["predict", "badloss.toml", "8", "1kB"], 1,
+     "cannot predict: need 0 < rto_min <= rto_max"),
     (["optimize-placement", "missing.toml"], 2, MISSING),
     (["optimize-placement", "gigabit-ethernet", "--optimizer", "anneal:bogus=1"], 2,
      "invalid optimizer parameters: unknown param(s) ['bogus'] for placement "

@@ -68,24 +68,56 @@ class TestExecutorRegistry:
             SweepRunner(executor="carrier-pigeon")
 
     def test_user_registered_executor_is_used(self):
+        # An in-process executor, duck-typed without ``distributed``,
+        # runs every batch at any worker count, and its work is counted
+        # once: the runner merges only a distributed executor's deltas.
+        from repro.obs.metrics import REGISTRY, diff_snapshots
+
         calls = []
 
-        class RecordingExecutor(SerialExecutor):
-            name = "test-recording"
-            distributed = True
-
+        class RecordingExecutor:
             def run(self, tasks):
                 calls.append(len(tasks))
-                yield from super().run(tasks)
+                return SerialExecutor().run(tasks)
+
+            def close(self):
+                pass
 
         register_executor("test-recording")(lambda workers=1: RecordingExecutor())
         try:
-            runner = SweepRunner(workers=2, executor="test-recording")
-            result = runner.run_points([good_point(4), good_point(5)])
-            assert result.n_simulated == 2
-            assert calls == [2]
+            for workers in (1, 2):
+                before = REGISTRY.snapshot()
+                runner = SweepRunner(workers=workers, executor="test-recording")
+                result = runner.run_points([good_point(4), good_point(5)])
+                delta = diff_snapshots(before, REGISTRY.snapshot())
+                assert result.n_simulated == 2
+                assert sum(delta["sim.runs"]["values"].values()) == 2.0
+            assert calls == [2, 2]
         finally:
             EXECUTORS.unregister("test-recording")
+
+    def test_ad_hoc_profile_never_reaches_a_distributed_executor(self):
+        from repro.clusters import gigabit_ethernet
+
+        shipped = []
+
+        class RecordingPool(SerialExecutor):
+            name = "test-recording-pool"
+            distributed = True
+
+            def run(self, tasks):
+                shipped.append([task.profile for task in tasks])
+                yield from super().run(tasks)
+
+        points = [good_point(4), good_point(5)]
+        runner = SweepRunner(workers=2, executor=RecordingPool())
+        tweaked = gigabit_ethernet().with_overrides(start_skew_scale=5e-3)
+        assert runner.run_points(points, profile=tweaked).n_simulated == 2
+        assert shipped == []
+        # A profile that probes identical to its registry entry ships
+        # by name.
+        assert runner.run_points(points, profile=gigabit_ethernet()).n_simulated == 2
+        assert shipped == [[None, None]]
 
 
 class TestRunTask:
@@ -109,12 +141,6 @@ class TestRunTask:
         outcome = run_task(ExecutionTask(0, point))
         assert not outcome.ok
         assert outcome.error_type == "UnknownNameError"
-
-    def test_portable(self):
-        from repro.clusters import gigabit_ethernet
-
-        assert ExecutionTask(0, good_point()).portable
-        assert not ExecutionTask(0, good_point(), profile=gigabit_ethernet()).portable
 
 
 class TestExecutorsAgree:

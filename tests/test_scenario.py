@@ -256,21 +256,3 @@ class TestLoadTimeValidation:
             ScenarioSpec.from_dict(
                 spec_dict(topology={"factory": "torus2d", "params": {}})
             )
-
-    def test_builtin_plugin_detection(self):
-        assert ScenarioSpec.from_dict(spec_dict()).uses_only_builtin_plugins()
-
-    def test_user_plugin_detection(self):
-        from repro.registry import TOPOLOGIES, register_topology
-
-        @register_topology("test-user-topo")
-        def user_topo(n_hosts, **params):
-            pass
-
-        try:
-            spec = ScenarioSpec.from_dict(
-                spec_dict(topology={"factory": "test-user-topo", "params": {}})
-            )
-            assert not spec.uses_only_builtin_plugins()
-        finally:
-            TOPOLOGIES.unregister("test-user-topo")

@@ -324,8 +324,19 @@ class TestRunner:
         )
         result = runner.run_points([point], profile=slow_fabric)
         assert result.n_simulated == 1  # fabric change invalidates the key
-        assert not runner._parallel_safe(slow_fabric, [point])
-        assert runner._parallel_safe(gigabit_ethernet(), [point])
+        assert SweepRunner._recipe([point], slow_fabric, None) is None
+        assert SweepRunner._recipe([point], gigabit_ethernet(), None) == {}
+
+    def test_profile_ships_only_to_points_of_its_own_cluster(self):
+        # Workers rebuild each point's cluster by name: a GigE profile
+        # on Myrinet-named points must stay in-process, or the pool
+        # would simulate Myrinet where one worker simulates GigE.
+        points = [SweepPoint("myrinet", n, 2_048, "direct", 0, 1) for n in (4, 5)]
+        assert SweepRunner._recipe(points, gigabit_ethernet(), None) is None
+        serial = SweepRunner(workers=1).run_points(points, profile=gigabit_ethernet())
+        with SweepRunner(workers=2) as runner:
+            pooled = runner.run_points(points, profile=gigabit_ethernet())
+        assert pooled.samples == serial.samples
 
     def test_unknown_cluster_rejected(self):
         spec = tiny_spec(clusters=("no-such-cluster",))
@@ -531,7 +542,14 @@ class TestScenarioCacheKeys:
 
 
 class TestSpawnSafety:
-    """User-registered plugins must not be rebuilt in spawn workers."""
+    """What a fresh worker rebuilds a batch from (``SweepRunner._recipe``):
+    user-registered plugins are never rebuilt in spawn workers."""
+
+    @staticmethod
+    def _start_method(monkeypatch, method):
+        monkeypatch.setattr(
+            runner_mod.multiprocessing, "get_start_method", lambda: method
+        )
 
     def _register_user_cluster(self):
         from repro.registry import CLUSTERS as REGISTRY, register_cluster
@@ -545,32 +563,45 @@ class TestSpawnSafety:
     def test_user_cluster_profile_not_parallel_under_spawn(self, monkeypatch):
         registry = self._register_user_cluster()
         try:
-            runner = SweepRunner(workers=4)
             point = SweepPoint("test-user-cluster", 4, 2_048, "direct", 0, 1)
             profile = registry.get("test-user-cluster")()
-            monkeypatch.setattr(
-                runner_mod.multiprocessing, "get_start_method", lambda: "fork"
-            )
-            assert runner._parallel_safe(profile, [point])
-            assert runner._parallel_safe(None, [point])
-            monkeypatch.setattr(
-                runner_mod.multiprocessing, "get_start_method", lambda: "spawn"
-            )
-            assert not runner._parallel_safe(profile, [point])
-            assert not runner._parallel_safe(None, [point])
+            self._start_method(monkeypatch, "fork")
+            assert SweepRunner._recipe([point], profile, None) == {}
+            assert SweepRunner._recipe([point], None, None) == {}
+            self._start_method(monkeypatch, "spawn")
+            assert SweepRunner._recipe([point], profile, None) is None
+            assert SweepRunner._recipe([point], None, None) is None
         finally:
             registry.unregister("test-user-cluster")
 
     def test_builtin_points_stay_parallel_under_spawn(self, monkeypatch):
-        runner = SweepRunner(workers=4)
         point = SweepPoint("gigabit-ethernet", 4, 2_048, "direct", 0, 1)
-        monkeypatch.setattr(
-            runner_mod.multiprocessing, "get_start_method", lambda: "spawn"
-        )
-        assert runner._parallel_safe(None, [point])
-        assert runner._parallel_safe(gigabit_ethernet(), [point])
+        self._start_method(monkeypatch, "spawn")
+        assert SweepRunner._recipe([point], None, None) == {}
+        assert SweepRunner._recipe([point], gigabit_ethernet(), None) == {}
 
-    def test_user_scenario_not_pool_rebuilt_under_spawn(self, monkeypatch):
+    def test_user_engine_stays_in_process_under_spawn(self, monkeypatch):
+        from repro.engines import run_fluid
+        from repro.registry import ENGINES
+
+        def user_engine(*args, **kwargs):
+            return run_fluid(*args, **kwargs)
+
+        ENGINES.register("test-user-engine", user_engine)
+        try:
+            point = SweepPoint(
+                "gigabit-ethernet", 4, 2_048, "direct", 0, 1,
+                engine="test-user-engine",
+            )
+            self._start_method(monkeypatch, "fork")
+            assert SweepRunner._recipe([point], None, None) == {}
+            self._start_method(monkeypatch, "spawn")
+            assert SweepRunner._recipe([point], None, None) is None
+        finally:
+            ENGINES.unregister("test-user-engine")
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_scenario_recipe(self, monkeypatch, method):
         from repro.registry import TOPOLOGIES, register_topology
         from repro.scenario import ScenarioSpec
         from repro.simnet.topology import single_switch
@@ -579,20 +610,156 @@ class TestSpawnSafety:
         def user_switch(n_hosts, **params):
             return single_switch(n_hosts, **params)
 
-        try:
-            spec = ScenarioSpec.from_dict({
-                "name": "user-topo-scenario",
+        def scenario(factory):
+            return ScenarioSpec.from_dict({
+                "name": "switch-scenario",
                 "base": "gigabit-ethernet",
-                "topology": {"factory": "test-user-switch",
+                "topology": {"factory": factory,
                              "params": {"nic_bandwidth": 1e8}},
             })
-            monkeypatch.setattr(
-                runner_mod.multiprocessing, "get_start_method", lambda: "spawn"
+
+        try:
+            builtin, user = scenario("single_switch"), scenario("test-user-switch")
+            point = SweepPoint("switch-scenario", 4, 2_048, "direct", 0, 1)
+            self._start_method(monkeypatch, method)
+            assert SweepRunner._recipe([point], None, builtin) == {
+                "scenario": builtin.to_dict()
+            }
+            assert SweepRunner._recipe([point], None, user) == (
+                None if method == "spawn" else {"scenario": user.to_dict()}
             )
-            assert not SweepRunner._scenario_parallel_safe(spec)
-            monkeypatch.setattr(
-                runner_mod.multiprocessing, "get_start_method", lambda: "fork"
-            )
-            assert SweepRunner._scenario_parallel_safe(spec)
         finally:
             TOPOLOGIES.unregister("test-user-switch")
+
+    @pytest.mark.parametrize("kind", ["pattern", "placement", "model"])
+    def test_scenario_recipe_checks_the_spec_plugins(self, monkeypatch, kind):
+        # A fit's points carry no pattern or placement, but a worker
+        # re-validates the whole spec dict it is sent.
+        from repro.registry import MODELS, PATTERNS, PLACEMENTS
+        from repro.scenario import ScenarioSpec
+
+        def user_plugin(*args, **kwargs):
+            raise AssertionError("never called")
+
+        registry = {"pattern": PATTERNS, "placement": PLACEMENTS, "model": MODELS}[kind]
+        name = f"test-user-{kind}"
+        registry.register(name, user_plugin)
+        try:
+            section = (
+                {"workload": {"pattern": name}} if kind == "pattern" else {kind: name}
+            )
+            spec = ScenarioSpec.from_dict(
+                {"name": "user-plugin-scenario", "base": "gigabit-ethernet", **section}
+            )
+            points = [
+                SweepPoint("user-plugin-scenario", n, 2_048, "direct", 0, 1)
+                for n in (4, 5)
+            ]
+            self._start_method(monkeypatch, "fork")
+            assert SweepRunner._recipe(points, None, spec) == {"scenario": spec.to_dict()}
+            self._start_method(monkeypatch, "spawn")
+            assert SweepRunner._recipe(points, None, spec) is None
+        finally:
+            registry.unregister(name)
+
+    def test_unknown_algorithm_point_is_an_error_row_under_spawn(self, monkeypatch):
+        # The batch stays in-process, where the bad point fails alone.
+        self._start_method(monkeypatch, "spawn")
+        points = [
+            SweepPoint("gigabit-ethernet", 4, 2_048, "direct", 0, 1),
+            SweepPoint("gigabit-ethernet", 4, 2_048, "no-such-algorithm", 0, 1),
+        ]
+        with SweepRunner(workers=2, on_error="keep") as runner:
+            result = runner.run_points(points)
+        assert [r.ok for r in result.results] == [True, False]
+        assert "unknown algorithm 'no-such-algorithm'" in result.results[1].error
+
+
+#: Run in a fresh interpreter under the start method named by argv[1]:
+#: built-in flag and scenario grids reach the pool, a grid on a user
+#: cluster or engine, or a scenario whose spec alone names a user
+#: pattern, stays in this process, every grid equals serial, and an
+#: unknown-algorithm point becomes an error row.
+START_METHOD_SCRIPT = """
+import multiprocessing
+import sys
+
+from repro.api import Scenario
+from repro.clusters.profiles import gigabit_ethernet
+from repro.engines import run_fluid
+from repro.registry import ENGINES, register_cluster, register_pattern
+from repro.scenario import ScenarioSpec
+from repro.sweeps import SweepPoint, SweepRunner, SweepSpec
+
+
+def check(run, pooled):
+    serial = run(SweepRunner(workers=1))
+    with SweepRunner(workers=2) as runner:
+        samples = run(runner)
+        assert runner.executor.warm is pooled, run
+    assert samples == serial, run
+
+
+def grid(cluster, engine=None):
+    spec = SweepSpec(clusters=(cluster,), nprocs=(4, 5), sizes=(2048,),
+                     algorithms=("direct",), seeds=(0,), reps=1, engine=engine)
+    return lambda runner: runner.run(spec).samples
+
+
+def user_engine(*args, **kwargs):
+    return run_fluid(*args, **kwargs)
+
+
+def user_pattern(n_processes, msg_size, *, rng=None):
+    raise AssertionError("a fit's points carry no pattern")
+
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    check(grid("gigabit-ethernet"), True)
+    scenario = ScenarioSpec.from_dict({
+        "name": "switch-scenario", "base": "gigabit-ethernet",
+        "topology": {"factory": "single_switch", "params": {"nic_bandwidth": 1e8}},
+        "workload": {"nprocs": [4, 5], "sizes": [2048], "reps": 1},
+    })
+    points = [SweepPoint("switch-scenario", n, 2048, "direct", 0, 1) for n in (4, 5)]
+    check(lambda runner: runner.run_points(points, scenario=scenario).samples, True)
+    register_cluster("user-cluster")(
+        lambda: gigabit_ethernet().with_overrides(name="user-cluster"))
+    check(grid("user-cluster"), False)
+    ENGINES.register("user-engine", user_engine)
+    check(grid("gigabit-ethernet", engine="user-engine"), False)
+    register_pattern("user-pattern")(user_pattern)
+    fit = {"name": "fit-scenario", "base": "gigabit-ethernet",
+           "workload": {"nprocs": [4, 5], "sizes": [2048], "reps": 1,
+                        "pattern": "user-pattern"}}
+    check(lambda runner: Scenario.from_dict(fit).grid_samples(runner=runner), False)
+    bad = [SweepPoint("gigabit-ethernet", 4, 2048, name, 0, 1)
+           for name in ("direct", "no-such-algorithm")]
+    with SweepRunner(workers=2, on_error="keep") as runner:
+        rows = runner.run_points(bad).results
+    assert [row.ok for row in rows] == [True, False], rows
+    print("ok")
+"""
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_real_start_method(method):
+    """Shipped batches rebuild in a fresh interpreter; tier-1 runs under fork."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    if method not in runner_mod.multiprocessing.get_all_start_methods():
+        pytest.skip(f"{method} is not available on this platform")
+    src = str(Path(repro.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", START_METHOD_SCRIPT, method],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "ok"
