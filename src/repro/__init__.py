@@ -62,6 +62,9 @@ from .core import (
 from .clusters import fast_ethernet, get_cluster, gigabit_ethernet, myrinet
 from .measure import characterize_cluster
 
+# Every built-in plugin is registered by now: what a fresh worker has.
+registry.record_built_ins()
+
 __all__ = [
     "api",
     "clusters",

@@ -38,6 +38,7 @@ __all__ = [
     "canonical_params",
     "params_key",
     "registry_epoch",
+    "record_built_ins",
     "TOPOLOGIES",
     "CLUSTERS",
     "ALGORITHMS",
@@ -146,6 +147,7 @@ class Registry(Generic[T]):
         self.supplied = supplied
         self._entries: dict[str, T] = {}  # canonical name -> object
         self._aliases: dict[str, str] = {}  # normalised alias -> canonical
+        self._built_ins: dict[str, T] = {}  # normalised alias -> object
 
     # -- registration ---------------------------------------------------
 
@@ -237,6 +239,24 @@ class Registry(Generic[T]):
         if missing:
             raise ScenarioError(f"missing param(s) {missing} for {self.kind} {name!r}")
 
+    def is_built_in(self, name: str) -> bool:
+        """Whether *name* resolves to what it named when ``import repro`` finished.
+
+        That is what a fresh interpreter's ``import repro`` registers
+        (:func:`record_built_ins`).  A name or alias registered since is
+        not built in, even for a ``repro`` object, and neither is a
+        built-in name re-registered for another object.
+        """
+        key = normalize_name(name)
+        canonical = self._aliases.get(key)
+        return canonical is not None and self._built_ins.get(key) is self._entries[canonical]
+
+    def record_built_ins(self) -> None:
+        """Record every current name and alias as built in (see :meth:`is_built_in`)."""
+        self._built_ins = {
+            alias: self._entries[canonical] for alias, canonical in self._aliases.items()
+        }
+
     def get(self, name: str) -> T:
         """Look an entry up; raises :class:`UnknownNameError` with the known set."""
         return self._entries[self.canonical(name)]
@@ -311,6 +331,20 @@ PLACEMENTS: Registry[Callable] = Registry("placement", leading=1)
 PLACEMENT_OPTIMIZERS: Registry[Callable] = Registry(
     "placement optimizer", leading=2, supplied=("rng",)
 )
+
+
+def record_built_ins() -> None:
+    """Record every registry's names and aliases as built in.
+
+    ``repro/__init__`` calls this once its imports have registered every
+    built-in plugin, so :meth:`Registry.is_built_in` tells what a fresh
+    ``import repro`` — a ``spawn`` or ``forkserver`` worker — resolves.
+    """
+    for registry in (
+        TOPOLOGIES, CLUSTERS, ALGORITHMS, BACKENDS, PATTERNS, EXECUTORS,
+        MODELS, ENGINES, PLACEMENTS, PLACEMENT_OPTIMIZERS,
+    ):
+        registry.record_built_ins()
 
 
 def register_topology(name: str, *, aliases: tuple[str, ...] = (), replace: bool = False):

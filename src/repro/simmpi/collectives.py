@@ -26,7 +26,13 @@ no message, as in MPI's alltoallv).  Each rank reads only its own row
 (sends) and column (receives), so the uniform scalar algorithms are
 thin wrappers handing the shared body the row and column of
 ``msg_size`` without building the (n, n) matrix: the two paths are
-operation-for-operation identical on regular exchanges.
+operation-for-operation identical on regular exchanges.  The direct
+body posts a rank's receives, then its sends, as two batched posts
+(``irecv_many``, ``isend_many``); the other programs post one
+operation at a time.  Byte counts — ``msg_size`` and every matrix
+entry a rank reads — must be whole, finite and non-negative
+(:func:`~repro.simmpi.lowering.byte_count`): a NaN or fractional entry
+is rejected, never rounded.
 
 Scalar algorithms take ``(ctx, msg_size)``, alltoallv algorithms take
 ``(ctx, matrix)``; all are registered in the algorithm registry
@@ -36,12 +42,13 @@ Scalar algorithms take ``(ctx, msg_size)``, alltoallv algorithms take
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Any, Generator
 
 import numpy as np
 
 from ..registry import register_algorithm
-from .lowering import RankContext
+from .lowering import RankContext, byte_count
 
 __all__ = [
     "alltoall_direct",
@@ -60,11 +67,12 @@ TAG_ALLTOALL = 77
 
 
 def _rank_row_column(ctx: RankContext, matrix) -> tuple[list, list]:
-    """The rank's row and column of a per-pair byte matrix, as lists.
+    """The rank's row and column of a per-pair byte matrix, as int lists.
 
-    Checks the shape against the communicator size, and the signs of
-    only the row and column this rank reads: every entry is some rank's
-    row, so lowering checks each once, O(n²) in all, not O(n³).
+    Checks the shape against the communicator size, and only the row
+    and column this rank reads: every entry is some rank's row, so
+    lowering checks each once, O(n²) in all, not O(n³).  Each entry
+    must be a whole, finite byte count (:func:`byte_count`) and >= 0.
     """
     W = np.asarray(matrix)
     n, me = ctx.size, ctx.rank
@@ -73,16 +81,23 @@ def _rank_row_column(ctx: RankContext, matrix) -> tuple[list, list]:
             f"alltoallv needs an ({n}, {n}) byte matrix, got shape {W.shape}"
         )
     outbound, inbound = W[me], W[:, me]
+    floats = W.dtype.kind == "f"
+    if floats:
+        entries = np.concatenate((outbound, inbound))
+        whole = np.isfinite(entries) & (entries == np.trunc(entries))
+        if not whole.all():
+            byte_count(entries[~whole][0])  # raises the byte-count error
     if outbound.min() < 0 or inbound.min() < 0:
         raise ValueError("alltoallv matrix entries must be >= 0")
-    return outbound.tolist(), inbound.tolist()
+    outbound, inbound = outbound.tolist(), inbound.tolist()
+    if floats:  # whole floats as the exact ints the posts record
+        return list(map(int, outbound)), list(map(int, inbound))
+    return outbound, inbound
 
 
 def _uniform_row_column(n: int, msg_size: int) -> tuple[list, list]:
     """A rank's row and column of the regular All-to-All's matrix."""
-    if msg_size < 0:
-        raise ValueError("message size must be >= 0")
-    row = [int(msg_size)] * n
+    row = [byte_count(msg_size)] * n
     return row, row
 
 
@@ -90,17 +105,26 @@ def _direct_exchange(
     ctx: RankContext, outbound: list, inbound: list
 ) -> Generator[Any, None, None]:
     """The direct exchange of one rank's row (*outbound*) and column
-    (*inbound*): the body of :func:`alltoallv_direct`."""
+    (*inbound*): the body of :func:`alltoallv_direct`.
+
+    Round t receives from ``me - t`` and sends to ``me + t``; every
+    receive is posted, then every send, each side as one batch that
+    skips the zero-byte pairs.  Entries are non-negative ints, so
+    nonzero means positive.
+    """
     n, me = ctx.size, ctx.rank
+    # Round t's destination is peers[t - 1] and its source peers[-t].
+    peers = [*range(me + 1, n), *range(me)]
+    sizes = outbound[me + 1:] + outbound[:me]
+    srcs = list(compress(peers, inbound[me + 1:] + inbound[:me]))[::-1]
+    dsts = list(compress(peers, sizes))
     requests = []
-    for t in range(1, n):
-        src = (me - t) % n
-        if inbound[src] > 0:
-            requests.append(ctx.irecv(src, tag=TAG_ALLTOALL))
-    for t in range(1, n):
-        dst = (me + t) % n
-        if outbound[dst] > 0:
-            requests.append(ctx.isend(dst, outbound[dst], tag=TAG_ALLTOALL))
+    if srcs:
+        requests.append(ctx.irecv_many(srcs, tag=TAG_ALLTOALL))
+    if dsts:
+        requests.append(
+            ctx.isend_many(dsts, list(filter(None, sizes)), tag=TAG_ALLTOALL)
+        )
     ctx.local_copy(outbound[me])
     if requests:
         yield requests

@@ -26,12 +26,18 @@ static schedule loses nothing.  The schedule is all columns:
   ``gate_ptr[g]:gate_ptr[g+1]``; rank *r* owns segments
   ``rank_segments[r]:rank_segments[r+1]``.
 
-Recording appends plain ints to typed arrays (:mod:`array`), only what
+Recording writes plain ints to typed arrays (:mod:`array`), only what
 the op order cannot tell (a send's destination, tag, size and
 per-pair seq, a receive's source and tag, a copy's size, each op's
 kind, each gate entry); ranks, segment indices and op arguments follow
-array-wide from the segment bounds.  No per-operation object outlives
-the program's own request handles.
+array-wide from the segment bounds.  A single post (``isend``,
+``irecv``) appends one element per column; a batched post
+(``isend_many``, ``irecv_many``) checks its whole batch and extends
+each column once, and its one request stands for its posts' gate
+entries in post order.  The direct exchange posts each rank's
+receives and sends as two batches: two posts per rank, not two per
+message (a batch still counts per-pair seq one send at a time).  No
+per-operation object outlives the program's own request handles.
 
 Segment k+1 of a rank depends on gate k; a message edges from its send
 segment on the source rank to its receive segment on the destination —
@@ -48,8 +54,9 @@ that do not pair up, and waits on a request another rank posted.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Generator, Iterable, Sequence
 from dataclasses import dataclass
-from typing import Any, Generator, Iterable
+from typing import Any
 
 import numpy as np
 
@@ -63,6 +70,7 @@ __all__ = [
     "OP_COPY",
     "RankContext",
     "Segment",
+    "byte_count",
     "LoweredProgram",
     "lower_program",
 ]
@@ -225,29 +233,44 @@ class LoweredProgram:
         )
 
 
-class _SendToken:
-    """What a recorded ``isend`` returns.
+def byte_count(nbytes) -> int:
+    """*nbytes* as an int: ValueError unless it is a whole, finite number >= 0.
 
-    ``code`` is its gate entry: ``mid << 1`` for a send,
-    ``index << 1 | 1`` for a receive's post index.
+    The one check of every byte count lowering reads: a post's size, a
+    local copy's size and, in :mod:`~repro.simmpi.collectives`, each
+    entry of a rank's row and column of the byte matrix.  A fractional
+    size would post a truncated message, and a NaN entry no message at
+    all, so neither is rounded.
+    """
+    try:
+        count = int(nbytes)
+    except (OverflowError, ValueError):  # inf, nan
+        count = None
+    if count != nbytes:
+        raise ValueError(
+            f"a byte count must be a whole, finite number, got {nbytes!r}"
+        )
+    if count < 0:
+        raise ValueError("message size must be >= 0")
+    return count
+
+
+class _Request:
+    """What a recorded post returns: its ``count`` gate entries.
+
+    A send's gate entry is ``mid << 1`` and a receive's ``index << 1 | 1``
+    (its post index).  A batch's posts are consecutive, so its entries
+    are ``code``, ``code + 2``, … in post order; a single post has one.
     """
 
-    __slots__ = ("code",)
+    __slots__ = ("code", "count")
 
-    def __init__(self, mid: int) -> None:
-        self.code = mid << 1
-
-
-class _RecvToken:
-    """What a recorded ``irecv`` returns (``code``: see :class:`_SendToken`)."""
-
-    __slots__ = ("code",)
-
-    def __init__(self, index: int) -> None:
-        self.code = index << 1 | 1
+    def __init__(self, code: int, count: int = 1) -> None:
+        self.code = code
+        self.count = count
 
     def __getattr__(self, name: str):
-        if name in ("source", "tag", "nbytes"):
+        if name in ("source", "tag", "nbytes") and self.code & 1:
             raise LoweringError(
                 f"rank program reads a receive's status ({name}): matching "
                 "is static, so a receive's status is unknown while the "
@@ -259,8 +282,11 @@ class _RecvToken:
 class RankContext:
     """Per-rank API visible to programs (an MPI communicator analogue).
 
-    Each call records an operation of the rank's static schedule; the
+    Each call records operations of the rank's static schedule; the
     returned requests are what the program yields to block on them.
+    A batched post (:meth:`isend_many`, :meth:`irecv_many`) records the
+    operations of the single posts it stands for, in order, with the
+    same checks, and returns one request for all of them.
     """
 
     def __init__(self, recorder: "_Recorder", rank: int) -> None:
@@ -272,20 +298,40 @@ class RankContext:
         """Number of ranks in the job."""
         return self._recorder.nprocs
 
-    def isend(self, dst: int, nbytes: int, *, tag: int = 0) -> _SendToken:
+    def isend(self, dst: int, nbytes: int, *, tag: int = 0) -> _Request:
         """Post a nonblocking send of *nbytes* to rank *dst*."""
-        return self._recorder.record_send(int(dst), int(nbytes), int(tag))
+        return self._recorder.record_send(int(dst), nbytes, int(tag))
 
-    def irecv(self, src: int = ANY_SOURCE, *, tag: int = ANY_TAG) -> _RecvToken:
+    def isend_many(
+        self, dsts: Sequence[int], nbytes: Sequence[int], *, tag: int = 0
+    ) -> _Request:
+        """Post ``isend(dsts[i], nbytes[i], tag=tag)`` for each *i*, in order.
+
+        *dsts* are int ranks.  One request covers every send; a batch
+        with a bad entry posts nothing and raises the error that entry's
+        :meth:`isend` raises.
+        """
+        return self._recorder.record_sends(dsts, nbytes, int(tag))
+
+    def irecv(self, src: int = ANY_SOURCE, *, tag: int = ANY_TAG) -> _Request:
         """Post a nonblocking receive from *src* with *tag*.
 
         The wildcard defaults raise :class:`~repro.exceptions.LoweringError`.
         """
         return self._recorder.record_recv(int(src), int(tag))
 
+    def irecv_many(self, srcs: Sequence[int], *, tag: int = ANY_TAG) -> _Request:
+        """Post ``irecv(src, tag=tag)`` for each of the int ranks *srcs*, in order.
+
+        One request covers every receive, and reading its status raises
+        as a single receive's does; a batch with a bad entry posts
+        nothing and raises the error that entry's :meth:`irecv` raises.
+        """
+        return self._recorder.record_recvs(srcs, int(tag))
+
     def sendrecv(
         self, dst: int, nbytes: int, src: int, *, tag: int = 0
-    ) -> Generator[Any, None, _RecvToken]:
+    ) -> Generator[Any, None, _Request]:
         """Blocking combined send+receive (one Algorithm-1 round)."""
         send_tok = self.isend(dst, nbytes, tag=tag)
         recv_tok = self.irecv(src, tag=tag)
@@ -294,7 +340,7 @@ class RankContext:
 
     def local_copy(self, nbytes: int) -> None:
         """Account for the rank's message to itself (never hits the wire)."""
-        self._recorder.record_copy(int(nbytes))
+        self._recorder.record_copy(byte_count(nbytes))
 
     @property
     def now(self) -> float:
@@ -311,7 +357,9 @@ class _Recorder:
     Ranks are recorded one after another, so message ids follow send
     order, receive indices follow post order, and segments are numbered
     rank-major.  Only what the op order cannot tell is recorded per
-    operation; :func:`lower_program` derives the rest array-wide.
+    operation; :func:`lower_program` derives the rest array-wide.  A
+    batched post checks its whole batch and then extends each column
+    once.
     """
 
     def __init__(self, nprocs: int) -> None:
@@ -336,22 +384,15 @@ class _Recorder:
     def end_rank(self) -> None:
         self.rank_segments.append(len(self.op_ptr) - 1)
 
-    def record_send(self, dst: int, nbytes: int, tag: int) -> _SendToken:
-        if nbytes < 0:
-            raise ValueError("message size must be >= 0")
+    def _checked_send(self, dst: int, nbytes) -> int:
+        """A send's checks; returns its size as an int."""
+        nbytes = byte_count(nbytes)
         if not 0 <= dst < self.nprocs:
             raise ValueError(f"destination rank {dst} out of range")
-        seq = self._next_seq.get(dst, 0)
-        self._next_seq[dst] = seq + 1
-        token = _SendToken(len(self.dst))
-        self.dst.append(dst)
-        self.tag.append(tag)
-        self.nbytes.append(nbytes)
-        self.seq.append(seq)
-        self.op_kind.append(OP_SEND)
-        return token
+        return nbytes
 
-    def record_recv(self, src: int, tag: int) -> _RecvToken:
+    def _check_recv(self, src: int, tag: int) -> None:
+        """A receive's checks."""
         if src == ANY_SOURCE or tag == ANY_TAG:
             raise LoweringError(
                 "rank program posts a wildcard receive (ANY_SOURCE/ANY_TAG): "
@@ -360,11 +401,67 @@ class _Recorder:
             )
         if not 0 <= src < self.nprocs:
             raise ValueError(f"source rank {src} out of range")
-        token = _RecvToken(len(self.recv_src))
+
+    def record_send(self, dst: int, nbytes, tag: int) -> _Request:
+        nbytes = self._checked_send(dst, nbytes)
+        seq = self._next_seq.get(dst, 0)
+        self._next_seq[dst] = seq + 1
+        request = _Request(len(self.dst) << 1)
+        self.dst.append(dst)
+        self.tag.append(tag)
+        self.nbytes.append(nbytes)
+        self.seq.append(seq)
+        self.op_kind.append(OP_SEND)
+        return request
+
+    def record_sends(self, dsts, sizes, tag: int) -> _Request:
+        dsts = array("q", dsts)
+        count = len(dsts)
+        if len(sizes) != count:
+            raise ValueError(
+                f"isend_many needs one size per destination, got {len(sizes)} "
+                f"sizes for {count} destinations"
+            )
+        try:
+            nbytes = array("q", sizes)
+        except TypeError:  # a float or another non-int size
+            nbytes = None
+        if nbytes is None or (
+            count and (min(dsts) < 0 or max(dsts) >= self.nprocs or min(nbytes) < 0)
+        ):
+            # The single posts' checks, in post order, raise the first error.
+            nbytes = array("q", map(self._checked_send, dsts, sizes))
+        request = _Request(len(self.dst) << 1, count)
+        next_seq, seqs = self._next_seq, self.seq
+        for dst in dsts:
+            seq = next_seq.get(dst, 0)
+            next_seq[dst] = seq + 1
+            seqs.append(seq)
+        self.dst.extend(dsts)
+        self.tag.extend(array("q", [tag]) * count)
+        self.nbytes.extend(nbytes)
+        self.op_kind.frombytes(bytes([OP_SEND]) * count)
+        return request
+
+    def record_recv(self, src: int, tag: int) -> _Request:
+        self._check_recv(src, tag)
+        request = _Request(len(self.recv_src) << 1 | 1)
         self.recv_src.append(src)
         self.recv_tag.append(tag)
         self.op_kind.append(OP_RECV)
-        return token
+        return request
+
+    def record_recvs(self, srcs, tag: int) -> _Request:
+        srcs = array("q", srcs)
+        count = len(srcs)
+        if count and (tag == ANY_TAG or min(srcs) < 0 or max(srcs) >= self.nprocs):
+            for src in srcs:  # the single posts' checks raise the first error
+                self._check_recv(src, tag)
+        request = _Request(len(self.recv_src) << 1 | 1, count)
+        self.recv_src.extend(srcs)
+        self.recv_tag.extend(array("q", [tag]) * count)
+        self.op_kind.frombytes(bytes([OP_RECV]) * count)
+        return request
 
     def record_copy(self, nbytes: int) -> None:
         self.copy_nbytes.append(nbytes)
@@ -374,19 +471,26 @@ class _Recorder:
         """Close the current span; *yielded* (unless *last*) is its gate."""
         self.op_ptr.append(len(self.op_kind))
         if not last:
-            self.gate_code.extend([token.code for token in _as_tokens(yielded)])
+            for request in _as_requests(yielded):
+                if request.count == 1:
+                    self.gate_code.append(request.code)
+                else:
+                    self.gate_code.extend(
+                        range(request.code, request.code + 2 * request.count, 2)
+                    )
         self.gate_ptr.append(len(self.gate_code))
 
 
-def _as_tokens(yielded: Any) -> Iterable:
-    """The requests a ``yield`` blocks on: one token or an iterable."""
-    if isinstance(yielded, (_SendToken, _RecvToken)):
+def _as_requests(yielded: Any) -> Iterable[_Request]:
+    """The requests a ``yield`` blocks on: one request or an iterable."""
+    if isinstance(yielded, _Request):
         return (yielded,)
     if isinstance(yielded, Iterable):
-        tokens = list(yielded)
-        if not all(isinstance(t, (_SendToken, _RecvToken)) for t in tokens):
-            raise TypeError("programs must yield Request objects")
-        return tokens
+        requests = list(yielded)
+        for request in requests:
+            if not isinstance(request, _Request):
+                raise TypeError("programs must yield Request objects")
+        return requests
     raise TypeError(
         f"programs must yield Request or iterable of Request, got {yielded!r}"
     )
@@ -423,8 +527,9 @@ def lower_program(
     with *ctx* a recording :class:`RankContext`.  Raises
     :class:`~repro.exceptions.LoweringError` for programs that cannot be
     scheduled statically, :class:`ValueError` for out-of-range ranks or
-    negative sizes and :class:`TypeError` for programs that are not
-    generators or yield something other than requests.
+    sizes that are negative or not whole, finite numbers
+    (:func:`byte_count`) and :class:`TypeError` for programs that are
+    not generators or yield something other than requests.
     """
     if nprocs < 1:
         raise ValueError("need at least one rank")
@@ -438,29 +543,29 @@ def lower_program(
                 "rank program must be a generator function "
                 f"(got {type(gen).__name__})"
             )
-        while True:
-            try:
-                yielded = next(gen)
-            except StopIteration:
-                recorder.end_segment(last=True)
-                break
+        for yielded in gen:
             recorder.end_segment(yielded)
+        recorder.end_segment(last=True)
         recorder.end_rank()
 
     def column(values: array) -> np.ndarray:
         # Shares the recorder's buffer: no copy.
         return np.frombuffer(values, dtype=np.dtype(values.typecode))
 
+    def lengths(ptr: np.ndarray) -> np.ndarray:
+        # np.diff, without its Python overhead on small programs.
+        return ptr[1:] - ptr[:-1]
+
     # Where each op sits: its rank and its rank-local segment index.
     rank_segments = column(recorder.rank_segments)
     op_ptr = column(recorder.op_ptr)
     op_kind = column(recorder.op_kind)
-    segments_per_rank = np.diff(rank_segments)
+    segments_per_rank = lengths(rank_segments)
     segment_rank = np.repeat(np.arange(nprocs), segments_per_rank)
     segment_index = np.arange(len(segment_rank)) - np.repeat(
         rank_segments[:-1], segments_per_rank
     )
-    op_segment = np.repeat(np.arange(len(segment_rank)), np.diff(op_ptr))
+    op_segment = np.repeat(np.arange(len(segment_rank)), lengths(op_ptr))
     is_send, is_recv = op_kind == OP_SEND, op_kind == OP_RECV
     send_at, recv_at = op_segment[is_send], op_segment[is_recv]
     del op_segment
@@ -480,7 +585,7 @@ def lower_program(
     send_order = _class_order(src, dst, tag)
     recv_order = _class_order(recv_src, recv_dst, recv_tag)
     if len(send_order) != len(recv_order) or not all(
-        np.array_equal(sent[send_order], posted[recv_order])
+        (sent[send_order] == posted[recv_order]).all()
         for sent, posted in ((src, recv_src), (dst, recv_dst), (tag, recv_tag))
     ):
         raise _unmatched_error(
@@ -504,9 +609,9 @@ def lower_program(
     gate_mid[waits_on_recv] = mid_of_recv[gate_mid[waits_on_recv]]
 
     gate_ptr = column(recorder.gate_ptr)
-    waiter = np.repeat(segment_rank, np.diff(gate_ptr))
+    waiter = np.repeat(segment_rank, lengths(gate_ptr))
     poster = np.where(gate_kind == OP_SEND, src[gate_mid], dst[gate_mid])
-    if not np.array_equal(waiter, poster):
+    if (waiter != poster).any():
         first = int(np.flatnonzero(waiter != poster)[0])
         raise LoweringError(
             f"rank {int(waiter[first])} waits on a request rank "

@@ -564,11 +564,7 @@ class SweepRunner:
                 plugins.add((PATTERNS, pattern.name))
             if placement is not None and not placement.is_explicit:
                 plugins.add((PLACEMENTS, placement.name))
-        built_in = all(
-            name in registry
-            and (getattr(registry.get(name), "__module__", "") or "").split(".")[0] == "repro"
-            for registry, name in plugins
-        )
+        built_in = all(registry.is_built_in(name) for registry, name in plugins)
         return recipe if built_in else None
 
     def _execute(

@@ -55,6 +55,16 @@ class _RecordingContext:
         self._log["recvs"].append((src, self.rank, tag))
         return object()
 
+    def isend_many(self, dsts, nbytes, *, tag=0):
+        for dst, size in zip(dsts, nbytes, strict=True):
+            self.isend(dst, size, tag=tag)
+        return object()
+
+    def irecv_many(self, srcs, *, tag=0):
+        for src in srcs:
+            self.irecv(src, tag=tag)
+        return object()
+
     def local_copy(self, nbytes):
         self._log["local"].append((self.rank, int(nbytes)))
 

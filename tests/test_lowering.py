@@ -9,13 +9,23 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.exceptions import LoweringError
 from repro.registry import ALGORITHMS
-from repro.simmpi.collectives import MATRIX_ALGORITHMS, TAG_ALLTOALL
-from repro.simmpi.lowering import LoweredProgram, lower_program
+from repro.simmpi.collectives import (
+    MATRIX_ALGORITHMS,
+    TAG_ALLTOALL,
+    alltoall_direct,
+    alltoallv_direct,
+)
+from repro.simmpi.lowering import ANY_SOURCE, ANY_TAG, LoweredProgram, lower_program
 
 COLUMNS = ("src", "dst", "tag", "nbytes", "seq", "send_segment", "recv_segment")
+#: Every column of a LoweredProgram.
+ALL_COLUMNS = COLUMNS + (
+    "rank_segments", "op_ptr", "op_kind", "op_arg", "gate_ptr", "gate_kind", "gate_mid",
+)
 
 #: A sparse alltoallv matrix: rank 2 sends nothing (zero row), rank 3
 #: receives nothing (zero column), and rank 4 neither sends nor
@@ -444,3 +454,234 @@ class TestErrors:
     def test_needs_a_rank(self):
         with pytest.raises(ValueError, match="at least one rank"):
             lower_program(_class_program({}), 0)
+
+
+def per_op_direct_exchange(ctx, outbound, inbound):
+    """The direct exchange posted one operation at a time: the reference
+    the batched body in :mod:`repro.simmpi.collectives` must equal."""
+    n, me = ctx.size, ctx.rank
+    requests = []
+    for t in range(1, n):
+        src = (me - t) % n
+        if inbound[src] > 0:
+            requests.append(ctx.irecv(src, tag=TAG_ALLTOALL))
+    for t in range(1, n):
+        dst = (me + t) % n
+        if outbound[dst] > 0:
+            requests.append(ctx.isend(dst, outbound[dst], tag=TAG_ALLTOALL))
+    ctx.local_copy(outbound[me])
+    if requests:
+        yield requests
+
+
+def per_op_alltoallv_direct(ctx, matrix):
+    W = np.asarray(matrix)
+    yield from per_op_direct_exchange(ctx, W[ctx.rank].tolist(), W[:, ctx.rank].tolist())
+
+
+def per_op_direct(ctx, msg_size):
+    row = [msg_size] * ctx.size
+    yield from per_op_direct_exchange(ctx, row, row)
+
+
+def assert_same_program(lowered: LoweredProgram, expected: LoweredProgram) -> None:
+    assert lowered.nprocs == expected.nprocs
+    for name in ALL_COLUMNS:
+        got, want = getattr(lowered, name), getattr(expected, name)
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Sparse non-negative int64 (n, n) matrices, some rows, columns and
+    the diagonal zeroed."""
+    n = draw(st.integers(1, 24))
+    W = draw(arrays(np.int64, (n, n), elements=st.integers(0, 70_000), fill=st.just(0)))
+    W[draw(st.lists(st.integers(0, n - 1), max_size=3)), :] = 0
+    W[:, draw(st.lists(st.integers(0, n - 1), max_size=3))] = 0
+    if draw(st.booleans()):
+        np.fill_diagonal(W, 0)
+    return W
+
+
+def _single_and_batch_program(single, batch):
+    """Rank 0 runs *single* or *batch* (each a ``ctx -> request`` post)."""
+
+    def program(ctx, use_batch):
+        if ctx.rank == 0:
+            yield (batch if use_batch else single)(ctx)
+
+    return program
+
+
+class TestBatchedPosts:
+    @given(W=sparse_matrices())
+    def test_alltoallv_direct_equals_per_op_posts(self, W):
+        n = len(W)
+        assert_same_program(
+            lower_program(alltoallv_direct, n, W),
+            lower_program(per_op_alltoallv_direct, n, W),
+        )
+
+    @given(n=st.integers(1, 24), m=st.sampled_from([0, 1, 777, 4096]))
+    def test_direct_equals_per_op_posts(self, n, m):
+        assert_same_program(
+            lower_program(alltoall_direct, n, m), lower_program(per_op_direct, n, m)
+        )
+
+    def test_seq_continues_across_single_and_batched_sends(self):
+        def program(ctx):
+            if ctx.rank == 0:
+                first = ctx.isend(1, 10, tag=3)
+                batch = ctx.isend_many([1, 2, 1], [20, 30, 40], tag=3)
+                yield [first, batch, ctx.isend(1, 50, tag=3)]
+            elif ctx.rank == 1:
+                yield [ctx.irecv_many([0, 0], tag=3), ctx.irecv(0, tag=3),
+                       ctx.irecv_many([0], tag=3)]
+            else:
+                yield ctx.irecv(0, tag=3)
+
+        lowered = lower_program(program, 3)
+        check_schedule(lowered)
+        check_fifo_pairing(lowered)
+        assert lowered.dst.tolist() == [1, 1, 2, 1, 1]
+        assert lowered.nbytes.tolist() == [10, 20, 30, 40, 50]
+        assert lowered.seq.tolist() == [0, 1, 0, 2, 3]
+        # Rank 1's receives pair in post order with the sends to it.
+        recv_mids = [mid for rank, _, kind, mid in _walk(lowered)
+                     if kind == "recv" and rank == 1]
+        assert recv_mids == [0, 1, 3, 4]
+
+    def test_gate_entries_follow_post_order(self):
+        def program(ctx):
+            if ctx.rank == 0:
+                sends = ctx.isend_many([1, 1], [5, 6], tag=0)
+                recv = ctx.irecv(1, tag=1)
+                yield [recv, sends]
+            else:
+                recvs = ctx.irecv_many([0, 0], tag=0)
+                yield recvs
+                yield ctx.isend(0, 7, tag=1)
+
+        (first, _), (only, second, _) = lower_program(program, 2).segments
+        assert first.gate == (("recv", 2), ("send", 0), ("send", 1))
+        assert only.gate == (("recv", 0), ("recv", 1))
+        assert second.gate == (("send", 2),)
+
+    def test_batched_receive_refuses_status_reads(self):
+        def program(ctx):
+            if ctx.rank == 0:
+                yield ctx.isend_many([1], [8], tag=0)
+            else:
+                request = ctx.irecv_many([0], tag=0)
+                yield request
+                request.source
+
+        with pytest.raises(LoweringError, match=r"receive's status \(source\)"):
+            lower_program(program, 2)
+
+    @pytest.mark.parametrize(
+        "single, batch",
+        [
+            (lambda ctx: ctx.isend(1, -1), lambda ctx: ctx.isend_many([1, 1], [4, -1])),
+            (lambda ctx: ctx.isend(7, 1), lambda ctx: ctx.isend_many([1, 7], [1, 1])),
+            (lambda ctx: ctx.isend(-1, 1), lambda ctx: ctx.isend_many([-1], [1])),
+            (lambda ctx: ctx.isend(1, 2.5), lambda ctx: ctx.isend_many([1], [2.5])),
+            (lambda ctx: ctx.irecv(7, tag=0), lambda ctx: ctx.irecv_many([1, 7], tag=0)),
+            (lambda ctx: ctx.irecv(ANY_SOURCE, tag=0),
+             lambda ctx: ctx.irecv_many([1, ANY_SOURCE], tag=0)),
+            (lambda ctx: ctx.irecv(1, tag=ANY_TAG), lambda ctx: ctx.irecv_many([1, 1])),
+        ],
+        ids=["size", "destination", "negative-destination", "fractional-size",
+             "source", "wildcard-source", "wildcard-tag"],
+    )
+    def test_malformed_batch_raises_the_single_posts_error(self, single, batch):
+        program = _single_and_batch_program(single, batch)
+        with pytest.raises((ValueError, LoweringError)) as expected:
+            lower_program(program, 2, False)
+        with pytest.raises(type(expected.value)) as raised:
+            lower_program(program, 2, True)
+        assert str(raised.value) == str(expected.value)
+
+    def test_malformed_batch_posts_nothing(self):
+        def program(ctx):
+            for post in (
+                lambda: ctx.isend_many([1, 2, 7], [1, 1, 1]),
+                lambda: ctx.isend_many([1, 1], [1, 1.5]),
+                lambda: ctx.irecv_many([1, 7], tag=0),
+            ):
+                with pytest.raises(ValueError):
+                    post()
+            yield from ()
+
+        lowered = lower_program(program, 3)
+        assert lowered.n_messages == 0 and lowered.op_kind.size == 0
+
+    def test_one_size_per_destination(self):
+        program = _single_and_batch_program(None, lambda ctx: ctx.isend_many([1, 1], [4]))
+        with pytest.raises(ValueError, match="one size per destination"):
+            lower_program(program, 2, True)
+
+
+#: The byte matrix of the three misbehaviours of a float matrix: a NaN
+#: entry that posts no message, a 0.4 entry that posts 0 bytes and a
+#: 1.5 entry that posts 1.
+FLOAT_MATRIX = [[0, 1.5, 2], [float("nan"), 0, 3], [1, 0.4, 0]]
+WHOLE_FINITE = "byte count must be a whole, finite number"
+
+
+class TestByteCounts:
+    @pytest.mark.parametrize("name", sorted(MATRIX_ALGORITHMS))
+    @pytest.mark.parametrize(
+        "where, value",
+        [((1, 0), float("nan")), ((2, 1), 0.4), ((0, 1), 1.5), ((1, 2), float("inf"))],
+        ids=["nan", "below-one", "fractional", "inf"],
+    )
+    def test_matrix_entries_must_be_whole_and_finite(self, name, where, value):
+        W = np.array([[0, 1, 2], [1, 0, 3], [1, 1, 0]], dtype=np.float64)
+        W[where] = value
+        with pytest.raises(ValueError, match=WHOLE_FINITE):
+            lower_program(ALGORITHMS.get(name), 3, W)
+
+    def test_the_float_matrix_is_rejected(self):
+        with pytest.raises(ValueError, match=WHOLE_FINITE):
+            lower_program(alltoallv_direct, 3, np.array(FLOAT_MATRIX))
+
+    @pytest.mark.parametrize("name", sorted(set(ALGORITHMS.names()) - MATRIX_ALGORITHMS))
+    @pytest.mark.parametrize("msg_size", [10.7, float("nan"), float("inf")])
+    def test_message_size_must_be_whole_and_finite(self, name, msg_size):
+        with pytest.raises(ValueError, match=WHOLE_FINITE):
+            lower_program(ALGORITHMS.get(name), 3, msg_size)
+
+    @pytest.mark.parametrize(
+        "post",
+        [
+            lambda ctx: ctx.isend(1, 2.5),
+            lambda ctx: ctx.isend(1, float("inf")),
+            lambda ctx: ctx.isend_many([1], [float("nan")]),
+            lambda ctx: ctx.local_copy(1.5),
+            lambda ctx: ctx.local_copy(float("inf")),
+        ],
+        ids=["isend", "isend-inf", "isend_many-nan", "local_copy", "local_copy-inf"],
+    )
+    def test_posts_take_whole_finite_sizes(self, post):
+        def program(ctx):
+            if ctx.rank == 0:
+                post(ctx)
+            yield from ()
+
+        with pytest.raises(ValueError, match=WHOLE_FINITE):
+            lower_program(program, 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_integral_floats_lower_as_ints(self, n):
+        assert_same_program(
+            lower_program(alltoall_direct, n, 4096.0), lower_program(alltoall_direct, n, 4096)
+        )
+        W = np.arange(n * n, dtype=np.int64).reshape(n, n) * 512
+        for name in sorted(MATRIX_ALGORITHMS):
+            program = ALGORITHMS.get(name)
+            assert_same_program(
+                lower_program(program, n, W.astype(np.float64)), lower_program(program, n, W)
+            )

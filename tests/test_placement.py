@@ -17,11 +17,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro import api
 from repro.analysis.io import read_sweep_rows, write_csv
 from repro.cli import main
 from repro.clusters.profiles import get_cluster
+from repro.core.med import MED
 from repro.exceptions import MeasurementError, ScenarioError
 from repro.measure.alltoall import measure_alltoall
 from repro.models import samples_from_rows
@@ -221,18 +223,32 @@ class TestObjective:
         perm = tuple(np.random.default_rng(1).permutation(16))
         assert contention_objective(topo, W, perm) == pytest.approx(base)
 
-    def test_placed_matrix_conserves_the_med(self):
-        # A permutation relabels hosts; it must conserve total bytes and
-        # the multiset of per-endpoint degrees (the MED digraph itself).
-        W = traffic_matrix(16, 32768, SHIFT, seed=3)
-        perm = tuple(np.random.default_rng(2).permutation(16))
-        H = placed_matrix(W, perm)
+    @given(data=st.data())
+    def test_placed_matrix_conserves_the_med(self, data):
+        # A permutation relabels hosts; it must conserve total bytes, the
+        # multisets of per-endpoint sums and the arcs (the MED itself).
+        n = data.draw(st.integers(1, 16), label="n")
+        W = data.draw(
+            arrays(np.int64, (n, n), elements=st.integers(0, 1 << 20), fill=st.just(0)),
+            label="W",
+        )
+        p = np.array(data.draw(st.permutations(range(n)), label="p"), dtype=np.intp)
+        q = np.array(data.draw(st.permutations(range(n)), label="q"), dtype=np.intp)
+        H = placed_matrix(W, p)
         assert H.sum() == W.sum()
         assert sorted(H.sum(axis=1)) == sorted(W.sum(axis=1))
         assert sorted(H.sum(axis=0)) == sorted(W.sum(axis=0))
-        # Rank pair (i, j) traffic lands on host pair (perm[i], perm[j]).
-        for i, j in ((0, 4), (3, 7), (5, 1)):
-            assert H[perm[i], perm[j]] == W[i, j]
+        # Rank pair (i, j) traffic lands on host pair (p[i], p[j]), and
+        # nothing else does.
+        src, dst = np.nonzero(W)
+        np.testing.assert_array_equal(H[p[src], p[dst]], W[src, dst])
+        assert np.count_nonzero(H) == len(src)
+        med, placed = MED.from_matrix(W), MED.from_matrix(H)
+        np.testing.assert_array_equal(placed.arcs[np.ix_(p, p)], med.arcs)
+        # Placing twice is placing once by the composition; the inverse
+        # permutation undoes a placement.
+        np.testing.assert_array_equal(placed_matrix(H, q), placed_matrix(W, q[p]))
+        np.testing.assert_array_equal(placed_matrix(H, np.argsort(p)), W)
 
     def test_round_robin_beats_identity_on_cross_switch_shift(self):
         topo = edge_core(16, **EDGE_CORE_KW)

@@ -112,6 +112,26 @@ class TestRegistration:
         with pytest.raises(ValueError, match="non-empty"):
             reg.register("  ", object())
 
+    def test_built_in_means_recorded_name_and_object(self):
+        reg = Registry("widget")
+        builtin, other = object(), object()
+        reg.register("a", builtin, aliases=("alias-a",))
+        assert not reg.is_built_in("a")
+        reg.record_built_ins()
+        assert reg.is_built_in("A") and reg.is_built_in("alias_a")
+        reg.register("renamed", builtin, aliases=("also",))  # new names, same object
+        assert not reg.is_built_in("renamed") and not reg.is_built_in("also")
+        reg.register("a", other, replace=True)  # built-in name, other object
+        assert not reg.is_built_in("a")
+        reg.register("a", builtin, replace=True)
+        assert reg.is_built_in("a")
+        reg.unregister("a")
+        assert not reg.is_built_in("a") and not reg.is_built_in("no-such-widget")
+
+    def test_import_records_every_shipped_name(self):
+        assert all(ALGORITHMS.is_built_in(name) for name in ("direct", "linear", "vdirect"))
+        assert all(CLUSTERS.is_built_in(name) for name in CLUSTERS.names())
+
 
 class TestParams:
     def test_canonical_form_sorts_and_collapses_integral_floats(self):

@@ -600,6 +600,31 @@ class TestSpawnSafety:
         finally:
             ENGINES.unregister("test-user-engine")
 
+    def test_builtin_object_under_a_new_name_stays_in_process(self, monkeypatch):
+        # A fresh worker's registry knows the built-in names, not the
+        # objects: a new name or alias for a repro plugin is not built in.
+        from repro.engines import run_fluid
+        from repro.registry import ALGORITHMS, ENGINES
+        from repro.simmpi.collectives import alltoall_direct
+
+        ENGINES.register("test-renamed-fluid", run_fluid)
+        ALGORITHMS.register("test-direct", alltoall_direct, aliases=("test-linear",))
+        try:
+            points = [
+                SweepPoint("gigabit-ethernet", 4, 2_048, "direct", 0, 1,
+                           engine="test-renamed-fluid"),
+                SweepPoint("gigabit-ethernet", 4, 2_048, "test-linear", 0, 1),
+            ]
+            self._start_method(monkeypatch, "spawn")
+            for point in points:
+                assert SweepRunner._recipe([point], None, None) is None
+            self._start_method(monkeypatch, "fork")
+            for point in points:
+                assert SweepRunner._recipe([point], None, None) == {}
+        finally:
+            ENGINES.unregister("test-renamed-fluid")
+            ALGORITHMS.unregister("test-direct")
+
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     def test_scenario_recipe(self, monkeypatch, method):
         from repro.registry import TOPOLOGIES, register_topology
@@ -743,9 +768,8 @@ if __name__ == "__main__":
 """
 
 
-@pytest.mark.parametrize("method", ["spawn", "forkserver"])
-def test_real_start_method(method):
-    """Shipped batches rebuild in a fresh interpreter; tier-1 runs under fork."""
+def _run_fresh(script, method):
+    """Run *script* in a fresh interpreter under start method *method*."""
     import os
     import subprocess
     import sys
@@ -757,9 +781,42 @@ def test_real_start_method(method):
         pytest.skip(f"{method} is not available on this platform")
     src = str(Path(repro.__file__).resolve().parents[1])
     result = subprocess.run(
-        [sys.executable, "-c", START_METHOD_SCRIPT, method],
+        [sys.executable, "-c", script, method],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": src},
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "ok"
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_real_start_method(method):
+    """Shipped batches rebuild in a fresh interpreter; tier-1 runs under fork."""
+    _run_fresh(START_METHOD_SCRIPT, method)
+
+
+#: A built-in engine registered under a new name: a fresh worker's
+#: ``import repro`` lacks the name, so the batch runs in this process.
+RENAMED_PLUGIN_SCRIPT = """
+import multiprocessing
+import sys
+
+from repro.engines import run_fluid
+from repro.registry import ENGINES
+from repro.sweeps import SweepPoint, SweepRunner
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    ENGINES.register("renamed-fluid", run_fluid)
+    points = [SweepPoint("gigabit-ethernet", 4, m, "direct", 0, 1, engine="renamed-fluid")
+              for m in (2048, 8192)]
+    serial = SweepRunner(workers=1).run_points(points).samples
+    with SweepRunner(workers=2, executor="process") as runner:
+        assert runner.run_points(points).samples == serial
+        assert not runner.executor.warm
+    print("ok")
+"""
+
+
+def test_renamed_builtin_runs_in_process_under_spawn():
+    _run_fresh(RENAMED_PLUGIN_SCRIPT, "spawn")
