@@ -233,23 +233,32 @@ class LoweredProgram:
         )
 
 
+def _whole(value, what: str) -> int:
+    """*value* as an int: ValueError naming it unless it is a whole, finite
+    number (an int, a NumPy integer or an integral float).
+
+    The one check of every rank and tag lowering reads, in single and
+    batched posts alike, and under :func:`byte_count`'s sign check of
+    every size.  A fractional rank, tag or size would lower as another
+    one, and a NaN or infinite one as none, so none is rounded.
+    """
+    try:
+        whole = int(value)
+    except (OverflowError, ValueError):  # inf, nan
+        whole = None
+    if whole != value:
+        raise ValueError(f"a {what} must be a whole, finite number, got {value!r}")
+    return whole
+
+
 def byte_count(nbytes) -> int:
     """*nbytes* as an int: ValueError unless it is a whole, finite number >= 0.
 
     The one check of every byte count lowering reads: a post's size, a
     local copy's size and, in :mod:`~repro.simmpi.collectives`, each
-    entry of a rank's row and column of the byte matrix.  A fractional
-    size would post a truncated message, and a NaN entry no message at
-    all, so neither is rounded.
+    entry of a rank's row and column of the byte matrix.
     """
-    try:
-        count = int(nbytes)
-    except (OverflowError, ValueError):  # inf, nan
-        count = None
-    if count != nbytes:
-        raise ValueError(
-            f"a byte count must be a whole, finite number, got {nbytes!r}"
-        )
+    count = _whole(nbytes, "byte count")
     if count < 0:
         raise ValueError("message size must be >= 0")
     return count
@@ -299,35 +308,39 @@ class RankContext:
         return self._recorder.nprocs
 
     def isend(self, dst: int, nbytes: int, *, tag: int = 0) -> _Request:
-        """Post a nonblocking send of *nbytes* to rank *dst*."""
-        return self._recorder.record_send(int(dst), nbytes, int(tag))
+        """Post a nonblocking send of *nbytes* to rank *dst*.
+
+        The rank, size and tag must be whole, finite numbers; a
+        fractional or non-finite one raises :class:`ValueError`.
+        """
+        return self._recorder.record_send(dst, nbytes, tag)
 
     def isend_many(
         self, dsts: Sequence[int], nbytes: Sequence[int], *, tag: int = 0
     ) -> _Request:
         """Post ``isend(dsts[i], nbytes[i], tag=tag)`` for each *i*, in order.
 
-        *dsts* are int ranks.  One request covers every send; a batch
-        with a bad entry posts nothing and raises the error that entry's
-        :meth:`isend` raises.
+        One request covers every send; a batch with a bad entry posts
+        nothing and raises the error that entry's :meth:`isend` raises.
         """
-        return self._recorder.record_sends(dsts, nbytes, int(tag))
+        return self._recorder.record_sends(dsts, nbytes, tag)
 
     def irecv(self, src: int = ANY_SOURCE, *, tag: int = ANY_TAG) -> _Request:
         """Post a nonblocking receive from *src* with *tag*.
 
-        The wildcard defaults raise :class:`~repro.exceptions.LoweringError`.
+        The wildcard defaults raise :class:`~repro.exceptions.LoweringError`,
+        and a fractional or non-finite rank or tag :class:`ValueError`.
         """
-        return self._recorder.record_recv(int(src), int(tag))
+        return self._recorder.record_recv(src, tag)
 
     def irecv_many(self, srcs: Sequence[int], *, tag: int = ANY_TAG) -> _Request:
-        """Post ``irecv(src, tag=tag)`` for each of the int ranks *srcs*, in order.
+        """Post ``irecv(src, tag=tag)`` for each of the ranks *srcs*, in order.
 
         One request covers every receive, and reading its status raises
         as a single receive's does; a batch with a bad entry posts
         nothing and raises the error that entry's :meth:`irecv` raises.
         """
-        return self._recorder.record_recvs(srcs, int(tag))
+        return self._recorder.record_recvs(srcs, tag)
 
     def sendrecv(
         self, dst: int, nbytes: int, src: int, *, tag: int = 0
@@ -384,15 +397,17 @@ class _Recorder:
     def end_rank(self) -> None:
         self.rank_segments.append(len(self.op_ptr) - 1)
 
-    def _checked_send(self, dst: int, nbytes) -> int:
-        """A send's checks; returns its size as an int."""
+    def _checked_send(self, dst, nbytes) -> tuple[int, int]:
+        """A send's checks after its tag's; returns its rank and size."""
+        dst = _whole(dst, "rank")
         nbytes = byte_count(nbytes)
         if not 0 <= dst < self.nprocs:
             raise ValueError(f"destination rank {dst} out of range")
-        return nbytes
+        return dst, nbytes
 
-    def _check_recv(self, src: int, tag: int) -> None:
-        """A receive's checks."""
+    def _checked_recv(self, src, tag: int) -> int:
+        """A receive's checks after its tag's; returns its rank."""
+        src = _whole(src, "rank")
         if src == ANY_SOURCE or tag == ANY_TAG:
             raise LoweringError(
                 "rank program posts a wildcard receive (ANY_SOURCE/ANY_TAG): "
@@ -401,9 +416,11 @@ class _Recorder:
             )
         if not 0 <= src < self.nprocs:
             raise ValueError(f"source rank {src} out of range")
+        return src
 
-    def record_send(self, dst: int, nbytes, tag: int) -> _Request:
-        nbytes = self._checked_send(dst, nbytes)
+    def record_send(self, dst, nbytes, tag) -> _Request:
+        tag = _whole(tag, "tag")
+        dst, nbytes = self._checked_send(dst, nbytes)
         seq = self._next_seq.get(dst, 0)
         self._next_seq[dst] = seq + 1
         request = _Request(len(self.dst) << 1)
@@ -414,8 +431,8 @@ class _Recorder:
         self.op_kind.append(OP_SEND)
         return request
 
-    def record_sends(self, dsts, sizes, tag: int) -> _Request:
-        dsts = array("q", dsts)
+    def record_sends(self, dsts, sizes, tag) -> _Request:
+        tag = _whole(tag, "tag")
         count = len(dsts)
         if len(sizes) != count:
             raise ValueError(
@@ -423,42 +440,51 @@ class _Recorder:
                 f"sizes for {count} destinations"
             )
         try:
-            nbytes = array("q", sizes)
-        except TypeError:  # a float or another non-int size
-            nbytes = None
-        if nbytes is None or (
-            count and (min(dsts) < 0 or max(dsts) >= self.nprocs or min(nbytes) < 0)
+            ranks, nbytes = array("q", dsts), array("q", sizes)
+        except TypeError:  # a float or another non-int rank or size
+            ranks = None
+        if ranks is None or (
+            count and (min(ranks) < 0 or max(ranks) >= self.nprocs or min(nbytes) < 0)
         ):
             # The single posts' checks, in post order, raise the first error.
-            nbytes = array("q", map(self._checked_send, dsts, sizes))
+            ranks, nbytes = (
+                array("q", column) for column in zip(*map(self._checked_send, dsts, sizes))
+            )
         request = _Request(len(self.dst) << 1, count)
         next_seq, seqs = self._next_seq, self.seq
-        for dst in dsts:
+        for dst in ranks:
             seq = next_seq.get(dst, 0)
             next_seq[dst] = seq + 1
             seqs.append(seq)
-        self.dst.extend(dsts)
+        self.dst.extend(ranks)
         self.tag.extend(array("q", [tag]) * count)
         self.nbytes.extend(nbytes)
         self.op_kind.frombytes(bytes([OP_SEND]) * count)
         return request
 
-    def record_recv(self, src: int, tag: int) -> _Request:
-        self._check_recv(src, tag)
+    def record_recv(self, src, tag) -> _Request:
+        tag = _whole(tag, "tag")
+        src = self._checked_recv(src, tag)
         request = _Request(len(self.recv_src) << 1 | 1)
         self.recv_src.append(src)
         self.recv_tag.append(tag)
         self.op_kind.append(OP_RECV)
         return request
 
-    def record_recvs(self, srcs, tag: int) -> _Request:
-        srcs = array("q", srcs)
-        count = len(srcs)
-        if count and (tag == ANY_TAG or min(srcs) < 0 or max(srcs) >= self.nprocs):
-            for src in srcs:  # the single posts' checks raise the first error
-                self._check_recv(src, tag)
+    def record_recvs(self, srcs, tag) -> _Request:
+        tag = _whole(tag, "tag")
+        try:
+            ranks = array("q", srcs)
+        except TypeError:  # a float or another non-int rank
+            ranks = None
+        if ranks is None or (
+            len(ranks) and (tag == ANY_TAG or min(ranks) < 0 or max(ranks) >= self.nprocs)
+        ):
+            # The single posts' checks, in post order, raise the first error.
+            ranks = array("q", [self._checked_recv(src, tag) for src in srcs])
+        count = len(ranks)
         request = _Request(len(self.recv_src) << 1 | 1, count)
-        self.recv_src.extend(srcs)
+        self.recv_src.extend(ranks)
         self.recv_tag.extend(array("q", [tag]) * count)
         self.op_kind.frombytes(bytes([OP_RECV]) * count)
         return request

@@ -27,11 +27,18 @@ op columns; its per-message state is typed columns (NumPy arrays read
 through memoryviews, and bytearray flags); a gate is one outstanding
 count per segment, decremented by the first completion of each request
 the gate waits on; and per-message events are members of the kernel's
-bulk entries (:meth:`~repro.simnet.engine.Engine.schedule_batch`): one
-per ``_advance`` call for the segment's sends, and per completion batch
-one for the wire arrivals the receiver demultiplexes and one for the
-rest.  Each member draws its seq where a single event would have, so
-event order and counts are those of one event per message.  A
+bulk entries (:meth:`~repro.simnet.engine.Engine.schedule_batch`).  One
+``_advance`` call posts the segments of every rank it is handed and
+makes one entry of the eager sends and one of the arrivals the sends
+post themselves (RTS envelopes and local copies); each completion batch
+makes one entry of the wire arrivals the receiver demultiplexes and one
+of the rest.  Each member draws its seq where a single event would
+have, so event order and counts are those of one event per message.
+The kernel hands each handler a *run* of members, and the handler
+walks it in one flat loop: ``_advance`` over ranks, ``_sent`` over
+eager sends (a send whose host is idle enough injects at once, the rest
+queue), ``_deliver`` over arrivals (envelope order, matching and the
+gate count in place) and ``_demux`` over demultiplexed arrivals.  A
 rendezvous message's CTS arrival is an ordinary event, alive only
 while the CTS is in flight.
 
@@ -117,42 +124,40 @@ class RunResult:
 class _HostScheduler:
     """Per-host wire admission: pair-FIFO channels + concurrency cap.
 
-    Callers pass the inject callback on every call instead of the
-    scheduler keeping a reference to the replay: without that reference
-    cycle a finished run is freed by reference counting, not left for
-    the cyclic collector.
+    The replay's loops read ``queue``, ``busy`` and ``in_flight`` in
+    place: a send whose host queue is empty, under the cap and with its
+    pair channel idle injects at once, and a finished payload frees its
+    channel and slot, then pumps the queue.  Callers pass the inject
+    callback on every call instead of the scheduler keeping a reference
+    to the replay: without that reference cycle a finished run is freed
+    by reference counting, not left for the cyclic collector.
     """
 
-    __slots__ = ("_msg_dst", "_limit", "_queue", "_busy", "_in_flight")
+    __slots__ = ("msg_dst", "limit", "queue", "busy", "in_flight")
 
     def __init__(self, msg_dst, concurrency: int | None, nprocs: int) -> None:
-        self._msg_dst = msg_dst
-        self._limit = concurrency if concurrency is not None else math.inf
-        self._queue: deque[int] = deque()
-        self._busy = bytearray(nprocs)  # per destination: channel in use
-        self._in_flight = 0
+        self.msg_dst = msg_dst
+        self.limit = concurrency if concurrency is not None else math.inf
+        self.queue: deque[int] = deque()
+        self.busy = bytearray(nprocs)  # per destination: channel in use
+        self.in_flight = 0
 
     def submit(self, mid: int, inject: Callable[[int], None]) -> None:
-        self._queue.append(mid)
-        self._pump(inject)
+        self.queue.append(mid)
+        self.pump(inject)
 
-    def release(self, mid: int, inject: Callable[[int], None]) -> None:
-        self._in_flight -= 1
-        self._busy[self._msg_dst[mid]] = 0
-        self._pump(inject)
-
-    def _pump(self, inject: Callable[[int], None]) -> None:
-        # Dispatch in FIFO order, skipping messages whose pair channel is
-        # busy (per-pair order is still preserved: only the head message
-        # of each pair can ever be eligible).  Nothing happens at the
-        # cap, and the queue is rebuilt only when a message was skipped.
-        queue = self._queue
-        if not queue or self._in_flight >= self._limit:
+    def pump(self, inject: Callable[[int], None]) -> None:
+        """Dispatch in FIFO order, skipping messages whose pair channel is
+        busy (per-pair order is still preserved: only the head message
+        of each pair can ever be eligible).  Nothing happens at the
+        cap, and the queue is rebuilt only when a message was skipped."""
+        queue = self.queue
+        if not queue or self.in_flight >= self.limit:
             return
-        msg_dst = self._msg_dst
-        busy = self._busy
+        msg_dst = self.msg_dst
+        busy = self.busy
         skipped: deque[int] | None = None
-        while queue and self._in_flight < self._limit:
+        while queue and self.in_flight < self.limit:
             mid = queue.popleft()
             dst = msg_dst[mid]
             if busy[dst]:
@@ -161,32 +166,12 @@ class _HostScheduler:
                 skipped.append(mid)
                 continue
             busy[dst] = 1
-            self._in_flight += 1
+            self.in_flight += 1
             inject(mid)
         if skipped is not None:
             # Skipped messages keep their place ahead of the rest.
             skipped.extend(queue)
-            self._queue = skipped
-
-
-class _Members:
-    """Time, seq and message-id columns of one bulk entry being built."""
-
-    __slots__ = ("times", "seqs", "mids")
-
-    def __init__(self) -> None:
-        self.times = array("d")
-        self.seqs = array("q")
-        self.mids = array("q")
-
-    def add(self, time: float, seq: int, mid: int) -> None:
-        self.times.append(time)
-        self.seqs.append(seq)
-        self.mids.append(mid)
-
-    def post(self, engine: Engine, callback: Callable[[int], None]) -> None:
-        if self.mids:
-            engine.schedule_batch(self.times, self.seqs, callback, self.mids)
+            self.queue = skipped
 
 
 class ProtocolReplay:
@@ -306,10 +291,15 @@ class ProtocolReplay:
         ]
         # Per-rank callbacks and per-host receive CPUs (they hold
         # _deliver), dropped after the run so the replay is freed by
-        # reference counting.
-        self._resume = [partial(self._advance, rank) for rank in range(n)]
+        # reference counting.  Each hands over a run of one.
+        self._resume = [partial(self._advance, (rank,)) for rank in range(n)]
+        deliver = self._deliver
+
+        def deliver_one(mid: int) -> None:
+            deliver((mid,))
+
         self._receive_cpus = [
-            SerialResource(self.engine, self.transport.mux_overhead, self._deliver)
+            SerialResource(self.engine, self.transport.mux_overhead, deliver_one)
             for _ in range(n)
         ]
 
@@ -371,60 +361,112 @@ class ProtocolReplay:
             **network.counters(),
         )
 
-    def _advance(self, rank: int) -> None:
-        """Post segments until one blocks (the lowered ``Waitall`` loop).
+    def _advance(self, ranks: Iterable[int]) -> None:
+        """Post each rank's segments until one blocks (the lowered
+        ``Waitall`` loop).
 
-        The sends' events become one bulk entry, each member drawing its
-        seq in op order.
+        The sends' events become two bulk entries, each member drawing
+        its seq in op order: eager sends (``_sent``) and the arrivals a
+        send posts itself, RTS envelopes and local copies
+        (``_deliver``).  A receive whose envelope came first matches at
+        once.
         """
         engine = self.engine
         now = engine.now
         reserve = engine.reserve
+        schedule = engine.schedule
         tracing = self._tracing
+        transport = self.transport
+        jitter = transport.jitter_scale
+        jitter_rng = self._jitter_rng
+        ctrl, latency = transport.ctrl_overhead, transport.base_latency
+        cts_delay = ctrl + latency
         op_ptr, op_kind, op_arg = self._op_ptr, self._op_kind, self._op_arg
-        sends = _Members()
-        segment = self._next_segment[rank]
-        last = self._last_segment[rank]
-        while True:
-            start, stop = op_ptr[segment], op_ptr[segment + 1]
-            if tracing:
-                self.trace.emit(
-                    now, "mpi.phase", rank=rank,
-                    segment=segment - self._first_segment[rank],
-                    ops=stop - start,
-                )
-            for index in range(start, stop):
-                kind = op_kind[index]
-                arg = op_arg[index]
-                if kind == OP_SEND:
-                    if tracing:
-                        self._trace_isend(arg)
-                    sends.add(self._send_time(arg, now), reserve(), arg)
-                elif kind == OP_RECV:
-                    self._post_recv(arg)
-                elif tracing:
-                    # A local copy takes no simulated time.
-                    self.trace.emit(now, "mpi.local_copy", rank=rank, nbytes=arg)
-            segment += 1
-            if segment > last:
-                self._finish_time[rank] = now
-                break
-            if self._outstanding[segment - 1]:
-                self._waiting_on[rank] = segment - 1
-                break
-            # Gate already satisfied: keep advancing within this event.
-        self._next_segment[rank] = segment
-        sends.post(engine, self._sent)
-
-    def _request_done(self, gate: int, rank: int) -> None:
-        """A request of *rank* whose first gate is *gate* completed."""
-        if gate < 0:
-            return
-        left = self._outstanding[gate] - 1
-        self._outstanding[gate] = left
-        if left == 0 and self._waiting_on[rank] == gate:
-            self._waiting_on[rank] = -1
-            self.engine.schedule(self.engine.now, self._resume[rank])
+        path, submit, nbytes = self._msg_path, self._msg_submit, self.msg_nbytes
+        msg_src, msg_dst = self.msg_src, self.msg_dst
+        recv_posted, env_processed = self._recv_posted, self._env_processed
+        recv_gate, outstanding = self._recv_gate, self._outstanding
+        next_segment, last_segment = self._next_segment, self._last_segment
+        sent = (array("d"), array("q"), array("q"))  # eager sends
+        arriving = (array("d"), array("q"), array("q"))  # RTSs, local copies
+        for rank in ranks:
+            segment = next_segment[rank]
+            last = last_segment[rank]
+            while True:
+                start, stop = op_ptr[segment], op_ptr[segment + 1]
+                if tracing:
+                    self.trace.emit(
+                        now, "mpi.phase", rank=rank,
+                        segment=segment - self._first_segment[rank],
+                        ops=stop - start,
+                    )
+                for index in range(start, stop):
+                    kind = op_kind[index]
+                    mid = op_arg[index]
+                    if kind == OP_SEND:
+                        if tracing:
+                            self._trace_isend(mid)
+                        how = path[mid]
+                        if how == _LOCAL:
+                            # A memcpy, never on the wire.
+                            time = now + transport.local_copy_time(nbytes[mid])
+                            columns = arriving
+                        else:
+                            delay = submit[mid]
+                            if jitter > 0:
+                                delay = float(jitter_rng.exponential(jitter)) + delay
+                            if how == _EAGER:
+                                columns = sent
+                            else:
+                                # The RTS control message (latency-only).
+                                delay = delay + ctrl + latency
+                                columns = arriving
+                            time = now + delay
+                        times, seqs, mids = columns
+                        times.append(time)
+                        seqs.append(reserve())
+                        mids.append(mid)
+                    elif kind == OP_RECV:
+                        if tracing:
+                            self.trace.emit(
+                                now, "mpi.irecv", rank=msg_dst[mid],
+                                src=msg_src[mid], tag=int(self._lowered.tag[mid]),
+                            )
+                        recv_posted[mid] = 1
+                        if not env_processed[mid]:
+                            continue
+                        # The paired envelope came first: match it now.
+                        if path[mid] == _RENDEZVOUS:
+                            # The CTS travels back, then the payload goes.
+                            schedule(now + cts_delay, partial(
+                                self._schedulers[msg_src[mid]].submit,
+                                mid, self._inject,
+                            ))
+                            continue
+                        if tracing:
+                            self._trace_recv_complete(mid)
+                        gate = recv_gate[mid]
+                        if gate >= 0:
+                            # The rank is running, so it waits on no gate.
+                            outstanding[gate] -= 1
+                    elif tracing:
+                        # A local copy takes no simulated time; its op
+                        # arg is the byte count.
+                        self.trace.emit(now, "mpi.local_copy", rank=rank, nbytes=mid)
+                segment += 1
+                if segment > last:
+                    self._finish_time[rank] = now
+                    break
+                if outstanding[segment - 1]:
+                    self._waiting_on[rank] = segment - 1
+                    break
+                # Gate already satisfied: keep advancing within this event.
+            next_segment[rank] = segment
+        for (times, seqs, mids), callback in (
+            (sent, self._sent), (arriving, self._deliver)
+        ):
+            if mids:
+                engine.schedule_batch(times, seqs, callback, mids)
 
     # ------------------------------------------------------------------
     # Point-to-point protocol
@@ -439,85 +481,115 @@ class ProtocolReplay:
             eager=bool(self._eager[mid]),
         )
 
-    def _send_time(self, mid: int, now: float) -> float:
-        """When the event of *mid*'s send, posted at *now*, fires."""
-        transport = self.transport
-        how = self._msg_path[mid]
-        if how == _LOCAL:
-            # Local message: memcpy cost, bypasses wire and protocols.
-            return now + transport.local_copy_time(self.msg_nbytes[mid])
-        delay = self._msg_submit[mid]
-        if transport.jitter_scale > 0:
-            delay = float(self._jitter_rng.exponential(transport.jitter_scale)) + delay
-        if how == _RENDEZVOUS:
-            # RTS control message (latency-only).
-            delay = delay + transport.ctrl_overhead + transport.base_latency
-        return now + delay
+    def _trace_recv_complete(self, mid: int) -> None:
+        self.trace.emit(
+            self.engine.now, "mpi.recv_complete", rank=self.msg_dst[mid],
+            src=self.msg_src[mid], tag=int(self._lowered.tag[mid]),
+            nbytes=self.msg_nbytes[mid],
+        )
 
-    def _sent(self, mid: int) -> None:
-        """The event a send posted: its local delivery, eager submit or
-        RTS arrival, by the message's path."""
-        how = self._msg_path[mid]
-        if how == _EAGER:
-            self._submit(mid)
-        elif how == _RENDEZVOUS:
-            self._envelope_in_order(mid)
-        else:
-            # The copy is done: the send completes and the envelope is in.
-            self._request_done(self._send_gate[mid], self.msg_src[mid])
-            self._envelope_in_order(mid)
+    def _sent(self, mids: Iterable[int]) -> None:
+        """Eager sends reach their host's NIC: each injects at once when
+        its host queue is empty, under the cap and its pair channel
+        idle, and queues otherwise."""
+        inject = self._inject
+        schedulers, msg_src, msg_dst = self._schedulers, self.msg_src, self.msg_dst
+        for mid in mids:
+            scheduler = schedulers[msg_src[mid]]
+            busy = scheduler.busy
+            dst = msg_dst[mid]
+            if busy[dst] or scheduler.queue or scheduler.in_flight >= scheduler.limit:
+                scheduler.submit(mid, inject)
+            else:
+                busy[dst] = 1
+                scheduler.in_flight += 1
+                inject(mid)
 
-    def _post_recv(self, mid: int) -> None:
-        if self._tracing:
-            self.trace.emit(
-                self.engine.now, "mpi.irecv", rank=self.msg_dst[mid],
-                src=self.msg_src[mid], tag=int(self._lowered.tag[mid]),
-            )
-        self._recv_posted[mid] = 1
-        # The statically paired envelope may already have arrived and be
-        # waiting "unexpected": claim it now.
-        if self._env_processed[mid]:
-            self._match(mid)
+    def _deliver(self, mids: Iterable[int]) -> None:
+        """Arrivals at a receiver: eager payloads, RTS envelopes, local
+        copies and rendezvous payloads.
 
-    def _envelope_in_order(self, mid: int) -> None:
-        """Process envelope arrivals strictly in per-pair send order."""
-        prev = self._pair_prev[mid]
-        if prev >= 0 and not self._env_processed[prev]:
-            # Early arrival: park it until its predecessor is processed.
-            self._env_parked[mid] = 1
-            return
-        self._process_envelope(mid)
-        successor = self._pair_next[mid]
-        while successor >= 0 and self._env_parked[successor]:
-            self._process_envelope(successor)
-            successor = self._pair_next[successor]
+        Envelopes (all but a rendezvous payload) are processed in
+        per-pair send order: one that arrives early is parked until its
+        predecessor's processing takes it too.  Whichever of an
+        envelope and its receive comes second matches them: an eager or
+        local message completes its receive, a rendezvous one sends its
+        CTS back.  A rendezvous payload completes the receive its CTS
+        claimed; a local copy also completes its send.
+        """
+        engine = self.engine
+        now = engine.now
+        schedule = engine.schedule
+        tracing = self._tracing
+        cts_delay = self.transport.ctrl_overhead + self.transport.base_latency
+        path, msg_src, msg_dst = self._msg_path, self.msg_src, self.msg_dst
+        pair_prev, pair_next = self._pair_prev, self._pair_next
+        recv_posted = self._recv_posted
+        env_parked, env_processed = self._env_parked, self._env_processed
+        send_gate, recv_gate = self._send_gate, self._recv_gate
+        outstanding, waiting_on, resume = (
+            self._outstanding, self._waiting_on, self._resume
+        )
+        for mid in mids:
+            how = path[mid]
+            if how == _RENDEZVOUS and env_processed[mid]:
+                # A rendezvous payload: the receive was claimed at CTS time.
+                if tracing:
+                    self._trace_recv_complete(mid)
+                gate = recv_gate[mid]
+                if gate >= 0:
+                    left = outstanding[gate] - 1
+                    outstanding[gate] = left
+                    dst = msg_dst[mid]
+                    if not left and waiting_on[dst] == gate:
+                        waiting_on[dst] = -1
+                        schedule(now, resume[dst])
+                continue
+            if how == _LOCAL:
+                # The copy is done: the send completes, the envelope is in.
+                gate = send_gate[mid]
+                if gate >= 0:
+                    left = outstanding[gate] - 1
+                    outstanding[gate] = left
+                    src = msg_src[mid]
+                    if not left and waiting_on[src] == gate:
+                        waiting_on[src] = -1
+                        schedule(now, resume[src])
+            prev = pair_prev[mid]
+            if prev >= 0 and not env_processed[prev]:
+                env_parked[mid] = 1
+                continue
+            # Process this envelope, then the parked ones it unblocks.
+            while True:
+                env_processed[mid] = 1
+                if recv_posted[mid]:
+                    if path[mid] == _RENDEZVOUS:
+                        # The CTS travels back, then the payload goes.
+                        schedule(now + cts_delay, partial(
+                            self._schedulers[msg_src[mid]].submit,
+                            mid, self._inject,
+                        ))
+                    else:
+                        if tracing:
+                            self._trace_recv_complete(mid)
+                        gate = recv_gate[mid]
+                        if gate >= 0:
+                            left = outstanding[gate] - 1
+                            outstanding[gate] = left
+                            dst = msg_dst[mid]
+                            if not left and waiting_on[dst] == gate:
+                                waiting_on[dst] = -1
+                                schedule(now, resume[dst])
+                mid = pair_next[mid]
+                if mid < 0 or not env_parked[mid]:
+                    break
 
-    def _process_envelope(self, mid: int) -> None:
-        # Whichever of the envelope and its receive comes second matches.
-        self._env_processed[mid] = 1
-        if self._recv_posted[mid]:
-            self._match(mid)
-
-    def _match(self, mid: int) -> None:
-        if self._msg_path[mid] != _RENDEZVOUS:
-            self._complete_recv(mid)
-        else:
-            # Rendezvous: CTS travels back, then the payload is submitted.
-            engine = self.engine
-            delay = self.transport.ctrl_overhead + self.transport.base_latency
-            engine.schedule(engine.now + delay, partial(self._submit, mid))
-
-    def _submit(self, mid: int) -> None:
-        self._schedulers[self.msg_src[mid]].submit(mid, self._inject)
-
-    def _complete_recv(self, mid: int) -> None:
-        if self._tracing:
-            self.trace.emit(
-                self.engine.now, "mpi.recv_complete", rank=self.msg_dst[mid],
-                src=self.msg_src[mid], tag=int(self._lowered.tag[mid]),
-                nbytes=self.msg_nbytes[mid],
-            )
-        self._request_done(self._recv_gate[mid], self.msg_dst[mid])
+    def _demux(self, mids: Iterable[int]) -> None:
+        """Last bytes reached their destination hosts: each queues for its
+        host's receive CPU, which then delivers it."""
+        cpus, msg_dst = self._receive_cpus, self.msg_dst
+        for mid in mids:
+            cpus[msg_dst[mid]].request(mid)
 
     # -- wire path ------------------------------------------------------
 
@@ -525,39 +597,47 @@ class ProtocolReplay:
         """Payloads *mids* left the wire, in completion order.
 
         ``inbounds[i]`` flows were open at ``mids[i]``'s destination when
-        its last byte left (itself included).  Each sender is released
-        and each send completes; the wire arrivals, ``base_latency``
-        later, become bulk entries: those the receiver demultiplexes and
-        those it takes directly.
+        its last byte left (itself included).  Each sender's pair
+        channel and cap slot free up and its queue is pumped, and each
+        send completes; the wire arrivals, ``base_latency`` later,
+        become bulk entries: those the receiver demultiplexes and those
+        it takes directly.
         """
         engine = self.engine
+        now = engine.now
         reserve = engine.reserve
+        schedule = engine.schedule
         inject = self._inject
-        schedulers, msg_src, msg_nbytes = self._schedulers, self.msg_src, self.msg_nbytes
-        send_gate = self._send_gate
+        schedulers, msg_src, msg_dst = self._schedulers, self.msg_src, self.msg_dst
+        msg_nbytes, send_gate = self.msg_nbytes, self._send_gate
+        outstanding, waiting_on, resume = (
+            self._outstanding, self._waiting_on, self._resume
+        )
         mux_applies = self.transport.mux_applies
-        arrival = engine.now + self.transport.base_latency
-        arrivals: list[_Members | None] = [None, None]  # direct, demultiplexed
+        direct = (array("q"), array("q"))  # seqs and mids
+        demuxed = (array("q"), array("q"))
         for mid, inbound in zip(mids, inbounds):
             src = msg_src[mid]
-            schedulers[src].release(mid, inject)
-            self._request_done(send_gate[mid], src)
-            demuxed = mux_applies(msg_nbytes[mid], inbound)
-            members = arrivals[demuxed]
-            if members is None:
-                members = arrivals[demuxed] = _Members()
-            members.add(arrival, reserve(), mid)
-        for members, callback in zip(arrivals, (self._deliver, self._demux)):
-            if members is not None:
-                members.post(engine, callback)
-
-    def _demux(self, mid: int) -> None:
-        """Last byte reached the destination host: queue for its CPU."""
-        self._receive_cpus[self.msg_dst[mid]].request(mid)
-
-    def _deliver(self, mid: int) -> None:
-        if self._msg_path[mid] == _EAGER:
-            self._envelope_in_order(mid)
-        else:
-            # Rendezvous payload: the receive was claimed at CTS time.
-            self._complete_recv(mid)
+            scheduler = schedulers[src]
+            scheduler.in_flight -= 1
+            scheduler.busy[msg_dst[mid]] = 0
+            if scheduler.queue:
+                scheduler.pump(inject)
+            gate = send_gate[mid]
+            if gate >= 0:
+                left = outstanding[gate] - 1
+                outstanding[gate] = left
+                if not left and waiting_on[src] == gate:
+                    waiting_on[src] = -1
+                    schedule(now, resume[src])
+            seqs, members = (
+                demuxed if mux_applies(msg_nbytes[mid], inbound) else direct
+            )
+            seqs.append(reserve())
+            members.append(mid)
+        arrival = array("d", [now + self.transport.base_latency])
+        for (seqs, members), callback in (
+            (direct, self._deliver), (demuxed, self._demux)
+        ):
+            if members:
+                engine.schedule_batch(arrival * len(members), seqs, callback, members)

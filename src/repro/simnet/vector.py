@@ -187,7 +187,7 @@ class VectorSimulator:
         self._flow_losses = np.empty(0, dtype=np.int64)
         self._flow_remaining = np.empty(0, dtype=np.float64)
         self._flow_rngs: dict[int, np.random.Generator] = {}
-        self._inbound_open = np.zeros(self.nprocs, dtype=np.int64)
+        self._inbound_open = [0] * self.nprocs  # flows open per destination
         self._structure_dirty = False
         self._last_advance = 0.0
         self._resolve_event: EventHandle | None = None
@@ -292,7 +292,7 @@ class VectorSimulator:
                 src=self._msg_src[mid], dst=self._msg_dst[mid],
                 nbytes=self._msg_nbytes[mid], label="",
             )
-        if self._resolve_event is None or self._resolve_event.cancelled:
+        if self._resolve_event is None:
             self._resolve_event = self.engine.schedule(
                 self.engine.now, self._resolve, priority=_RESOLVE_PRIORITY
             )
@@ -321,17 +321,19 @@ class VectorSimulator:
         self._last_advance = now
 
         finished = np.empty(0, dtype=np.int64)
-        finished_inbound = np.empty(0, dtype=np.int64)
+        finished_inbound: list[int] = []
         if n_active:
             mask = self._act_remaining <= _BYTE_EPS
             if mask.any():
                 finished = self._act_mids[mask]
-                dsts = self._msg_dst_arr[finished]
+                dsts = self._msg_dst_arr[finished].tolist()
                 # Snapshot receiver concurrency before decrementing, so
                 # flows finishing in the same batch all observe each
                 # other (the receiver demultiplexes them together).
-                finished_inbound = self._inbound_open[dsts]
-                np.subtract.at(self._inbound_open, dsts, 1)
+                inbound = self._inbound_open
+                finished_inbound = [inbound[dst] for dst in dsts]
+                for dst in dsts:
+                    inbound[dst] -= 1
                 self.flows_completed += len(finished)
                 keep = ~mask
                 self._act_mids = self._act_mids[keep]
@@ -439,7 +441,7 @@ class VectorSimulator:
         # pump follow-up flows, which coalesce into one resolve at this
         # timestamp — the same cascade discipline as the fluid engine.
         if len(finished):
-            self._flows_done(memoryview(finished), memoryview(finished_inbound))
+            self._flows_done(memoryview(finished), finished_inbound)
 
     def _active_paths(self) -> FlowPaths:
         """Assemble the active set's CSR with a vectorized ragged gather."""
@@ -560,7 +562,7 @@ class VectorSimulator:
                 src=self._msg_src[mid], dst=self._msg_dst[mid],
                 remaining=float(self._flow_remaining[mid]), label="",
             )
-        if self._resolve_event is None or self._resolve_event.cancelled:
+        if self._resolve_event is None:
             self._resolve_event = self.engine.schedule(
                 self.engine.now, self._resolve, priority=_RESOLVE_PRIORITY
             )

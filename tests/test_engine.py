@@ -5,7 +5,7 @@ import math
 from array import array
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import SimulationError
@@ -144,21 +144,18 @@ class TestRunControl:
 # own or, for None, at the member's time; members fire at priority 0),
 # cancel an earlier top-level single event, or run(until=now + dt).  A
 # child is a same-time single event at priority -1, 0 or +1, or a new
-# bulk entry (its members' delays from now).
+# bulk entry (its members' delays from now).  A member's same-time
+# children are at priority 0 or +1: the kernel refuses -1 there.
 _DELAYS = st.sampled_from([0.0, 0.5, 1.0, 2.5])
-_CHILDREN = st.lists(
-    st.one_of(
-        st.integers(-1, 1),
-        st.lists(st.sampled_from([0.0, 0.0, 0.5]), min_size=1, max_size=3),
-    ),
-    max_size=2,
-)
+_BULK_CHILD = st.lists(st.sampled_from([0.0, 0.0, 0.5]), min_size=1, max_size=3)
+_CHILDREN = st.lists(st.one_of(st.integers(-1, 1), _BULK_CHILD), max_size=2)
+_MEMBER_CHILDREN = st.lists(st.one_of(st.integers(0, 1), _BULK_CHILD), max_size=2)
 _SCHEDULE = st.tuples(st.just("schedule"), _DELAYS, st.integers(-1, 1), _CHILDREN)
 _BULK = st.tuples(
     st.just("bulk"),
     st.lists(
         st.tuples(
-            _DELAYS, _CHILDREN,
+            _DELAYS, _MEMBER_CHILDREN,
             st.one_of(
                 st.none(),
                 st.tuples(st.one_of(st.none(), _DELAYS), st.integers(-1, 1)),
@@ -200,7 +197,7 @@ def _drive_kernel(engine, script):
                 engine.schedule_batch(
                     [engine.now + delay for delay in child],
                     [engine.reserve() for _ in child],
-                    lambda member: fired.append((member, engine.now)),
+                    lambda run: fired.extend((member, engine.now) for member in run),
                     [f"{label}.{j}.{k}" for k in range(len(child))],
                 )
 
@@ -234,8 +231,9 @@ def _drive_kernel(engine, script):
                 labels.append(label)
                 children_of[label] = children
 
-            def fire(label, children_of=children_of):
-                event(label, children_of[label])()
+            def fire(run, children_of=children_of):
+                for label in run:
+                    event(label, children_of[label])()
 
             engine.schedule_batch(times, seqs, fire, labels)
         elif step[0] == "cancel":
@@ -328,6 +326,10 @@ def _has_cancel(script):
 
 
 class TestKernelProperties:
+    """The kernel, runs and all, against a model that fires one event
+    per member."""
+
+    @settings(max_examples=300)
     @given(_SCRIPT)
     def test_fires_in_time_priority_fifo_order(self, script):
         fired, processed, checkpoints = _run_kernel(script)
@@ -343,6 +345,7 @@ class TestKernelProperties:
         if not _has_cancel(script):
             assert checkpoints == expected_checkpoints
 
+    @settings(max_examples=300)
     @given(_SCRIPT)
     def test_step_and_peek_walk_members_one_event_at_a_time(self, script):
         engine = Engine()
@@ -357,6 +360,7 @@ class TestKernelProperties:
         assert fired == expected
         assert engine.events_processed == len(fired)
 
+    @settings(max_examples=300)
     @given(_SCRIPT, st.integers(1, 12))
     def test_max_events_counts_members(self, script, budget):
         engine = Engine()
@@ -377,6 +381,7 @@ class TestKernelProperties:
         assert fired == expected
         assert engine.events_processed == len(fired)
 
+    @settings(max_examples=300)
     @given(_SCRIPT)
     def test_handles_report_fired_and_cancelled_events(self, script):
         engine = Engine()
@@ -400,33 +405,82 @@ class TestBulkEntries:
         fired = []
         seqs = [engine.reserve() for _ in range(4)]
         engine.schedule_batch(
-            [2.0, 1.0, 2.0, 1.0], seqs, fired.append, ["a", "b", "c", "d"]
+            [2.0, 1.0, 2.0, 1.0], seqs, fired.extend, ["a", "b", "c", "d"]
         )
         engine.run()
         assert fired == ["b", "d", "a", "c"]
         assert engine.events_processed == 4
 
-    def test_typed_array_members_stay_typed(self, engine):
-        fired = []
-        times = array("d", [1.0, 0.5])
-        seqs = array("q", [engine.reserve(), engine.reserve()])
-        engine.schedule_batch(times, seqs, fired.append, array("q", [7, 9]))
+    def test_typed_array_runs_are_views(self, engine):
+        runs = []
+        times = array("d", [1.0, 0.5, 1.0])
+        seqs = array("q", [engine.reserve() for _ in range(3)])
+        mids = array("q", [7, 9, 11])
+        engine.schedule_batch(times, seqs, runs.append, mids)
         engine.run()
-        assert fired == [9, 7] and all(type(arg) is int for arg in fired)
+        assert [list(run) for run in runs] == [[9], [7, 11]]
+        # Sorting copied the columns; each run is a slice of that copy.
+        assert all(isinstance(run, memoryview) for run in runs)
+        assert runs[0].obj is runs[1].obj
+        assert all(type(arg) is int for run in runs for arg in run)
+
+    def test_ordered_typed_columns_are_kept(self, engine):
+        runs = []
+        mids = array("q", [7, 9])
+        engine.schedule_batch(
+            array("d", [1.0, 1.0]), array("q", [engine.reserve(), engine.reserve()]),
+            runs.append, mids,
+        )
+        engine.run()
+        assert len(runs) == 1 and runs[0].obj is mids
+
+    def test_lone_entry_hands_over_one_run_per_timestamp(self, engine):
+        runs = []
+        engine.schedule_batch(
+            [1.0, 1.0, 1.0, 2.0, 2.0, 3.0], [engine.reserve() for _ in range(6)],
+            runs.append, list("abcdef"),
+        )
+        engine.run()
+        assert runs == [["a", "b", "c"], ["d", "e"], ["f"]]
+        assert engine.events_processed == 6
 
     def test_reserved_seq_orders_members_among_single_events(self, engine):
-        fired = []
-        first = engine.reserve()
-        engine.schedule(1.0, lambda: fired.append("single"))
+        runs = []
+        first, second = engine.reserve(), engine.reserve()
+        engine.schedule(1.0, lambda: runs.append("single"))
         last = engine.reserve()
-        engine.schedule_batch([1.0, 1.0], [first, last], fired.append, ["m0", "m1"])
+        engine.schedule_batch(
+            [1.0, 1.0, 1.0], [first, second, last], runs.append, ["m0", "m1", "m2"]
+        )
         engine.run()
-        assert fired == ["m0", "single", "m1"]
+        # The single event's seq falls between m1's and m2's: it cuts the run.
+        assert runs == [["m0", "m1"], "single", ["m2"]]
+
+    def test_max_events_trips_inside_a_run(self, engine):
+        runs = []
+        engine.schedule_batch(
+            [1.0] * 5, [engine.reserve() for _ in range(5)], runs.append, list(range(5))
+        )
+        with pytest.raises(SimulationError, match="max_events"):
+            engine.run(max_events=3)
+        assert runs == [[0, 1, 2]]
+        assert engine.events_processed == 3 and engine.pending == 2
+        engine.run()
+        assert runs == [[0, 1, 2], [3, 4]]
+
+    def test_step_hands_over_runs_of_one(self, engine):
+        runs = []
+        engine.schedule_batch(
+            [1.0] * 3, [engine.reserve() for _ in range(3)], runs.append, [0, 1, 2]
+        )
+        while engine.step():
+            assert engine.events_processed == len(runs)
+        assert runs == [[0], [1], [2]]
 
     def test_pending_counts_unfired_members(self, engine):
         engine.schedule_batch(
             [1.0, 2.0, 3.0], [engine.reserve() for _ in range(3)],
-            lambda arg: None, [0, 1, 2],
+            lambda run: None, [0, 1, 2],
         )
         victim = engine.schedule(2.5, lambda: None)
         assert engine.pending == 4
@@ -439,7 +493,7 @@ class TestBulkEntries:
         assert engine.pending == 0 and engine.events_processed == 3
 
     def test_empty_batch_schedules_nothing(self, engine):
-        engine.schedule_batch([], [], lambda arg: None, [])
+        engine.schedule_batch([], [], lambda run: None, [])
         assert engine.pending == 0 and engine.peek_time() is None
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -447,8 +501,14 @@ class TestBulkEntries:
         with pytest.raises(SimulationError, match="non-finite"):
             engine.schedule_batch(
                 [1.0, bad], [engine.reserve(), engine.reserve()],
-                lambda arg: None, [0, 1],
+                lambda run: None, [0, 1],
             )
+        assert engine.pending == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_lone_non_finite_member_raises(self, engine, bad):
+        with pytest.raises(SimulationError, match="non-finite"):
+            engine.schedule_batch([bad], [engine.reserve()], lambda run: None, [0])
         assert engine.pending == 0
 
     def test_member_in_the_past_raises(self, engine):
@@ -457,40 +517,63 @@ class TestBulkEntries:
         with pytest.raises(SimulationError, match="past"):
             engine.schedule_batch(
                 [2.0, 0.5], [engine.reserve(), engine.reserve()],
-                lambda arg: None, [0, 1],
+                lambda run: None, [0, 1],
             )
         assert engine.pending == 0
 
-    def test_run_fires_members_between_same_time_children(self, engine):
-        # Member a's children: one event before b (priority -1), one
-        # after every member (priority +1), and a bulk entry whose seqs
-        # come after b's.
+    def test_first_bad_member_names_the_error(self, engine):
+        engine.schedule(1.0, lambda: None)
+        engine.run()
+        with pytest.raises(SimulationError, match=r"past: t=0\.5 "):
+            engine.schedule_batch(
+                [2.0, 0.5, math.nan], [engine.reserve() for _ in range(3)],
+                lambda run: None, [0, 1, 2],
+            )
+
+    def test_member_child_at_negative_priority_raises(self, engine):
+        def member(run):
+            engine.schedule(engine.now + 1.0, lambda: None, priority=-1)
+            engine.schedule(engine.now, lambda: None, priority=-1)
+
+        engine.schedule_batch(
+            [1.0, 1.0], [engine.reserve(), engine.reserve()], member, ["a", "b"]
+        )
+        with pytest.raises(SimulationError, match="negative priority"):
+            engine.run()
+        # A single event's same-time child at -1 is fine.
+        fired = []
+        engine.schedule(
+            3.0, lambda: engine.schedule(3.0, lambda: fired.append(1), priority=-1)
+        )
+        engine.run()
+        assert fired == [1]
+
+    def test_member_children_fire_after_the_run(self, engine):
         fired = []
 
-        def member(label):
-            fired.append(label)
-            if label == "a":
-                engine.schedule(1.0, lambda: fired.append("a-1"), priority=-1)
-                engine.schedule(1.0, lambda: fired.append("a+1"), priority=1)
-                engine.schedule_batch(
-                    [1.0, 1.0], [engine.reserve(), engine.reserve()],
-                    fired.append, ["a.0", "a.1"],
-                )
+        def member(run):
+            fired.append(list(run))
+            engine.schedule(1.0, lambda: fired.append("a0"))
+            engine.schedule(1.0, lambda: fired.append("a+1"), priority=1)
+            engine.schedule_batch(
+                [1.0, 1.0], [engine.reserve(), engine.reserve()],
+                fired.extend, ["a.0", "a.1"],
+            )
 
         engine.schedule_batch(
             [1.0, 1.0, 1.0], [engine.reserve() for _ in range(3)],
             member, ["a", "b", "c"],
         )
         engine.run()
-        assert fired == ["a", "a-1", "b", "c", "a.0", "a.1", "a+1"]
+        assert fired == [["a", "b", "c"], "a0", "a.0", "a.1", "a+1"]
         assert engine.events_processed == 7
 
-    def test_a_raising_member_leaves_the_rest_queued(self, engine):
+    def test_a_raising_callback_consumes_its_run(self, engine):
         fired = []
 
-        def member(arg):
-            fired.append(arg)
-            if arg == 1:
+        def member(run):
+            fired.extend(run)
+            if 1 in run:
                 raise RuntimeError("member failed")
 
         engine.schedule_batch(
@@ -505,4 +588,4 @@ class TestBulkEntries:
 
     def test_columns_of_unequal_length_raise(self, engine):
         with pytest.raises(ValueError, match="one time, seq and arg"):
-            engine.schedule_batch([1.0], [engine.reserve()], lambda arg: None, [])
+            engine.schedule_batch([1.0], [engine.reserve()], lambda run: None, [])

@@ -775,6 +775,85 @@ class TestBitIdentityGoldens:
         assert 0 < result.stalls <= result.total_losses
 
 
+def _trace_config(name: str):
+    """``(cluster, n, run_arg)`` of one frozen trace config (``direct``)."""
+    gige = get_cluster("gigabit-ethernet")
+    if name == "gige-stock-n8":
+        return gige, 8, 4_096  # jitter, start skew and the loss overlay
+    if name == "fe-rendezvous-n8":
+        return get_cluster("fast-ethernet"), 8, 70_000
+    if name == "myrinet-one-send-n8":
+        return get_cluster("myrinet"), 8, 8_192  # sender_concurrency=1
+    assert name == "gige-quiet-n16"
+    quiet = gige.with_overrides(
+        loss=None, start_skew_scale=0.0,
+        transport=dataclasses.replace(gige.transport, jitter_scale=0.0),
+    )
+    return quiet, 16, 4_096
+
+
+def _trace_digest(trace) -> str:
+    """SHA-256 over every record: category, ``time.hex()`` and payload
+    (keys sorted, floats as ``float.hex()``)."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    for record in trace:
+        payload = sorted(
+            (key, value.hex() if isinstance(value, float) else repr(value))
+            for key, value in record.payload.items()
+        )
+        digest.update(
+            repr((record.category, float(record.time).hex(), payload)).encode()
+        )
+    return digest.hexdigest()
+
+
+class TestTraceGoldens:
+    """Frozen digests of whole traces, protocol and network records alike.
+
+    Both engines run the same protocol replay, so a replay change that
+    moves both alike still passes ``test_protocol_trace_matches``; these
+    digests catch it.  The configs cover jitter, skew and loss (stock
+    GigE), rendezvous with receiver demultiplexing (Fast Ethernet at
+    70,000 B), sends queued on busy pair channels (Myrinet,
+    ``sender_concurrency=1``) and long runs of simultaneous members
+    (lossless GigE without jitter or skew).
+    """
+
+    GOLDEN = {
+        ("gige-stock-n8", "fluid"):
+            "123019ba72e1e7992d47d7ba44f4b9c0404e752f8a5acac0a1a3b32610f36516",
+        ("gige-stock-n8", "vector"):
+            "8776d69028c377b77aff33968051485252ce8ed908ccd3405d1d978c6f3f886d",
+        ("fe-rendezvous-n8", "fluid"):
+            "4591f76fc2eddbe330e9522d0307bfc81a0cdda586613719bbe45487c1f7a38b",
+        ("fe-rendezvous-n8", "vector"):
+            "14bab16ea3a6c1a70c20e6ef8ddd4a16220b1e51555b2a2fac8f8a53cabdf742",
+        ("myrinet-one-send-n8", "fluid"):
+            "118783004d7b509f6d1ea391a93ef0e1c2de7d08f7c803605e79cee79e8a83d0",
+        ("myrinet-one-send-n8", "vector"):
+            "dfcac519d7da20cbf91453c2fe84beb62a59daf95000a5d2a8a469269a75947d",
+        ("gige-quiet-n16", "fluid"):
+            "ba426687b775e448cf2fa05d2e1c16279f2bd32910921c3b3be708448c493a28",
+        ("gige-quiet-n16", "vector"):
+            "cb0955cdfb304e0e74b920f05988e445ebe7ad6d624adb432413e7798e74868d",
+    }
+
+    @pytest.mark.parametrize(
+        "config, engine", sorted(GOLDEN), ids=lambda value: str(value)
+    )
+    def test_trace_matches_golden(self, config, engine):
+        from repro.simnet.trace import Trace
+
+        cluster, n, run_arg = _trace_config(config)
+        trace = Trace()
+        ENGINES.get(engine)(
+            cluster, n, ALGORITHMS.get("direct"), run_arg, 0, trace=trace
+        )
+        assert _trace_digest(trace) == self.GOLDEN[(config, engine)]
+
+
 class TestMemoryFootprint:
     """The vector engine keeps no Python object per message.
 
@@ -871,10 +950,17 @@ class TestSenderSchedulers:
         def build(dsts, cap):
             injected = []
             scheduler = _HostScheduler(dsts, cap, max(dsts) + 1)
+
+            def release(mid):
+                # What ProtocolReplay.flows_done does as a payload leaves.
+                scheduler.in_flight -= 1
+                scheduler.busy[dsts[mid]] = 0
+                scheduler.pump(injected.append)
+
             return (
                 injected,
                 lambda mid: scheduler.submit(mid, injected.append),
-                lambda mid: scheduler.release(mid, injected.append),
+                release,
             )
 
         return build

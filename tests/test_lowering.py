@@ -685,3 +685,85 @@ class TestByteCounts:
             assert_same_program(
                 lower_program(program, n, W.astype(np.float64)), lower_program(program, n, W)
             )
+
+
+#: Bad ranks and tags: a fractional rank or tag once lowered truncated,
+#: and a non-finite one raised whatever int() raised.
+NAN, INF = float("nan"), float("inf")
+
+
+class TestRanksAndTags:
+    def test_whole_numbers_lower_as_ints(self):
+        # NumPy integers and integral floats, in single and batched posts.
+        def program(ctx, number):
+            peer = 1 - ctx.rank
+            if ctx.rank == 0:
+                yield [
+                    ctx.isend(number(peer), 8, tag=number(3)),
+                    ctx.isend_many([number(peer)], [8], tag=number(4)),
+                ]
+            else:
+                yield [
+                    ctx.irecv(number(peer), tag=number(3)),
+                    ctx.irecv_many([number(peer)], tag=number(4)),
+                ]
+
+        expected = lower_program(program, 2, int)
+        for number in (np.int64, float, np.float64):
+            assert_same_program(lower_program(program, 2, number), expected)
+
+    @pytest.mark.parametrize(
+        "post, value",
+        [
+            (lambda ctx: ctx.isend(1.5, 8), "1.5"),
+            (lambda ctx: ctx.isend(1.5, 8, tag=0.9), "0.9"),  # the tag is checked first
+            (lambda ctx: ctx.isend(NAN, 8), "nan"),
+            (lambda ctx: ctx.irecv(0.2, tag=0), "0.2"),
+            (lambda ctx: ctx.irecv(1, tag=INF), "inf"),
+            (lambda ctx: ctx.isend_many([1.5], [8]), "1.5"),
+            (lambda ctx: ctx.isend_many([1], [8], tag=INF), "inf"),
+            (lambda ctx: ctx.irecv_many([NAN], tag=0), "nan"),
+            (lambda ctx: ctx.irecv_many([1], tag=2.5), "2.5"),
+        ],
+        ids=[
+            "isend-rank", "isend-tag", "isend-nan-rank", "irecv-rank", "irecv-inf-tag",
+            "isend_many-rank", "isend_many-inf-tag", "irecv_many-nan-rank",
+            "irecv_many-tag",
+        ],
+    )
+    def test_fractional_or_non_finite_raises_naming_the_value(self, post, value):
+        def program(ctx):
+            if ctx.rank == 0:
+                yield post(ctx)
+
+        with pytest.raises(
+            ValueError, match=rf"(rank|tag) must be a whole, finite number, got {value}$"
+        ):
+            lower_program(program, 2)
+
+    @pytest.mark.parametrize(
+        "single, batch",
+        [
+            (lambda ctx: ctx.isend(2.5, 1), lambda ctx: ctx.isend_many([1, 2.5], [1, 1])),
+            (lambda ctx: ctx.isend(1, 1, tag=0.5),
+             lambda ctx: ctx.isend_many([1, 1], [1, 1], tag=0.5)),
+            (lambda ctx: ctx.isend(0.5, -1), lambda ctx: ctx.isend_many([0.5, 1], [-1, 1])),
+            (lambda ctx: ctx.irecv(INF, tag=0), lambda ctx: ctx.irecv_many([1, INF], tag=0)),
+            (lambda ctx: ctx.irecv(1, tag=1.5), lambda ctx: ctx.irecv_many([1, 1], tag=1.5)),
+        ],
+        ids=["send-rank", "send-tag", "send-rank-before-size", "recv-rank", "recv-tag"],
+    )
+    def test_bad_batch_posts_nothing_and_raises_its_entrys_error(self, single, batch):
+        program = _single_and_batch_program(single, batch)
+        with pytest.raises(ValueError) as expected:
+            lower_program(program, 2, False)
+
+        def caught(ctx):
+            if ctx.rank == 0:
+                with pytest.raises(ValueError) as raised:
+                    batch(ctx)
+                assert str(raised.value) == str(expected.value)
+            yield from ()
+
+        lowered = lower_program(caught, 2)
+        assert lowered.n_messages == 0 and lowered.op_kind.size == 0
