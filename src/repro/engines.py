@@ -28,7 +28,7 @@ the network model that moves the wire bytes:
     configurations.  It runs a lossless GigE n=64 point about 10x
     faster than ``fluid`` (``benchmarks/bench_engine.py``), and it
     alone reaches thousands of ranks: jitter-free n=1024 takes about
-    5 s and n=2048 about 20 s on a 2-vCPU host.  Loss-enabled
+    3–3.5 s and n=2048 about 14 s on a 2-vCPU host.  Loss-enabled
     profiles run on a vectorized port of the TCP loss overlay that
     samples the same stochastic process through different random
     streams, so lossy runs match ``fluid`` statistically (distribution,

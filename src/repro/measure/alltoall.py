@@ -178,6 +178,13 @@ def measure_alltoall(
     engine_name, engine_fn = _resolve_engine(engine)
     obs_trace = obs_timeline = obs_topology = None
     if observe:
+        try:
+            ENGINES.check_params(engine_name, ("trace", "timeline"))
+        except ScenarioError as exc:
+            raise MeasurementError(
+                f"engine {engine_name!r} does not support observation "
+                f"(trace=/timeline= keyword arguments): {exc}"
+            ) from None
         from ..obs import LinkTimeline
         from ..simnet.trace import Trace
 
@@ -190,16 +197,10 @@ def measure_alltoall(
         rep_seed = factory.child(f"{stream_prefix}/{rep}").seed
         with _collector_paused():
             if observe and rep == 0:
-                try:
-                    result = engine_fn(
-                        cluster, n_processes, program, run_arg, rep_seed,
-                        trace=obs_trace, timeline=obs_timeline,
-                    )
-                except TypeError as exc:
-                    raise MeasurementError(
-                        f"engine {engine_name!r} does not support observation "
-                        f"(trace=/timeline= keyword arguments): {exc}"
-                    ) from None
+                result = engine_fn(
+                    cluster, n_processes, program, run_arg, rep_seed,
+                    trace=obs_trace, timeline=obs_timeline,
+                )
             else:
                 result = engine_fn(cluster, n_processes, program, run_arg, rep_seed)
         times[rep] = result.duration

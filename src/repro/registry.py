@@ -319,7 +319,7 @@ MODELS: Registry[Callable] = Registry("model")
 #: ``f(cluster, n_processes, program, run_arg, seed) -> RunResult``
 #: simulation engines (see :mod:`repro.engines`): how one rep of a
 #: measurement point is actually simulated.
-ENGINES: Registry[Callable] = Registry("engine")
+ENGINES: Registry[Callable] = Registry("engine", leading=5)
 
 #: ``f(n_processes, **params) -> permutation`` rank-placement strategies
 #: (see :mod:`repro.placement`): rank *i* runs on host ``perm[i]``.

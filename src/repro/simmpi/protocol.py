@@ -42,16 +42,18 @@ gate count in place) and ``_demux`` over demultiplexed arrivals.  A
 rendezvous message's CTS arrival is an ordinary event, alive only
 while the CTS is in flight.
 
-A network model implements ``attach(replay)`` (read the message
-columns), ``inject(mid)`` (message *mid*'s payload enters the wire) and
-``counters()`` (its :class:`RunResult` count fields, by name).  It
-reports finished payloads in batches through
-:meth:`ProtocolReplay.flows_done`: ``flows_done(mids, inbounds)``, where
-``inbounds[i]`` flows were open at ``mids[i]``'s destination when its
-last byte left (itself included).  The fluid engine's model is
-:class:`~repro.simmpi.runtime.Runtime` (one-member batches), the vector
-engine's :class:`~repro.simnet.vector.VectorSimulator` (one batch per
-epoch).
+A network model only moves wire bytes.  It implements
+``attach(replay)`` (read the message columns), ``inject(mid)`` (message
+*mid*'s payload enters the wire) and ``counters()`` (its
+:class:`RunResult` count fields, by name), and it reports the payloads
+each solve finished in one call, ``flows_done(mids)``
+(:meth:`ProtocolReplay.flows_done`).  The receiving host is the
+replay's: it counts each destination's open flows, from injection until
+``flows_done`` reports them, and applies the demultiplexing rule to
+each batch.  The fluid engine's model is
+:class:`~repro.simmpi.runtime.Runtime`, the vector engine's
+:class:`~repro.simnet.vector.VectorSimulator`; both report one batch per
+resolve.
 
 With an enabled trace the replay records ``mpi.phase`` (one per posted
 segment), ``mpi.isend``, ``mpi.irecv``, ``mpi.local_copy`` and
@@ -65,7 +67,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -127,19 +129,22 @@ class _HostScheduler:
     The replay's loops read ``queue``, ``busy`` and ``in_flight`` in
     place: a send whose host queue is empty, under the cap and with its
     pair channel idle injects at once, and a finished payload frees its
-    channel and slot, then pumps the queue.  Callers pass the inject
-    callback on every call instead of the scheduler keeping a reference
-    to the replay: without that reference cycle a finished run is freed
-    by reference counting, not left for the cyclic collector.
+    channel and slot, then pumps the queue.  An injection counts one
+    open flow at its destination in *inbound*, the replay's count that
+    every host's scheduler shares.  Callers pass the inject callback on
+    every call instead of the scheduler keeping a reference to the
+    replay: without that reference cycle a finished run is freed by
+    reference counting, not left for the cyclic collector.
     """
 
-    __slots__ = ("msg_dst", "limit", "queue", "busy", "in_flight")
+    __slots__ = ("msg_dst", "inbound", "limit", "queue", "busy", "in_flight")
 
-    def __init__(self, msg_dst, concurrency: int | None, nprocs: int) -> None:
+    def __init__(self, msg_dst, inbound: list[int], concurrency: int | None) -> None:
         self.msg_dst = msg_dst
+        self.inbound = inbound
         self.limit = concurrency if concurrency is not None else math.inf
         self.queue: deque[int] = deque()
-        self.busy = bytearray(nprocs)  # per destination: channel in use
+        self.busy = bytearray(len(inbound))  # per destination: channel in use
         self.in_flight = 0
 
     def submit(self, mid: int, inject: Callable[[int], None]) -> None:
@@ -154,8 +159,7 @@ class _HostScheduler:
         queue = self.queue
         if not queue or self.in_flight >= self.limit:
             return
-        msg_dst = self.msg_dst
-        busy = self.busy
+        msg_dst, inbound, busy = self.msg_dst, self.inbound, self.busy
         skipped: deque[int] | None = None
         while queue and self.in_flight < self.limit:
             mid = queue.popleft()
@@ -166,6 +170,7 @@ class _HostScheduler:
                 skipped.append(mid)
                 continue
             busy[dst] = 1
+            inbound[dst] += 1
             self.in_flight += 1
             inject(mid)
         if skipped is not None:
@@ -285,8 +290,13 @@ class ProtocolReplay:
         self._env_parked = bytearray(n_messages)
         self._env_processed = bytearray(n_messages)
 
+        # The receiving hosts: flows open per destination, from injection
+        # until flows_done reports them, and the size half of the
+        # demultiplexing rule per message.
+        self._inbound = [0] * n
+        self._mux_size = self.transport.mux_sizes(lowered.nbytes).tobytes()
         self._schedulers = [
-            _HostScheduler(self.msg_dst, self.transport.sender_concurrency, n)
+            _HostScheduler(self.msg_dst, self._inbound, self.transport.sender_concurrency)
             for _ in range(n)
         ]
         # Per-rank callbacks and per-host receive CPUs (they hold
@@ -492,7 +502,7 @@ class ProtocolReplay:
         """Eager sends reach their host's NIC: each injects at once when
         its host queue is empty, under the cap and its pair channel
         idle, and queues otherwise."""
-        inject = self._inject
+        inject, inbound = self._inject, self._inbound
         schedulers, msg_src, msg_dst = self._schedulers, self.msg_src, self.msg_dst
         for mid in mids:
             scheduler = schedulers[msg_src[mid]]
@@ -502,6 +512,7 @@ class ProtocolReplay:
                 scheduler.submit(mid, inject)
             else:
                 busy[dst] = 1
+                inbound[dst] += 1
                 scheduler.in_flight += 1
                 inject(mid)
 
@@ -593,13 +604,16 @@ class ProtocolReplay:
 
     # -- wire path ------------------------------------------------------
 
-    def flows_done(self, mids: Iterable[int], inbounds: Iterable[int]) -> None:
-        """Payloads *mids* left the wire, in completion order.
+    def flows_done(self, mids: Sequence[int]) -> None:
+        """Payloads *mids* left the wire, in completion order: every
+        payload one solve of the network model finished.
 
-        ``inbounds[i]`` flows were open at ``mids[i]``'s destination when
-        its last byte left (itself included).  Each sender's pair
-        channel and cap slot free up and its queue is pumped, and each
-        send completes; the wire arrivals, ``base_latency`` later,
+        A payload is demultiplexed when its size qualifies and at least
+        ``mux_min_inbound`` flows are open at its destination, counted
+        with the whole batch still open (payloads that finish together
+        see each other); then the batch's counts drop.  Each sender's
+        pair channel and cap slot free up and its queue is pumped, and
+        each send completes; the wire arrivals, ``base_latency`` later,
         become bulk entries: those the receiver demultiplexes and those
         it takes directly.
         """
@@ -607,20 +621,22 @@ class ProtocolReplay:
         now = engine.now
         reserve = engine.reserve
         schedule = engine.schedule
-        inject = self._inject
+        inject, inbound = self._inject, self._inbound
         schedulers, msg_src, msg_dst = self._schedulers, self.msg_src, self.msg_dst
-        msg_nbytes, send_gate = self.msg_nbytes, self._send_gate
+        send_gate = self._send_gate
         outstanding, waiting_on, resume = (
             self._outstanding, self._waiting_on, self._resume
         )
-        mux_applies = self.transport.mux_applies
+        mux_size, mux_min = self._mux_size, self.transport.mux_min_inbound
+        charged = [mux_size[mid] and inbound[msg_dst[mid]] >= mux_min for mid in mids]
         direct = (array("q"), array("q"))  # seqs and mids
         demuxed = (array("q"), array("q"))
-        for mid, inbound in zip(mids, inbounds):
-            src = msg_src[mid]
+        for mid, muxed in zip(mids, charged):
+            src, dst = msg_src[mid], msg_dst[mid]
+            inbound[dst] -= 1
             scheduler = schedulers[src]
             scheduler.in_flight -= 1
-            scheduler.busy[msg_dst[mid]] = 0
+            scheduler.busy[dst] = 0
             if scheduler.queue:
                 scheduler.pump(inject)
             gate = send_gate[mid]
@@ -630,9 +646,7 @@ class ProtocolReplay:
                 if not left and waiting_on[src] == gate:
                     waiting_on[src] = -1
                     schedule(now, resume[src])
-            seqs, members = (
-                demuxed if mux_applies(msg_nbytes[mid], inbound) else direct
-            )
+            seqs, members = demuxed if muxed else direct
             seqs.append(reserve())
             members.append(mid)
         arrival = array("d", [now + self.transport.base_latency])

@@ -7,13 +7,15 @@ the moral equivalent of ``MPI_Waitall``.  :meth:`Runtime.run` lowers the
 program to a static schedule and replays it with the MPI protocol both
 engines share (:mod:`repro.simmpi.protocol`); the runtime is that
 replay's network model, one :class:`~repro.simnet.fluid.FluidNetwork`
-flow per wire message.  This stack is the correctness oracle; its
-small-n results are frozen in ``tests/test_oracle_goldens.py``.
+flow per wire message, and it hands each resolve's finished flows to
+the replay as one ``flows_done`` batch.  This stack is the correctness
+oracle; its small-n results are frozen in
+``tests/test_oracle_goldens.py``.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from array import array
 from typing import Any, Callable, Generator
 
 from ..simnet.fluid import FluidNetwork
@@ -72,6 +74,16 @@ class Runtime:
             start_skew_scale=start_skew_scale, seed=seed, trace=trace,
         )
         self.nprocs = self._replay.nprocs
+        # Flow ids count from 0 in injection order, and the runtime is
+        # the network's only injector, so flow f carries message
+        # flow_mid[f.fid].  The handler holds no reference to the
+        # runtime, so a finished run is freed by reference counting.
+        flow_mid = self._flow_mid = array("q")
+        flows_done = self._replay.flows_done
+
+        def flows_finished(flows) -> None:
+            flows_done([flow_mid[flow.fid] for flow in flows])
+
         self.network = FluidNetwork(
             self._replay.engine,
             topology,
@@ -80,6 +92,7 @@ class Runtime:
             rng=RngFactory(seed).stream("net/loss"),
             trace=self._replay.trace,
             timeline=timeline,
+            on_complete=flows_finished,
         )
 
     def run(
@@ -109,17 +122,13 @@ class Runtime:
     def inject(self, mid: int) -> None:
         """Start message *mid*'s payload as one fluid flow."""
         replay = self._replay
+        self._flow_mid.append(mid)
         self.network.inject(
             replay.msg_src[mid],
             replay.msg_dst[mid],
             self._msg_wire[mid],
-            on_complete=partial(self._flow_complete, mid),
             label=f"msg{mid}",
         )
-
-    def _flow_complete(self, mid: int, flow) -> None:
-        """Message *mid*'s flow finished: a one-member batch for the replay."""
-        self._replay.flows_done((mid,), (flow.inbound_at_completion,))
 
     def counters(self) -> dict[str, int]:
         """The run's :class:`RunResult` count fields, by name."""

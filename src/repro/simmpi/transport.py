@@ -97,6 +97,17 @@ class TransportParams:
         ).astype(np.float64)
         return eager, submit, wire
 
+    def mux_sizes(self, payloads: np.ndarray) -> np.ndarray:
+        """Array-wide size half of :meth:`mux_applies` over int payloads.
+
+        Entry *i* says whether a payload of ``payloads[i]`` bytes is
+        demultiplexed once ``mux_min_inbound`` flows are open at its
+        receiver; the protocol replay builds it once per run and
+        compares only the open-flow count per finished payload.
+        """
+        payloads = np.asarray(payloads, dtype=np.int64)
+        return (payloads >= self.mux_threshold) & (self.mux_overhead > 0.0)
+
     def local_copy_time(self, payload: int) -> float:
         """Time for the rank's message to itself (memcpy, never on wire)."""
         if self.local_copy_bandwidth <= 0:
@@ -118,7 +129,11 @@ class TransportParams:
         return self.wire_bytes(payload) / (payload * link_capacity)
 
     def mux_applies(self, payload: int, inbound_open: int) -> bool:
-        """Whether receiver demultiplexing overhead is charged."""
+        """Whether receiver demultiplexing overhead is charged.
+
+        *inbound_open* counts the flows open at the receiver when the
+        payload's last byte left, itself included.
+        """
         return (
             self.mux_overhead > 0.0
             and payload >= self.mux_threshold

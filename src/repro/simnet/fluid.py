@@ -9,8 +9,10 @@ flow progresses linearly at its allocated rate.
 Layering: this module is the network model of the default ``fluid``
 engine (see :mod:`repro.engines`): :class:`~repro.simmpi.runtime.Runtime`
 turns each wire message of the shared protocol replay
-(:mod:`repro.simmpi.protocol`) into one flow.  The batched alternative
-(:mod:`repro.simnet.vector`) re-uses this module's epsilon and
+(:mod:`repro.simmpi.protocol`) into one flow, and each resolve's
+finished flows into one batch for the replay.  The network moves bytes
+only; the receiving hosts' state is the replay's.  The batched
+alternative (:mod:`repro.simnet.vector`) re-uses this module's epsilon and
 event-priority conventions to stay equivalent.  This engine is the
 correctness oracle: the vector engine's loss overlay is validated
 statistically against this one, and cache keys are defined by its
@@ -31,9 +33,10 @@ Design notes (performance and the engine split):
   25%) at n=64 on lossless GigE, where each resolve re-walks ~4000
   flows.  The vector engine replaces the rebuild with a precomputed
   per-pair CSR gather and batches the solve per epoch;
-* event cascades within one timestamp are collapsed: completion handlers
-  fire user callbacks, which typically inject follow-up flows at the same
-  timestamp; those coalesce into a single follow-up resolve.
+* event cascades within one timestamp are collapsed: each resolve hands
+  its finished flows to one completion callback, whose follow-up
+  injections at the same timestamp coalesce into a single follow-up
+  resolve.
 
 The loss overlay implements the TCP RTO mechanism described in
 :mod:`repro.simnet.loss`; pass ``loss_params=None`` (or params with
@@ -88,7 +91,6 @@ class Flow:
         "remaining",
         "path",
         "state",
-        "on_complete",
         "label",
         "start_time",
         "end_time",
@@ -96,7 +98,6 @@ class Flow:
         "backoff",
         "remaining_at_last_loss",
         "slot",
-        "inbound_at_completion",
     )
 
     def __init__(
@@ -106,7 +107,6 @@ class Flow:
         dst: int,
         nbytes: float,
         path: tuple[int, ...],
-        on_complete: Callable[["Flow"], None] | None,
         label: str,
         start_time: float,
     ) -> None:
@@ -117,7 +117,6 @@ class Flow:
         self.remaining = float(nbytes)
         self.path = path
         self.state = FlowState.PENDING
-        self.on_complete = on_complete
         self.label = label
         self.start_time = start_time
         self.end_time = math.nan
@@ -125,9 +124,6 @@ class Flow:
         self.backoff = 0
         self.remaining_at_last_loss = float(nbytes)
         self.slot = -1
-        # Inbound streams open at the destination when this flow finished
-        # (including itself); the receiver demux model reads this.
-        self.inbound_at_completion = 1
 
     @property
     def duration(self) -> float:
@@ -160,6 +156,9 @@ class FluidNetwork:
         Optional :class:`~repro.obs.timeline.LinkTimeline` (or anything
         with its ``record_active(now, paths, rates)`` shape) fed on
         every allocation resolve; ``None`` (default) records nothing.
+    on_complete:
+        Called after each resolve that finished flows, with the list of
+        them in slot order; ``None`` (default) reports nothing.
     """
 
     def __init__(
@@ -172,11 +171,13 @@ class FluidNetwork:
         rng: np.random.Generator | None = None,
         trace: Trace | None = None,
         timeline=None,
+        on_complete: Callable[[list[Flow]], None] | None = None,
     ) -> None:
         self.engine = engine
         self.topology = topology
         self.trace = trace if trace is not None else NullTrace()
         self._timeline = timeline
+        self._on_complete = on_complete
         self._capacities = np.asarray(topology.capacities(), dtype=np.float64)
         self._fid = itertools.count()
         if hol_penalty is not None and hol_penalty.enabled:
@@ -213,9 +214,6 @@ class FluidNetwork:
         self._completion_event: EventHandle | None = None
         self._loss_event: EventHandle | None = None
 
-        self._inbound_open: dict[int, int] = {}
-        self._outbound_open: dict[int, int] = {}
-
         # Aggregate statistics.
         self.flows_completed = 0
         self.total_losses = 0
@@ -234,7 +232,6 @@ class FluidNetwork:
         dst: int,
         nbytes: float,
         *,
-        on_complete: Callable[[Flow], None] | None = None,
         label: str = "",
     ) -> Flow:
         """Start a transfer of *nbytes* from host *src* to host *dst*.
@@ -250,18 +247,9 @@ class FluidNetwork:
             )
         path = self.topology.route(src, dst)
         flow = Flow(
-            next(self._fid),
-            src,
-            dst,
-            nbytes,
-            path,
-            on_complete,
-            label,
-            self.engine.now,
+            next(self._fid), src, dst, nbytes, path, label, self.engine.now
         )
         self._pending.append(flow)
-        self._inbound_open[dst] = self._inbound_open.get(dst, 0) + 1
-        self._outbound_open[src] = self._outbound_open.get(src, 0) + 1
         self._mark_dirty()
         self.trace.emit(
             self.engine.now, "flow.inject", fid=flow.fid, src=src, dst=dst,
@@ -269,36 +257,10 @@ class FluidNetwork:
         )
         return flow
 
-    def inbound_open_count(self, host: int) -> int:
-        """Inbound flows injected and not yet complete for *host*.
-
-        Counts PENDING flows as well as ACTIVE and STALLED ones: a flow
-        is "open" at the receiver from the instant it is injected (the
-        receiver's stack is already committed to it; pending flows are
-        admitted by the same-timestamp resolve, so the distinction is
-        only visible mid-cascade).  The demux-concurrency snapshot taken
-        at flow completion relies on exactly this semantics.
-        """
-        return self._inbound_open.get(host, 0)
-
-    def outbound_open_count(self, host: int) -> int:
-        """Outbound flows injected and not yet complete for *host*.
-
-        Same open-from-injection semantics as :meth:`inbound_open_count`
-        (PENDING, ACTIVE, or STALLED).
-        """
-        return self._outbound_open.get(host, 0)
-
     @property
     def active_count(self) -> int:
         """Number of flows currently progressing."""
         return len(self._slot_flows)
-
-    def current_rate(self, flow: Flow) -> float:
-        """Instantaneous allocated rate of *flow* (0 unless ACTIVE)."""
-        if flow.state is FlowState.ACTIVE and 0 <= flow.slot < len(self._rates):
-            return float(self._rates[flow.slot])
-        return 0.0
 
     # ------------------------------------------------------------------
     # Internal machinery
@@ -329,24 +291,13 @@ class FluidNetwork:
             return []
         finished: list[Flow] = []
         now = self.engine.now
-        slots = np.nonzero(finished_mask)[0]
-        # Snapshot receiver concurrency before decrementing, so flows
-        # that finish in the same batch all observe each other (the
-        # receiver is demultiplexing them together).
-        snapshot = {
-            self._slot_flows[slot].dst: self._inbound_open[self._slot_flows[slot].dst]
-            for slot in slots
-        }
-        for slot in slots:
+        for slot in np.nonzero(finished_mask)[0]:
             flow = self._slot_flows[slot]
             flow.remaining = 0.0
             flow.state = FlowState.DONE
             flow.end_time = now
             flow.slot = -1
-            flow.inbound_at_completion = snapshot[flow.dst]
             finished.append(flow)
-            self._inbound_open[flow.dst] -= 1
-            self._outbound_open[flow.src] -= 1
             self.flows_completed += 1
             self.trace.emit(
                 now, "flow.complete", fid=flow.fid, src=flow.src, dst=flow.dst,
@@ -435,11 +386,10 @@ class FluidNetwork:
         self._schedule_completion()
         self._schedule_loss()
 
-        # Completion callbacks run last: they may inject follow-up flows,
-        # which coalesce into a single new resolve at this timestamp.
-        for flow in finished:
-            if flow.on_complete is not None:
-                flow.on_complete(flow)
+        # The completion callback runs last: it may inject follow-up
+        # flows, which coalesce into a single new resolve at this timestamp.
+        if finished and self._on_complete is not None:
+            self._on_complete(finished)
 
     def _schedule_completion(self) -> None:
         if self._completion_event is not None:

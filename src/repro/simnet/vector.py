@@ -9,9 +9,10 @@ instead, advancing **all active flows in synchronized epochs**:
 * one vectorized minimum time-to-completion,
 * one array subtraction per epoch,
 
-with completions handled as batches that feed the next phase of the
-schedule.  The flow → link CSR is never rebuilt from Python lists: the
-routes of every (src, dst) pair come from one route-table gather
+with each epoch's completions handed to the replay as one batch that
+feeds the next phase of the schedule.  The flow → link CSR is never
+rebuilt from Python lists: the routes of every (src, dst) pair come
+from one route-table gather
 (:meth:`~repro.simnet.topology.Topology.route_table`) at attach time,
 and the active set's :class:`~repro.simnet.fairness.FlowPaths` is
 assembled per epoch with a vectorized ragged gather.  Pair ids come from one
@@ -116,7 +117,8 @@ class VectorSimulator:
     is the protocol replay's network model (see
     :mod:`repro.simmpi.protocol`): the replay calls :meth:`attach` and
     :meth:`inject`, and each epoch's completed flows go back as one
-    batch through its ``flows_done``.
+    batch through its ``flows_done``.  It moves bytes only; the
+    receiving hosts' open-flow counts are the replay's.
     """
 
     def __init__(
@@ -187,7 +189,6 @@ class VectorSimulator:
         self._flow_losses = np.empty(0, dtype=np.int64)
         self._flow_remaining = np.empty(0, dtype=np.float64)
         self._flow_rngs: dict[int, np.random.Generator] = {}
-        self._inbound_open = [0] * self.nprocs  # flows open per destination
         self._structure_dirty = False
         self._last_advance = 0.0
         self._resolve_event: EventHandle | None = None
@@ -242,7 +243,6 @@ class VectorSimulator:
         self._msg_nbytes = replay.msg_nbytes
         self._msg_wire = wire
         self._msg_pair = pair
-        self._msg_dst_arr = dst
         lengths = self._pair_len = np.diff(self._pair_indptr)
         if len(lengths) and int(lengths.min()) == int(lengths.max()):
             # Uniform route length (true on single-switch and other
@@ -284,7 +284,6 @@ class VectorSimulator:
     def inject(self, mid: int) -> None:
         """Admit message *mid*'s payload to the next resolve."""
         self._pending.append(mid)
-        self._inbound_open[self._msg_dst[mid]] += 1
         if self._tracing:
             self._inject_time[mid] = self.engine.now
             self.trace.emit(
@@ -321,19 +320,10 @@ class VectorSimulator:
         self._last_advance = now
 
         finished = np.empty(0, dtype=np.int64)
-        finished_inbound: list[int] = []
         if n_active:
             mask = self._act_remaining <= _BYTE_EPS
             if mask.any():
                 finished = self._act_mids[mask]
-                dsts = self._msg_dst_arr[finished].tolist()
-                # Snapshot receiver concurrency before decrementing, so
-                # flows finishing in the same batch all observe each
-                # other (the receiver demultiplexes them together).
-                inbound = self._inbound_open
-                finished_inbound = [inbound[dst] for dst in dsts]
-                for dst in dsts:
-                    inbound[dst] -= 1
                 self.flows_completed += len(finished)
                 keep = ~mask
                 self._act_mids = self._act_mids[keep]
@@ -441,7 +431,7 @@ class VectorSimulator:
         # pump follow-up flows, which coalesce into one resolve at this
         # timestamp — the same cascade discipline as the fluid engine.
         if len(finished):
-            self._flows_done(memoryview(finished), finished_inbound)
+            self._flows_done(memoryview(finished))
 
     def _active_paths(self) -> FlowPaths:
         """Assemble the active set's CSR with a vectorized ragged gather."""

@@ -23,6 +23,7 @@ from repro.exceptions import (
     UnknownNameError,
 )
 from repro.measure.alltoall import measure_alltoall
+from repro.obs import LinkTimeline
 from repro.obs.metrics import REGISTRY, diff_snapshots
 from repro.placement import PlacedTopology
 from repro.registry import ALGORITHMS, ENGINES
@@ -72,6 +73,37 @@ class TestRegistry:
     def test_unknown_engine_raises(self):
         with pytest.raises(UnknownNameError):
             ENGINES.get("verlet")
+
+    def test_observed_run_raises_the_programs_own_type_error(self):
+        def yields_an_int(ctx, nbytes):
+            yield 42
+
+        ALGORITHMS.register("test-yields-an-int", yields_an_int)
+        try:
+            with pytest.raises(TypeError, match="must yield Request"):
+                measure_alltoall(
+                    get_cluster("gigabit-ethernet"), 4, 1024, reps=1,
+                    algorithm="test-yields-an-int", observe=True,
+                )
+        finally:
+            ALGORITHMS.unregister("test-yields-an-int")
+
+    def test_engine_without_observation_keywords_is_refused(self):
+        calls = []
+
+        def unobservable(cluster, n_processes, program, run_arg, seed):
+            calls.append(seed)
+
+        ENGINES.register("test-unobservable", unobservable)
+        try:
+            with pytest.raises(MeasurementError, match="does not support observation"):
+                measure_alltoall(
+                    get_cluster("myrinet"), 4, 1024, reps=1,
+                    engine="test-unobservable", observe=True,
+                )
+        finally:
+            ENGINES.unregister("test-unobservable")
+        assert calls == []
 
 
 class TestEquivalence:
@@ -152,22 +184,27 @@ class TestVectorLimits:
             lower_program(clocky, 4, 2_048)
 
 
-def _cut_bound(topology, transport, lowered) -> float:
-    """The busiest link's routed wire bytes over its capacity, in seconds."""
+def _link_loads(topology, transport, lowered) -> tuple[np.ndarray, np.ndarray]:
+    """Per link: the wire bytes routed over it, and the flows crossing it."""
     remote = ~lowered.local
     _, _, wire = transport.message_costs(lowered.nbytes[remote])
     indptr, links = topology.route_table(lowered.src[remote], lowered.dst[remote])
     loads = np.bincount(
         links, weights=np.repeat(wire, np.diff(indptr)), minlength=topology.n_links
     )
-    return float(np.max(loads / np.asarray(topology.capacities())))
+    return loads, np.bincount(links, minlength=topology.n_links)
 
 
 class TestCutLowerBound:
-    """No run beats its busiest link: on both engines a run lasts at least
-    the largest, over all links, of the wire bytes routed over the link
-    divided by its capacity.  Lost bytes or an oversubscribed link break
-    it, even where the engines would still agree with each other."""
+    """No run beats its busiest link, and no link loses or invents a byte.
+
+    On both engines a run lasts at least the largest, over all links, of
+    the wire bytes routed over the link divided by its capacity.  Lost
+    bytes or an oversubscribed link break it, even where the engines
+    would still agree with each other.  And every link's delivered bytes
+    (:class:`~repro.obs.LinkTimeline`) equal the wire bytes routed over
+    it, within half a byte per crossing flow (a flow completes with up
+    to ``_BYTE_EPS`` bytes left) plus 1e-9 relative."""
 
     @settings(max_examples=25)
     @given(data=st.data())
@@ -192,10 +229,14 @@ class TestCutLowerBound:
         )
         seed = data.draw(st.integers(0, 3), label="seed")
         program = ALGORITHMS.get(algorithm)
-        bound = _cut_bound(placed, cluster.transport, lower_program(program, n, run_arg))
+        loads, flows = _link_loads(placed, cluster.transport, lower_program(program, n, run_arg))
+        bound = float(np.max(loads / np.asarray(placed.capacities())))
         for engine in ("fluid", "vector"):
-            result = ENGINES.get(engine)(cluster, n, program, run_arg, seed)
+            timeline = LinkTimeline.for_topology(placed, keep_series=False)
+            result = ENGINES.get(engine)(cluster, n, program, run_arg, seed, timeline=timeline)
             assert result.duration >= bound, engine
+            error = np.abs(timeline.delivered_bytes - loads)
+            assert np.all(error <= 0.5 * flows + 1e-9 * loads), engine
 
 
 class TestLossyVector:
@@ -941,27 +982,39 @@ class TestCollectorWindow:
 class TestSenderSchedulers:
     """The per-host admission queue both engines share dispatches in
     FIFO order, skipping (but keeping in place) messages whose pair
-    channel is busy, and never past the concurrency cap."""
+    channel is busy, and never past the concurrency cap; every dispatch
+    counts one open flow at its destination until it is released."""
 
     @pytest.fixture
     def make(self):
         from repro.simmpi.protocol import _HostScheduler
 
         def build(dsts, cap):
-            injected = []
-            scheduler = _HostScheduler(dsts, cap, max(dsts) + 1)
+            injected, released = [], []
+            inbound = [0] * (max(dsts) + 1)
+            scheduler = _HostScheduler(dsts, inbound, cap)
+
+            def check_counts():
+                open_mids = [mid for mid in injected if mid not in released]
+                assert inbound == [
+                    sum(dsts[mid] == dst for mid in open_mids)
+                    for dst in range(len(inbound))
+                ]
+
+            def submit(mid):
+                scheduler.submit(mid, injected.append)
+                check_counts()
 
             def release(mid):
                 # What ProtocolReplay.flows_done does as a payload leaves.
+                inbound[dsts[mid]] -= 1
+                released.append(mid)
                 scheduler.in_flight -= 1
                 scheduler.busy[dsts[mid]] = 0
                 scheduler.pump(injected.append)
+                check_counts()
 
-            return (
-                injected,
-                lambda mid: scheduler.submit(mid, injected.append),
-                release,
-            )
+            return injected, submit, release
 
         return build
 
@@ -997,3 +1050,67 @@ class TestSenderSchedulers:
         assert injected == [0, 4, 2, 1]
         release(2)
         assert injected == [0, 4, 2, 1, 3]
+
+
+def _gather(ctx, nbytes):
+    """Every other rank sends *nbytes* to rank 0 at once."""
+    if ctx.rank == 0:
+        yield [ctx.irecv(src, tag=0) for src in range(1, ctx.size)]
+    else:
+        yield ctx.isend(0, nbytes)
+
+
+class TestReceiverCount:
+    """The replay counts each destination's open flows on both engines:
+    k equal payloads into one receiver finish in one ``flows_done``
+    batch, each sees k, and demultiplexing is charged exactly when
+    ``mux_min_inbound <= k``."""
+
+    K = 4
+    MUX = 1e-3
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        from repro.simmpi.protocol import ProtocolReplay
+
+        seen = []
+        original = ProtocolReplay.flows_done
+
+        def recording(replay, mids):
+            seen.append([replay._inbound[replay.msg_dst[mid]] for mid in mids])
+            original(replay, mids)
+
+        monkeypatch.setattr(ProtocolReplay, "flows_done", recording)
+        return seen
+
+    def _run(self, engine, mux_min_inbound):
+        from repro.simmpi.runtime import Runtime
+        from repro.simmpi.transport import TransportParams
+        from repro.simnet.topology import single_switch
+        from repro.simnet.vector import VectorSimulator
+
+        n = self.K + 1
+        transport = TransportParams(
+            mux_overhead=self.MUX, mux_threshold=1_024,
+            mux_min_inbound=mux_min_inbound, jitter_scale=0.0,
+        )
+        topology = single_switch(n, nic_bandwidth=100e6)
+        if engine == "fluid":
+            model = Runtime(topology, transport, nprocs=n)
+            result = model.run(_gather, 4_096)
+        else:
+            model = VectorSimulator(topology, transport, nprocs=n)
+            result = model.run(lower_program(_gather, n, 4_096))
+        # Every flow was reported, so none is left open.
+        assert model._replay._inbound == [0] * n
+        return result
+
+    @pytest.mark.parametrize("engine", ("fluid", "vector"))
+    def test_payloads_that_finish_together_see_each_other(self, batches, engine):
+        k = self.K
+        charged = self._run(engine, mux_min_inbound=k)
+        assert batches == [[k] * k]
+        free = self._run(engine, mux_min_inbound=k + 1)
+        assert batches == [[k] * k] * 2
+        # The receive CPU serves the k demultiplexed arrivals one by one.
+        assert charged.duration - free.duration == pytest.approx(k * self.MUX, rel=1e-9)

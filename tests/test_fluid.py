@@ -1,6 +1,5 @@
 """Unit tests for the fluid network simulation."""
 
-import numpy as np
 import pytest
 
 from repro.exceptions import SimulationError
@@ -14,7 +13,9 @@ from repro.simnet.topology import single_switch
 from repro.simnet.trace import Trace
 
 
-def make_net(n_hosts=4, nic=100e6, backplane=None, loss=None, hol=None, seed=0):
+def make_net(
+    n_hosts=4, nic=100e6, backplane=None, loss=None, hol=None, seed=0, on_complete=None
+):
     engine = Engine()
     topo = single_switch(n_hosts, nic_bandwidth=nic, backplane_capacity=backplane)
     net = FluidNetwork(
@@ -24,6 +25,7 @@ def make_net(n_hosts=4, nic=100e6, backplane=None, loss=None, hol=None, seed=0):
         hol_penalty=hol,
         rng=RngFactory(seed).stream("loss"),
         trace=Trace(),
+        on_complete=on_complete,
     )
     return engine, net
 
@@ -36,12 +38,19 @@ class TestSingleFlow:
         assert flow.state is FlowState.DONE
         assert flow.duration == pytest.approx(1.0, rel=1e-9)
 
-    def test_completion_callback_fires_at_completion_time(self):
-        engine, net = make_net()
+    def test_completion_callback_fires_once_per_resolve(self):
+        # One list per resolve that finished flows, at the completion
+        # time, in slot order: two disjoint 50 MB flows finish together
+        # at 0.5 s, the 100 MB one alone at 1 s.
         seen = []
-        net.inject(0, 1, 50e6, on_complete=lambda f: seen.append(engine.now))
+        engine, net = make_net(
+            on_complete=lambda flows: seen.append((engine.now, list(flows)))
+        )
+        first = net.inject(0, 1, 50e6)
+        last = net.inject(1, 0, 100e6)
+        second = net.inject(2, 3, 50e6)
         engine.run()
-        assert seen == [pytest.approx(0.5)]
+        assert seen == [(pytest.approx(0.5), [first, second]), (pytest.approx(1.0), [last])]
 
     def test_rejects_self_flow(self):
         _, net = make_net()
@@ -107,24 +116,6 @@ class TestSharing:
         # First runs alone 0.5s (50MB), shares 0.5s.. second finishes
         # at 0.5 + 25/50 = 1.0, first completes remaining 25MB at full rate.
         assert first.duration == pytest.approx(1.25, rel=1e-6)
-
-    def test_inbound_open_count_tracks_flows(self):
-        engine, net = make_net()
-        net.inject(0, 1, 100e6)
-        net.inject(2, 1, 100e6)
-        assert net.inbound_open_count(1) == 2
-        engine.run()
-        assert net.inbound_open_count(1) == 0
-
-    def test_open_counts_include_pending_flows(self):
-        # Documented semantics: a flow is "open" from injection, so the
-        # counts include PENDING flows (not only ACTIVE/STALLED) — the
-        # demux-concurrency snapshot taken at completion relies on it.
-        _, net = make_net()
-        flow = net.inject(0, 1, 100e6)
-        assert flow.state is FlowState.PENDING
-        assert net.inbound_open_count(1) == 1
-        assert net.outbound_open_count(0) == 1
 
 
 class TestLossProcess:

@@ -58,6 +58,22 @@ class TestTransportParams:
             params.wire_bytes(p).hex() for p in payloads
         ]
 
+    @pytest.mark.parametrize("cluster", ("fast-ethernet", "gigabit-ethernet", "myrinet"))
+    @given(
+        payloads=st.lists(
+            st.one_of(st.integers(0, 10_000), st.integers(0, 10**9)), min_size=1, max_size=30
+        ),
+        inbound=st.integers(0, 8),
+    )
+    def test_mux_sizes_match_scalar_rule(self, cluster, payloads, inbound):
+        # The replay applies the size half array-wide and compares only
+        # the open-flow count per payload: together they are mux_applies.
+        params = get_cluster(cluster).transport
+        sizes = params.mux_sizes(np.array(payloads))
+        assert [size and inbound >= params.mux_min_inbound for size in sizes.tolist()] == [
+            params.mux_applies(p, inbound) for p in payloads
+        ]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TransportParams(mss=0)
